@@ -4,9 +4,9 @@ Submodules:
     dsp      -- bandpass filtering, normalization, windowing
     gaf      -- time series to Gramian Angular Field images
     ops      -- differentiable array primitives with hand-written backward passes
-    model    -- dual-branch network with split attention fusion
+    model    -- dual-branch network as stage lists with a backward tape; split attention fusion
     optim    -- loss, Adam, learning-rate schedules, training loop
-    data     -- UCR and WFDB/MIT-BIH loaders, splits, batching
+    data     -- UCR and WFDB/MIT-BIH loaders, stratified splits
     metrics  -- accuracy, macro F1, macro one-vs-rest AUC
     cli      -- command-line entry point
 """

@@ -73,11 +73,23 @@ def _load_run_config(path: Optional[str]) -> RunConfig:
     return load_config_file(path)
 
 
+def _on_vocabulary(ds: data.Dataset, class_names: List[str]) -> data.Dataset:
+    """Relabel `ds` onto `class_names`, matching classes by name: `load_ucr`
+    numbers the classes of each file on its own."""
+    unseen = [name for name in ds.class_names if name not in class_names]
+    if unseen:
+        raise DataFormatError(f"test classes {unseen} do not occur in the training data")
+    ids = np.array([class_names.index(name) for name in ds.class_names], dtype=np.int64)
+    return replace(ds, labels=ids[ds.labels], class_names=class_names)
+
+
 def _load_datasets(args, cfg: RunConfig, train_path: Optional[str]):
     """Returns (train_ds, test_ds); train_ds is None when train_path is None."""
     if args.dataset == "ucr":
         train_ds = data.load_ucr(train_path, fs=cfg.fs) if train_path else None
         test_ds = data.load_ucr(args.test, fs=cfg.fs, split_tag="test") if args.test else None
+        if train_ds is not None and test_ds is not None:
+            test_ds = _on_vocabulary(test_ds, train_ds.class_names)
         return train_ds, test_ds
     # wfdb: comma-separated record prefixes; beats pooled, then split if no --test
     window = cfg.preprocess.window or 360  # one second at 360 Hz
@@ -132,9 +144,6 @@ def cmd_train(args) -> int:
     model_cfg = cfg.model.to_model_config(train_ds.num_classes, variant=args.variant)
     train_inputs = pipeline.prepare_inputs(train_ds, pre, need_images=model_cfg.uses_spatial)
     test_inputs = pipeline.prepare_inputs(test_ds, pre, need_images=model_cfg.uses_spatial)
-    if cfg.train.schedule.kind == "cosine" and cfg.train.schedule.total_steps == 0:
-        n_batches = -(-len(train_inputs.labels) // cfg.train.batch_size)
-        cfg.train.schedule.total_steps = cfg.train.epochs * n_batches
 
     result, report = pipeline.train_and_evaluate(model_cfg, train_inputs, test_inputs, cfg.train)
 
@@ -192,7 +201,7 @@ def cmd_ablate(args) -> int:
         model_cfg = cfg.model.to_model_config(train_ds.num_classes, variant=variant)
         accs, f1s, aucs = [], [], []
         for seed in seeds:
-            train_cfg = replace(cfg.train, seed=seed, schedule=replace(cfg.train.schedule))
+            train_cfg = replace(cfg.train, seed=seed)
             _, report = pipeline.train_and_evaluate(model_cfg, train_inputs, test_inputs, train_cfg)
             accs.append(report.accuracy)
             f1s.append(report.macro_f1)

@@ -316,23 +316,17 @@ def concat_datasets(datasets: Sequence[Dataset]) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# splits and batching
+# splits
 
 
-def stratified_split(ds: Dataset, fraction: float, seed: int) -> Tuple[Dataset, Dataset]:
-    """Seeded per-class proportional split; the first part receives `fraction`.
-
-    A class with a single sample cannot be stratified and falls into the
-    first (train) part.
-    """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must be in (0, 1)")
-    rng = np.random.Generator(np.random.PCG64(seed))
+def stratified_indices(labels, fraction: float, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-class proportional index split into two sorted parts; the first
+    receives `fraction` of each class. A class with a single sample cannot be
+    stratified and falls into the first part."""
+    labels = np.asarray(labels)
     first, second = [], []
-    for c in range(ds.num_classes):
-        idx = np.flatnonzero(ds.labels == c)
-        if idx.size == 0:
-            continue
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
         if idx.size == 1:
             first.extend(idx)
             continue
@@ -341,13 +335,12 @@ def stratified_split(ds: Dataset, fraction: float, seed: int) -> Tuple[Dataset, 
         n_first = min(max(n_first, 1), idx.size - 1)
         first.extend(perm[:n_first])
         second.extend(perm[n_first:])
-    a = np.sort(np.array(first, dtype=np.int64))
-    b = np.sort(np.array(second, dtype=np.int64))
+    return np.sort(np.array(first, dtype=np.int64)), np.sort(np.array(second, dtype=np.int64))
+
+
+def stratified_split(ds: Dataset, fraction: float, seed: int) -> Tuple[Dataset, Dataset]:
+    """Seeded `stratified_indices` split; the first (train) part receives `fraction`."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError("fraction must be in (0, 1)")
+    a, b = stratified_indices(ds.labels, fraction, np.random.Generator(np.random.PCG64(seed)))
     return ds.subset(a), ds.subset(b, split_tag="test")
-
-
-def make_batches(ds: Dataset, batch_size: int, seed: int, epoch: int) -> List[np.ndarray]:
-    """Deterministic per-(seed, epoch) shuffled index batches; partial tail kept."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(epoch,))))
-    perm = rng.permutation(len(ds))
-    return [perm[i : i + batch_size] for i in range(0, len(ds), batch_size)]

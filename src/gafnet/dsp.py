@@ -1,9 +1,10 @@
 """ECG signal preprocessing: bandpass filtering, normalization, windowing."""
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 
 from .errors import GafnetError
@@ -53,23 +54,6 @@ class FilterCoefficients:
             poles = np.roots(row[3:])
             if np.any(np.abs(poles) >= 1.0):
                 raise GafnetError("unstable filter design: pole on or outside unit circle")
-
-
-@dataclass
-class Segment:
-    """A fixed-length window cut from a preprocessed signal."""
-
-    values: np.ndarray
-    source_index: int = 0
-    label: Optional[int] = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("segment contains non-finite values")
-
-    def __len__(self):
-        return self.values.size
 
 
 @dataclass
@@ -144,27 +128,23 @@ def normalize(sig: Signal) -> Signal:
     return Signal(samples=centered / std, fs=sig.fs)
 
 
-def segment(sig: Signal, window: int, overlap: int) -> List[Segment]:
+def segment(sig: Signal, window: int, overlap: int) -> np.ndarray:
     """Cut into fixed windows of size `window` with `overlap` shared samples.
 
-    Window i (0-based) covers samples [i*(w-o), i*(w-o)+w); trailing samples
-    that do not fill a window are dropped.
+    Returns an (n, window) read-only view of the samples: row i covers
+    samples [i*(w-o), i*(w-o)+w); trailing samples that do not fill a
+    window are dropped.
     """
     t = len(sig)
     if window > t:
         raise ValueError(f"window {window} longer than signal {t}")
     if not 0 <= overlap < window:
         raise ValueError("overlap must satisfy 0 <= o < w")
-    step = window - overlap
-    n = (t - window) // step + 1
-    return [
-        Segment(values=sig.samples[i * step : i * step + window].copy(), source_index=i)
-        for i in range(n)
-    ]
+    return sliding_window_view(sig.samples, window)[:: window - overlap]
 
 
-def preprocess(raw: Signal, cfg: PreprocessConfig) -> List[Segment]:
-    """Filter (optional) -> normalize -> segment."""
+def preprocess(raw: Signal, cfg: PreprocessConfig) -> np.ndarray:
+    """Filter (optional) -> normalize -> segment into an (n, w) array."""
     sig = raw
     if cfg.enable_filter:
         coeffs = design_butterworth(cfg.order, cfg.f_l, cfg.f_h, sig.fs)

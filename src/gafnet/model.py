@@ -1,11 +1,19 @@
 """Dual-branch network: 1D CNN + BiLSTM over the raw segment, 2D CNN over its
 GAF image, dual-layer cross-channel split attention fusion, MLP head, softmax
-classifier. Forward and backward are hand-written on top of `ops`.
+classifier.
+
+Each branch and the head is one ordered list of stages (`Stage`: a forward
+op, its hand-written backward op and the parameter names it owns), and
+`_layout` picks the lists a variant uses. `init_params` walks the lists to
+draw the parameters; `forward` runs them and records each stage's backward
+and cache on a tape; `backward` replays the tapes in reverse.
 """
 
+import os
 import struct
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -52,11 +60,7 @@ class ModelConfig:
 
     @property
     def fused_in(self) -> int:
-        if self.variant == "time_only":
-            return self.d_t
-        if self.variant == "gaf_only":
-            return self.d_s
-        return self.d_t + self.d_s
+        return self.d_t * self.uses_temporal + self.d_s * self.uses_spatial
 
     @property
     def uses_temporal(self) -> bool:
@@ -73,12 +77,6 @@ class ModelConfig:
     @property
     def uses_cross(self) -> bool:
         return self.variant == "full"
-
-
-def ablation_variant(cfg: ModelConfig, variant: str) -> ModelConfig:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    return replace(cfg, variant=variant)
 
 
 class ModelParams:
@@ -103,54 +101,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.cfg, {k: ParamTensor(p.value.copy()) for k, p in self.items()})
-
-
-def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
-    """Seed-deterministic initialization: weights uniform(+-sqrt(1/fan_in)),
-    biases zero (LSTM forget gate 1.0), layer-norm gain 1 / bias 0."""
-    t: Dict[str, ParamTensor] = {}
-
-    def add(name, value):
-        t[name] = ParamTensor(value)
-
-    if cfg.uses_temporal:
-        cin = 1
-        for i, (ch, k) in enumerate(cfg.cnn1d_layers):
-            add(f"conv1.{i}.w", ops.uniform_init(rng, (ch, cin, k), cin * k))
-            add(f"conv1.{i}.b", np.zeros(ch))
-            cin = ch
-        for tag in ("f", "b"):
-            cell = ops.init_lstm_cell(rng, cin, cfg.lstm_hidden)
-            add(f"lstm.{tag}.w_x", cell.w_x)
-            add(f"lstm.{tag}.w_h", cell.w_h)
-            add(f"lstm.{tag}.b", cell.b)
-    if cfg.uses_spatial:
-        cin = 1
-        for i, (ch, k, _s) in enumerate(cfg.cnn2d_layers):
-            add(f"conv2.{i}.w", ops.uniform_init(rng, (ch, cin, k, k), cin * k * k))
-            add(f"conv2.{i}.b", np.zeros(ch))
-            cin = ch
-    if cfg.uses_attention:
-        c_t = cfg.d_t // cfg.groups
-        c_s = cfg.d_s // cfg.groups
-        flat = cfg.groups * cfg.d_attn
-        for tag, c in (("t", c_t), ("s", c_s)):
-            for proj in ("wq", "wk", "wv"):
-                add(f"attn.{tag}.{proj}", ops.uniform_init(rng, (c, cfg.d_attn), c))
-        add("attn.t.wo_intra", ops.uniform_init(rng, (flat, cfg.d_t), flat))
-        add("attn.s.wo_intra", ops.uniform_init(rng, (flat, cfg.d_s), flat))
-        if cfg.uses_cross:
-            add("attn.t.wo_cross", ops.uniform_init(rng, (flat, cfg.d_t), flat))
-            add("attn.s.wo_cross", ops.uniform_init(rng, (flat, cfg.d_s), flat))
-        add("ln.t.gain", np.ones(cfg.d_t))
-        add("ln.t.bias", np.zeros(cfg.d_t))
-        add("ln.s.gain", np.ones(cfg.d_s))
-        add("ln.s.bias", np.zeros(cfg.d_s))
-    add("mlp.w1", ops.uniform_init(rng, (cfg.fused_in, cfg.mlp_hidden), cfg.fused_in))
-    add("mlp.b1", np.zeros(cfg.mlp_hidden))
-    add("cls.w", ops.uniform_init(rng, (cfg.mlp_hidden, cfg.num_classes), cfg.mlp_hidden))
-    add("cls.b", np.zeros(cfg.num_classes))
-    return ModelParams(cfg, t)
 
 
 # ---------------------------------------------------------------------------
@@ -199,164 +149,134 @@ def _attention_backward(gout, cache):
     return g_tq, g_tkv, gwq, gwk, gwv
 
 
-def intra_attention(tokens, wq, wk, wv):
-    """Self-attention over one modality's (g, c) tokens -> (g, d_attn)."""
-    out, _ = _attention_forward(np.asarray(tokens)[None], np.asarray(tokens)[None], wq, wk, wv)
-    return out[0]
-
-
-def cross_attention(tokens_q, tokens_kv, wq, wk, wv):
-    """Queries from one modality attend over the other's tokens -> (g, d_attn)."""
-    out, _ = _attention_forward(np.asarray(tokens_q)[None], np.asarray(tokens_kv)[None], wq, wk, wv)
-    return out[0]
-
-
 # ---------------------------------------------------------------------------
-# branches
+# stage lists
+#
+# A stage is one layer: `forward(x, *values) -> (y, cache)` takes the values
+# of the parameters `names` after its input, `backward(gy, cache)` returns the
+# input gradient and then one gradient per name, and `init(rng)` draws the
+# values of `names` in order. The lists are built per call, so every `ops.*`
+# function is looked up through its module attribute when the model runs.
 
 
-def _temporal_forward(segs, params, cfg):
-    x = np.asarray(segs, dtype=np.float64)[:, None, :]  # (B, 1, w)
-    layer_caches = []
-    for i in range(len(cfg.cnn1d_layers)):
-        x, c_cache = ops.conv1d_forward(x, params[f"conv1.{i}.w"].value, params[f"conv1.{i}.b"].value)
-        x, r_cache = ops.relu_forward(x)
-        layer_caches.append((c_cache, r_cache))
-    seq = np.ascontiguousarray(np.swapaxes(x, 1, 2))  # (B, T, c)
-    f_cell = ops.LstmCellParams(params["lstm.f.w_x"].value, params["lstm.f.w_h"].value, params["lstm.f.b"].value)
-    b_cell = ops.LstmCellParams(params["lstm.b.w_x"].value, params["lstm.b.w_h"].value, params["lstm.b.b"].value)
-    h, bi_cache = ops.bilstm_forward(seq, f_cell, b_cell)
-    f_t = h.mean(axis=1)  # global average pool over time
-    return f_t, (layer_caches, bi_cache, h.shape[1])
+class Stage(NamedTuple):
+    forward: Callable
+    backward: Callable
+    names: Tuple[str, ...] = ()
+    init: Callable = lambda rng: ()
 
 
-def _temporal_backward(gf_t, cache, params):
-    layer_caches, bi_cache, t_len = cache
-    gh = np.repeat(gf_t[:, None, :] / t_len, t_len, axis=1)
-    gseq, gf, gb = ops.bilstm_backward(gh, bi_cache)
-    for tag, grads in (("f", gf), ("b", gb)):
-        params.add_grad(f"lstm.{tag}.w_x", grads[0])
-        params.add_grad(f"lstm.{tag}.w_h", grads[1])
-        params.add_grad(f"lstm.{tag}.b", grads[2])
-    gx = np.ascontiguousarray(np.swapaxes(gseq, 1, 2))
-    for i in range(len(layer_caches) - 1, -1, -1):
-        c_cache, r_cache = layer_caches[i]
-        (gx,) = ops.relu_backward(gx, r_cache)
-        gx, gw, gbias = ops.conv1d_backward(gx, c_cache)
-        params.add_grad(f"conv1.{i}.w", gw)
-        params.add_grad(f"conv1.{i}.b", gbias)
-    return gx[:, 0, :]
+def _affine(forward, backward, names, w_shape, fan_in, n_out):
+    """A stage owning a weight drawn uniform(+-sqrt(1/fan_in)) and a zero bias."""
+    return Stage(forward, backward, names, lambda rng: (ops.uniform_init(rng, w_shape, fan_in), np.zeros(n_out)))
 
 
-def _spatial_forward(imgs, params, cfg):
-    x = np.asarray(imgs, dtype=np.float64)[:, None, :, :]  # (B, 1, w, w)
-    layer_caches = []
-    for i, (_ch, _k, stride) in enumerate(cfg.cnn2d_layers):
-        x, c_cache = ops.conv2d_forward(
-            x, params[f"conv2.{i}.w"].value, params[f"conv2.{i}.b"].value, stride=stride
-        )
-        x, r_cache = ops.relu_forward(x)
-        layer_caches.append((c_cache, r_cache))
-    f_s = x.mean(axis=(2, 3))
-    return f_s, (layer_caches, x.shape[2], x.shape[3])
+# adds the channel axis the first convolution of a branch reads
+_CHANNEL = Stage(lambda x: (np.asarray(x)[:, None], None), lambda g, _cache: (g[:, 0],))
 
 
-def _spatial_backward(gf_s, cache, params):
-    layer_caches, ho, wo = cache
-    gx = np.broadcast_to(gf_s[:, :, None, None] / (ho * wo), (*gf_s.shape, ho, wo)).copy()
-    for i in range(len(layer_caches) - 1, -1, -1):
-        c_cache, r_cache = layer_caches[i]
-        (gx,) = ops.relu_backward(gx, r_cache)
-        gx, gw, gbias = ops.conv2d_backward(gx, c_cache)
-        params.add_grad(f"conv2.{i}.w", gw)
-        params.add_grad(f"conv2.{i}.b", gbias)
-    return gx[:, 0, :, :]
+def _bilstm_stage(din, hidden):
+    """BiLSTM over channels-first (B, din, T) -> (B, 2h, T). The output is a
+    swapped view, so the pool after it sums over time in the LSTM's own
+    (B, T, 2h) order; a contiguous copy would be summed pairwise."""
+
+    def forward(x, *values):
+        cells = ops.LstmCellParams(*values[:3]), ops.LstmCellParams(*values[3:])
+        h, cache = ops.bilstm_forward(np.ascontiguousarray(np.swapaxes(x, 1, 2)), *cells)
+        return np.swapaxes(h, 1, 2), cache
+
+    def backward(g, cache):
+        gx, grads_f, grads_b = ops.bilstm_backward(np.swapaxes(g, 1, 2), cache)
+        return (np.ascontiguousarray(np.swapaxes(gx, 1, 2)), *grads_f, *grads_b)
+
+    def init(rng):
+        cells = [ops.init_lstm_cell(rng, din, hidden) for _direction in "fb"]
+        return [value for cell in cells for value in (cell.w_x, cell.w_h, cell.b)]
+
+    return Stage(forward, backward, tuple(f"lstm.{d}.{p}" for d in "fb" for p in ("w_x", "w_h", "b")), init)
+
+
+def _temporal_stages(cfg: ModelConfig) -> List[Stage]:
+    """Segments (B, w) -> 1D CNN -> BiLSTM -> mean over time (B, d_t)."""
+    stages, cin = [_CHANNEL], 1
+    for i, (ch, k) in enumerate(cfg.cnn1d_layers):
+        conv = _affine(ops.conv1d_forward, ops.conv1d_backward, (f"conv1.{i}.w", f"conv1.{i}.b"), (ch, cin, k), cin * k, ch)
+        stages += [conv, Stage(ops.relu_forward, ops.relu_backward)]
+        cin = ch
+    pool = Stage(partial(ops.global_avg_pool_forward, n_spatial=1), ops.global_avg_pool_backward)
+    return stages + [_bilstm_stage(cin, cfg.lstm_hidden), pool]
+
+
+def _spatial_stages(cfg: ModelConfig) -> List[Stage]:
+    """GAF images (B, w, w) -> strided 2D CNN -> global average pool (B, d_s)."""
+    stages, cin = [_CHANNEL], 1
+    for i, (ch, k, stride) in enumerate(cfg.cnn2d_layers):
+        conv = _affine(partial(ops.conv2d_forward, stride=stride), ops.conv2d_backward,
+                       (f"conv2.{i}.w", f"conv2.{i}.b"), (ch, cin, k, k), cin * k * k, ch)
+        stages += [conv, Stage(ops.relu_forward, ops.relu_backward)]
+        cin = ch
+    return stages + [Stage(partial(ops.global_avg_pool_forward, n_spatial=2), ops.global_avg_pool_backward)]
+
+
+def _head_stages(cfg: ModelConfig) -> List[Stage]:
+    """Fused features (B, fused_in) -> MLP -> logits (B, C)."""
+    return [
+        _affine(ops.linear_forward, ops.linear_backward, ("mlp.w1", "mlp.b1"),
+                (cfg.fused_in, cfg.mlp_hidden), cfg.fused_in, cfg.mlp_hidden),
+        Stage(ops.relu_forward, ops.relu_backward),
+        _affine(ops.linear_forward, ops.linear_backward, ("cls.w", "cls.b"),
+                (cfg.mlp_hidden, cfg.num_classes), cfg.mlp_hidden, cfg.num_classes),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # attention fusion
 
 
+def _attention_paths(cfg: ModelConfig):
+    """(query modality, key/value modality, output projection) of every
+    attention path: self-attention within each modality, then, when the
+    variant uses it, cross-attention from each modality to the other."""
+    paths = [("t", "t", "attn.t.wo_intra"), ("s", "s", "attn.s.wo_intra")]
+    if cfg.uses_cross:
+        paths += [("t", "s", "attn.t.wo_cross"), ("s", "t", "attn.s.wo_cross")]
+    return paths
+
+
 def _fuse_forward(f_t, f_s, params, cfg):
     bsz = f_t.shape[0]
-    g = cfg.groups
-    tk_t = channel_split(f_t, g)
-    tk_s = channel_split(f_s, g)
-    wq_t, wk_t, wv_t = (params[f"attn.t.{p}"].value for p in ("wq", "wk", "wv"))
-    wq_s, wk_s, wv_s = (params[f"attn.s.{p}"].value for p in ("wq", "wk", "wv"))
-    at_out, at_cache = _attention_forward(tk_t, tk_t, wq_t, wk_t, wv_t)
-    as_out, as_cache = _attention_forward(tk_s, tk_s, wq_s, wk_s, wv_s)
-    at_vec = at_out.reshape(bsz, -1) @ params["attn.t.wo_intra"].value
-    as_vec = as_out.reshape(bsz, -1) @ params["attn.s.wo_intra"].value
-    pre_t = f_t + at_vec
-    pre_s = f_s + as_vec
-    ct_cache = cs_cache = None
-    ct_out = cs_out = None
-    if cfg.uses_cross:
-        ct_out, ct_cache = _attention_forward(tk_t, tk_s, wq_t, wk_s, wv_s)
-        cs_out, cs_cache = _attention_forward(tk_s, tk_t, wq_s, wk_t, wv_t)
-        pre_t = pre_t + ct_out.reshape(bsz, -1) @ params["attn.t.wo_cross"].value
-        pre_s = pre_s + cs_out.reshape(bsz, -1) @ params["attn.s.wo_cross"].value
-    f_t2, ln_t_cache = ops.layer_norm_forward(pre_t, params["ln.t.gain"].value, params["ln.t.bias"].value)
-    f_s2, ln_s_cache = ops.layer_norm_forward(pre_s, params["ln.s.gain"].value, params["ln.s.bias"].value)
-    cache = (tk_t, tk_s, at_out, as_out, ct_out, cs_out, at_cache, as_cache, ct_cache, cs_cache, ln_t_cache, ln_s_cache)
-    return f_t2, f_s2, cache
+    tokens = {"t": channel_split(f_t, cfg.groups), "s": channel_split(f_s, cfg.groups)}
+    pre = {"t": f_t, "s": f_s}
+    paths = []
+    for q, kv, wo in _attention_paths(cfg):
+        w = (params[f"attn.{q}.wq"].value, params[f"attn.{kv}.wk"].value, params[f"attn.{kv}.wv"].value)
+        out, att_cache = _attention_forward(tokens[q], tokens[kv], *w)
+        pre[q] = pre[q] + out.reshape(bsz, -1) @ params[wo].value
+        paths.append((q, kv, wo, out, att_cache))
+    f_t2, ln_t_cache = ops.layer_norm_forward(pre["t"], params["ln.t.gain"].value, params["ln.t.bias"].value)
+    f_s2, ln_s_cache = ops.layer_norm_forward(pre["s"], params["ln.s.gain"].value, params["ln.s.bias"].value)
+    return f_t2, f_s2, (tokens, paths, {"t": ln_t_cache, "s": ln_s_cache})
 
 
 def _fuse_backward(gf_t2, gf_s2, cache, params, cfg):
-    (tk_t, tk_s, at_out, as_out, ct_out, cs_out,
-     at_cache, as_cache, ct_cache, cs_cache, ln_t_cache, ln_s_cache) = cache
+    tokens, paths, ln_caches = cache
     bsz = gf_t2.shape[0]
-    gpre_t, ggain_t, gbias_t = ops.layer_norm_backward(gf_t2, ln_t_cache)
-    gpre_s, ggain_s, gbias_s = ops.layer_norm_backward(gf_s2, ln_s_cache)
-    params.add_grad("ln.t.gain", ggain_t)
-    params.add_grad("ln.t.bias", gbias_t)
-    params.add_grad("ln.s.gain", ggain_s)
-    params.add_grad("ln.s.bias", gbias_s)
-
-    g_tk_t = np.zeros_like(tk_t)
-    g_tk_s = np.zeros_like(tk_s)
-
-    def through_output_proj(gpre, att_out, wo_name):
-        params.add_grad(wo_name, att_out.reshape(bsz, -1).T @ gpre)
-        return (gpre @ params[wo_name].value.T).reshape(att_out.shape)
-
-    # intra-modality paths
-    g_at = through_output_proj(gpre_t, at_out, "attn.t.wo_intra")
-    g_tq, g_tkv, gwq, gwk, gwv = _attention_backward(g_at, at_cache)
-    g_tk_t += g_tq + g_tkv
-    params.add_grad("attn.t.wq", gwq)
-    params.add_grad("attn.t.wk", gwk)
-    params.add_grad("attn.t.wv", gwv)
-
-    g_as = through_output_proj(gpre_s, as_out, "attn.s.wo_intra")
-    g_tq, g_tkv, gwq, gwk, gwv = _attention_backward(g_as, as_cache)
-    g_tk_s += g_tq + g_tkv
-    params.add_grad("attn.s.wq", gwq)
-    params.add_grad("attn.s.wk", gwk)
-    params.add_grad("attn.s.wv", gwv)
-
-    # cross-modality paths
-    if cfg.uses_cross:
-        g_ct = through_output_proj(gpre_t, ct_out, "attn.t.wo_cross")
-        g_tq, g_tkv, gwq, gwk, gwv = _attention_backward(g_ct, ct_cache)
-        g_tk_t += g_tq
-        g_tk_s += g_tkv
-        params.add_grad("attn.t.wq", gwq)
-        params.add_grad("attn.s.wk", gwk)
-        params.add_grad("attn.s.wv", gwv)
-
-        g_cs = through_output_proj(gpre_s, cs_out, "attn.s.wo_cross")
-        g_tq, g_tkv, gwq, gwk, gwv = _attention_backward(g_cs, cs_cache)
-        g_tk_s += g_tq
-        g_tk_t += g_tkv
-        params.add_grad("attn.s.wq", gwq)
-        params.add_grad("attn.t.wk", gwk)
-        params.add_grad("attn.t.wv", gwv)
-
-    gf_t = gpre_t + g_tk_t.reshape(bsz, -1)
-    gf_s = gpre_s + g_tk_s.reshape(bsz, -1)
-    return gf_t, gf_s
+    gpre = {}
+    for m, g in (("t", gf_t2), ("s", gf_s2)):
+        gpre[m], ggain, gbias = ops.layer_norm_backward(g, ln_caches[m])
+        params.add_grad(f"ln.{m}.gain", ggain)
+        params.add_grad(f"ln.{m}.bias", gbias)
+    g_tokens = {m: np.zeros_like(tk) for m, tk in tokens.items()}
+    for q, kv, wo, out, att_cache in paths:
+        params.add_grad(wo, out.reshape(bsz, -1).T @ gpre[q])
+        g_out = (gpre[q] @ params[wo].value.T).reshape(out.shape)
+        g_tq, g_tkv, gwq, gwk, gwv = _attention_backward(g_out, att_cache)
+        g_tokens[q] += g_tq
+        g_tokens[kv] += g_tkv
+        params.add_grad(f"attn.{q}.wq", gwq)
+        params.add_grad(f"attn.{kv}.wk", gwk)
+        params.add_grad(f"attn.{kv}.wv", gwv)
+    return gpre["t"] + g_tokens["t"].reshape(bsz, -1), gpre["s"] + g_tokens["s"].reshape(bsz, -1)
 
 
 def dual_attention_fuse(f_t, f_s, params, cfg):
@@ -365,17 +285,71 @@ def dual_attention_fuse(f_t, f_s, params, cfg):
     return f_t2[0], f_s2[0]
 
 
+def _fusion_stage(cfg: ModelConfig) -> Stage:
+    """The attention fusion's parameters. Its forward and backward are the
+    two-input `_fuse_forward`/`_fuse_backward`, which `forward` and `backward`
+    call between the branches and the head."""
+    dims = {"t": cfg.d_t, "s": cfg.d_s}
+    weights = [(f"attn.{m}.{p}", (dims[m] // cfg.groups, cfg.d_attn)) for m in "ts" for p in ("wq", "wk", "wv")]
+    weights += [(wo, (cfg.groups * cfg.d_attn, dims[q])) for q, _kv, wo in _attention_paths(cfg)]
+    names = [name for name, _ in weights] + [f"ln.{m}.{p}" for m in "ts" for p in ("gain", "bias")]
+
+    def init(rng):  # every attention weight has fan-in shape[0]
+        drawn = [ops.uniform_init(rng, shape, shape[0]) for _, shape in weights]
+        return drawn + [make(dims[m]) for m in "ts" for make in (np.ones, np.zeros)]
+
+    return Stage(_fuse_forward, _fuse_backward, tuple(names), init)
+
+
 # ---------------------------------------------------------------------------
 # full model
+
+
+def _layout(cfg: ModelConfig):
+    """The one place where a variant picks its layers: (branches, fusion, head).
+    `branches` holds (input name, feature width, stage list) for each branch in
+    use, in input order; `fusion` is None for plain concatenation."""
+    branches = []
+    if cfg.uses_temporal:
+        branches.append(("segment", cfg.d_t, _temporal_stages(cfg)))
+    if cfg.uses_spatial:
+        branches.append(("image", cfg.d_s, _spatial_stages(cfg)))
+    return branches, _fusion_stage(cfg) if cfg.uses_attention else None, _head_stages(cfg)
+
+
+def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
+    """Seed-deterministic initialization: weights uniform(+-sqrt(1/fan_in)),
+    biases zero (LSTM forget gate 1.0), layer-norm gain 1 / bias 0. Draws
+    follow `_layout` order, which is also the tensor order of the model file."""
+    branches, fusion, head = _layout(cfg)
+    stages = [stage for _kind, _width, branch in branches for stage in branch] + ([fusion] if fusion else []) + head
+    t = {name: ParamTensor(value) for stage in stages for name, value in zip(stage.names, stage.init(rng))}
+    return ModelParams(cfg, t)
+
+
+def _run(stages: List[Stage], x, params: ModelParams, tape: list):
+    """Run stages forward, recording (backward, cache, names) of each on `tape`."""
+    for stage in stages:
+        x, cache = stage.forward(x, *(params[name].value for name in stage.names))
+        tape.append((stage.backward, cache, stage.names))
+    return x
+
+
+def _replay(tape: list, g, params: ModelParams):
+    """Replay a tape in reverse: accumulate parameter gradients, return the input gradient."""
+    for backward_fn, cache, names in reversed(tape):
+        g, *grads = backward_fn(g, cache)
+        for name, grad in zip(names, grads):
+            params.add_grad(name, grad)
+    return g
 
 
 @dataclass
 class ForwardTrace:
     probs: np.ndarray  # (B, C)
     logits: np.ndarray
-    f_t: Optional[np.ndarray]
-    f_s: Optional[np.ndarray]
-    caches: dict = field(default_factory=dict)
+    tapes: List[list]  # one per branch in use, then the head's
+    fuse_cache: Optional[tuple]  # None without attention fusion
 
 
 def forward(segs, imgs, params: ModelParams, cfg: ModelConfig) -> ForwardTrace:
@@ -384,35 +358,20 @@ def forward(segs, imgs, params: ModelParams, cfg: ModelConfig) -> ForwardTrace:
     segs: (B, w) raw segments (None for gaf_only); imgs: (B, w, w) GAF images
     (None for time_only).
     """
-    caches = {}
-    f_t = f_s = None
-    if cfg.uses_temporal:
-        if segs is None:
-            raise ValueError("variant requires segment input")
-        f_t, caches["temporal"] = _temporal_forward(np.atleast_2d(segs), params, cfg)
-    if cfg.uses_spatial:
-        if imgs is None:
-            raise ValueError("variant requires image input")
-        imgs = np.asarray(imgs, dtype=np.float64)
-        if imgs.ndim == 2:
-            imgs = imgs[None]
-        f_s, caches["spatial"] = _spatial_forward(imgs, params, cfg)
-
-    if cfg.uses_attention:
-        f_t2, f_s2, caches["fuse"] = _fuse_forward(f_t, f_s, params, cfg)
-        z, caches["concat"] = ops.concat_forward(f_t2, f_s2, axis=-1)
-    elif cfg.variant == "no_dual_attention":
-        z, caches["concat"] = ops.concat_forward(f_t, f_s, axis=-1)
-    elif cfg.variant == "time_only":
-        z = f_t
-    else:  # gaf_only
-        z = f_s
-
-    h1, caches["mlp"] = ops.linear_forward(z, params["mlp.w1"].value, params["mlp.b1"].value)
-    fused, caches["mlp_relu"] = ops.relu_forward(h1)
-    logits, caches["cls"] = ops.linear_forward(fused, params["cls.w"].value, params["cls.b"].value)
-    probs, caches["softmax"] = ops.softmax_forward(logits, axis=-1)
-    return ForwardTrace(probs=probs, logits=logits, f_t=f_t, f_s=f_s, caches=caches)
+    branches, fusion, head = _layout(cfg)
+    inputs = {"segment": segs, "image": imgs}
+    tapes = [[] for _ in range(len(branches) + 1)]
+    feats = []
+    for (kind, _width, stages), tape in zip(branches, tapes):
+        if inputs[kind] is None:
+            raise ValueError(f"variant requires {kind} input")
+        feats.append(_run(stages, inputs[kind], params, tape))
+    fuse_cache = None
+    if fusion is not None:
+        *feats, fuse_cache = fusion.forward(*feats, params, cfg)
+    logits = _run(head, np.concatenate(feats, axis=-1), params, tapes[-1])
+    probs, _ = ops.softmax_forward(logits, axis=-1)
+    return ForwardTrace(probs=probs, logits=logits, tapes=tapes, fuse_cache=fuse_cache)
 
 
 def backward(trace: ForwardTrace, grad_logits, params: ModelParams, cfg: ModelConfig):
@@ -421,32 +380,13 @@ def backward(trace: ForwardTrace, grad_logits, params: ModelParams, cfg: ModelCo
     Returns (grad_segments, grad_images); entries are None for branches the
     variant does not use.
     """
-    caches = trace.caches
-    gfused, gw, gb = ops.linear_backward(np.asarray(grad_logits, dtype=np.float64), caches["cls"])
-    params.add_grad("cls.w", gw)
-    params.add_grad("cls.b", gb)
-    (gh1,) = ops.relu_backward(gfused, caches["mlp_relu"])
-    gz, gw, gb = ops.linear_backward(gh1, caches["mlp"])
-    params.add_grad("mlp.w1", gw)
-    params.add_grad("mlp.b1", gb)
-
-    gf_t = gf_s = None
-    if cfg.uses_attention:
-        gf_t2, gf_s2 = ops.concat_backward(gz, caches["concat"])
-        gf_t, gf_s = _fuse_backward(gf_t2, gf_s2, caches["fuse"], params, cfg)
-    elif cfg.variant == "no_dual_attention":
-        gf_t, gf_s = ops.concat_backward(gz, caches["concat"])
-    elif cfg.variant == "time_only":
-        gf_t = gz
-    else:
-        gf_s = gz
-
-    gsegs = gimgs = None
-    if cfg.uses_temporal:
-        gsegs = _temporal_backward(gf_t, caches["temporal"], params)
-    if cfg.uses_spatial:
-        gimgs = _spatial_backward(gf_s, caches["spatial"], params)
-    return gsegs, gimgs
+    branches, fusion, _head = _layout(cfg)
+    gz = _replay(trace.tapes[-1], np.asarray(grad_logits, dtype=np.float64), params)
+    gfeats = np.split(gz, np.cumsum([width for _kind, width, _stages in branches])[:-1], axis=-1)
+    if fusion is not None:
+        gfeats = fusion.backward(*gfeats, trace.fuse_cache, params, cfg)
+    grads = {kind: _replay(tape, g, params) for (kind, _w, _s), tape, g in zip(branches, trace.tapes, gfeats)}
+    return grads.get("segment"), grads.get("image")
 
 
 def backward_cross_entropy(trace: ForwardTrace, labels_onehot, params: ModelParams, cfg: ModelConfig, scale: Optional[float] = None):
@@ -455,28 +395,6 @@ def backward_cross_entropy(trace: ForwardTrace, labels_onehot, params: ModelPara
     if scale is None:
         scale = 1.0 / y.shape[0]
     return backward(trace, (trace.probs - y) * scale, params, cfg)
-
-
-def temporal_branch(seg, params, cfg):
-    """Single segment (w,) -> feature vector (d_t,)."""
-    f_t, _ = _temporal_forward(np.asarray(seg)[None], params, cfg)
-    return f_t[0]
-
-
-def spatial_branch(img, params, cfg):
-    """Single GAF image (w, w) -> feature vector (d_s,)."""
-    f_s, _ = _spatial_forward(np.asarray(img)[None], params, cfg)
-    return f_s[0]
-
-
-def fuse_and_classify(f_t2, f_s2, params, cfg):
-    """Fused-feature head on attended vectors -> class probabilities (C,)."""
-    z = np.concatenate([np.asarray(f_t2), np.asarray(f_s2)])
-    h1, _ = ops.linear_forward(z, params["mlp.w1"].value, params["mlp.b1"].value)
-    fused, _ = ops.relu_forward(h1)
-    logits, _ = ops.linear_forward(fused, params["cls.w"].value, params["cls.b"].value)
-    probs, _ = ops.softmax_forward(logits, axis=-1)
-    return probs
 
 
 def predict_probs(params: ModelParams, cfg: ModelConfig, segs, imgs, batch_size: int = 256) -> np.ndarray:
@@ -508,6 +426,19 @@ def predict_probs(params: ModelParams, cfg: ModelConfig, segs, imgs, batch_size:
 
 
 def save_model(path, cfg: ModelConfig, input_len: int, params: ModelParams) -> None:
+    """Write the model file atomically: into `<path>.tmp` beside it, then
+    renamed over `path`, so a failed write leaves any previous file intact."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        _write_model(tmp, cfg, input_len, params)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _write_model(path, cfg: ModelConfig, input_len: int, params: ModelParams) -> None:
     with open(path, "wb") as f:
         f.write(MODEL_MAGIC)
         f.write(struct.pack("<H", MODEL_VERSION))

@@ -5,8 +5,9 @@ Every op comes as a pair: `<op>_forward(*arrays) -> (out, cache)` and
 forward's array arguments). `grad_check` validates any such pair against
 central finite differences.
 
-All arithmetic is float64; there is no graph -- callers chain backward calls
-explicitly.
+All arithmetic is float64. There is no autograd graph: `model` lists the
+ops of each layer as stages, records every forward's backward op and cache
+on a tape, and replays the tape in reverse.
 """
 
 from dataclasses import dataclass
@@ -159,18 +160,6 @@ def global_avg_pool_backward(gy, cache):
     count = int(np.prod([shape[a] for a in axes]))
     g = np.expand_dims(gy, axes)
     return (np.broadcast_to(g / count, shape).copy(),)
-
-
-def concat_forward(a, b, axis=-1):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return np.concatenate([a, b], axis=axis), (a.shape[axis], axis)
-
-
-def concat_backward(gy, cache):
-    na, axis = cache
-    ga, gb = np.split(gy, [na], axis=axis)
-    return ga, gb
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Loss, Adam, learning-rate schedules, and the training loop."""
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import metrics, model as model_mod
-from .errors import ShapeMismatchError
+from . import data, metrics, model as model_mod
+from .errors import GafnetError, ShapeMismatchError
 from .model import ModelConfig, ModelParams
 from .ops import make_rng
 
@@ -121,22 +121,6 @@ class TrainResult:
     history: List[EpochRecord]
 
 
-def _stratified_indices(labels: np.ndarray, fraction: float, rng: np.random.Generator):
-    """Per-class proportional index split; singleton classes go to the first part."""
-    first, second = [], []
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
-        if idx.size == 1:
-            first.extend(idx)
-            continue
-        perm = rng.permutation(idx)
-        n_first = int(round(fraction * idx.size))
-        n_first = min(max(n_first, 1), idx.size - 1)
-        first.extend(perm[:n_first])
-        second.extend(perm[n_first:])
-    return np.sort(np.array(first, dtype=np.int64)), np.sort(np.array(second, dtype=np.int64))
-
-
 def batch_order(n: int, batch_size: int, seed: int, epoch: int) -> List[np.ndarray]:
     """Deterministic per-epoch shuffled batches; the final partial batch is kept."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(epoch,))))
@@ -157,6 +141,9 @@ def train(
     provided data for checkpoint selection; with best_validation the returned
     params are the epoch checkpoint with the highest validation accuracy
     (ties broken by lower validation loss).
+
+    A cosine schedule with `total_steps` 0 anneals over all the steps of this
+    run. A non-finite batch loss or gradient stops training with `GafnetError`.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.size
@@ -166,7 +153,7 @@ def train(
 
     if 0.0 < train_cfg.val_fraction < 1.0 and n >= 4:
         split_rng = make_rng(train_cfg.seed ^ 0x5EED)
-        tr_idx, val_idx = _stratified_indices(labels, 1.0 - train_cfg.val_fraction, split_rng)
+        tr_idx, val_idx = data.stratified_indices(labels, 1.0 - train_cfg.val_fraction, split_rng)
         if val_idx.size == 0:
             tr_idx = val_idx = np.arange(n)
     else:
@@ -180,12 +167,19 @@ def train(
     tr_onehot = one_hot(tr_labels, cfg.num_classes)
     val_onehot = one_hot(val_labels, cfg.num_classes)
 
+    schedule = train_cfg.schedule
+    if schedule.kind == "cosine" and schedule.total_steps == 0:
+        # the horizon is every step this run takes, counted after the
+        # validation slice is carved out
+        n_batches = -(-tr_labels.size // train_cfg.batch_size)
+        schedule = replace(schedule, total_steps=train_cfg.epochs * n_batches)
+
     state = AdamState(params)
     history: List[EpochRecord] = []
     best_key = None
     best_params = None
     global_step = 0
-    lr = lr_schedule(0, train_cfg.schedule)
+    lr = lr_schedule(0, schedule)
 
     for epoch in range(1, train_cfg.epochs + 1):
         loss_sum = 0.0
@@ -193,9 +187,14 @@ def train(
             params.zero_grad()
             trace = model_mod.forward(subset(tr_segs, batch), subset(tr_imgs, batch), params, cfg)
             y = tr_onehot[batch]
-            loss_sum += cross_entropy(trace.probs, y) * batch.size
+            loss = cross_entropy(trace.probs, y)
+            loss_sum += loss * batch.size
             model_mod.backward_cross_entropy(trace, y, params, cfg)
-            lr = lr_schedule(global_step, train_cfg.schedule)
+            # the gradients are checked too: ReLU maps NaN activations to 0,
+            # so a NaN inside the network can leave the loss finite
+            if not (np.isfinite(loss) and all(np.isfinite(p.grad).all() for _, p in params.items())):
+                raise GafnetError(f"non-finite loss or gradient at epoch {epoch}, step {global_step + 1}")
+            lr = lr_schedule(global_step, schedule)
             adam_step(params, state, lr)
             global_step += 1
         train_loss = loss_sum / tr_labels.size

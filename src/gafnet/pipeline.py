@@ -2,13 +2,13 @@
 and evaluation of whole runs."""
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import dsp, gaf, metrics, model as model_mod, optim
 from .data import Dataset
-from .model import ModelConfig, ModelParams
+from .model import ModelConfig
 
 
 @dataclass
@@ -23,18 +23,13 @@ def prepare_inputs(ds: Dataset, pre_cfg: dsp.PreprocessConfig, need_images: bool
 
     Every window inherits its source series' label.
     """
-    segs: List[np.ndarray] = []
-    labels: List[int] = []
-    for row, label in zip(ds.values, ds.labels):
-        sig = dsp.Signal(samples=row, fs=ds.fs)
-        for seg in dsp.preprocess(sig, pre_cfg):
-            segs.append(seg.values)
-            labels.append(int(label))
-    seg_arr = np.stack(segs)
+    windows = [dsp.preprocess(dsp.Signal(samples=row, fs=ds.fs), pre_cfg) for row in ds.values]
+    segs = np.concatenate(windows)
+    labels = np.repeat(ds.labels, [len(w) for w in windows])
     imgs = None
     if need_images:
         imgs = np.stack([gaf.gaf_transform(s) for s in segs]).astype(np.float32)
-    return ModelInputs(segs=seg_arr, imgs=imgs, labels=np.array(labels, dtype=np.int64))
+    return ModelInputs(segs=segs, imgs=imgs, labels=labels)
 
 
 def inputs_for_variant(inputs: ModelInputs, cfg: ModelConfig):

@@ -186,6 +186,40 @@ class TestCliTrainEval:
         ]) == 2
 
 
+def write_labeled(path, labels, w=16):
+    """A UCR file with one random series per given class label."""
+    rng = np.random.default_rng(len(labels))
+    rows = ["\t".join([str(label)] + [f"{v:.6f}" for v in rng.standard_normal(w)]) for label in labels]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+class TestCliUcrLabels:
+    def test_test_labels_follow_train_vocabulary(self, workspace):
+        tmp_path, _, _, cfg = workspace
+        train = write_labeled(tmp_path / "three_train.tsv", [1, 2, 3])
+        test = write_labeled(tmp_path / "three_test.tsv", [2, 3, 3])
+        out = tmp_path / "run"
+        assert cli.main([
+            "train", "--dataset", "ucr", "--train", str(train), "--test", str(test),
+            "--config", str(cfg), "--out", str(out),
+        ]) == 0
+        lines = (out / "report.txt").read_text().splitlines()
+        confusion = [[int(v) for v in line.split()] for line in lines[lines.index("confusion:") + 1 :]]
+        # truth rows in train ids: "1" -> 0, "2" -> 1, "3" -> 2
+        assert [sum(row) for row in confusion] == [0, 1, 2]
+
+    def test_test_class_missing_from_train_is_data_error(self, workspace, capsys):
+        tmp_path, _, _, cfg = workspace
+        train = write_labeled(tmp_path / "three_train.tsv", [1, 2, 3])
+        test = write_labeled(tmp_path / "three_test.tsv", [2, 3, 4])
+        assert cli.main([
+            "train", "--dataset", "ucr", "--train", str(train), "--test", str(test),
+            "--config", str(cfg), "--out", str(tmp_path / "run"),
+        ]) == 2
+        assert "['4']" in capsys.readouterr().err
+
+
 class TestCliAblate:
     def test_table_lists_all_variants(self, workspace, capsys):
         _, train, test, cfg = workspace

@@ -295,13 +295,6 @@ class TestDatasetOps:
         with pytest.raises(ValueError):
             data.stratified_split(self.make_dataset(), 1.5, seed=0)
 
-    def test_make_batches_partition_and_determinism(self):
-        ds = self.make_dataset(n=23)
-        a = data.make_batches(ds, 5, seed=3, epoch=2)
-        b = data.make_batches(ds, 5, seed=3, epoch=2)
-        assert sorted(np.concatenate(a).tolist()) == list(range(23))
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
     def test_dataset_validation(self):
         with pytest.raises(DataFormatError):
             data.Dataset(values=np.zeros((0, 4)), labels=np.zeros(0), class_names=["a"])

@@ -147,18 +147,18 @@ class TestSegment:
         sig = make_signal(np.arange(1, 9, dtype=float))
         segs = dsp.segment(sig, 4, 2)
         assert len(segs) == 3
-        assert [list(s.values) for s in segs] == [[1, 2, 3, 4], [3, 4, 5, 6], [5, 6, 7, 8]]
+        assert segs.tolist() == [[1, 2, 3, 4], [3, 4, 5, 6], [5, 6, 7, 8]]
 
     def test_single_full_window(self):
         sig = make_signal(np.arange(6, dtype=float))
         (seg,) = dsp.segment(sig, 6, 3)
-        assert np.array_equal(seg.values, sig.samples)
+        assert np.array_equal(seg, sig.samples)
 
     def test_trailing_samples_dropped(self):
         sig = make_signal(np.arange(10, dtype=float))
         segs = dsp.segment(sig, 4, 0)
         assert len(segs) == 2
-        assert np.array_equal(segs[1].values, np.arange(4, 8, dtype=float))
+        assert np.array_equal(segs[1], np.arange(4, 8, dtype=float))
 
     def test_window_longer_than_signal(self):
         with pytest.raises(ValueError):
@@ -168,7 +168,7 @@ class TestSegment:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(23)
         segs = dsp.segment(make_signal(x), 5, 0)
-        tiled = np.concatenate([s.values for s in segs])
+        tiled = segs.reshape(-1)
         assert np.array_equal(tiled, x[: len(tiled)])
 
     def test_count_formula(self):
@@ -187,7 +187,7 @@ class TestPreprocess:
         raw = make_signal(rng.standard_normal(96))
         cfg = dsp.PreprocessConfig(enable_filter=False, window=None, overlap=0)
         (seg,) = dsp.preprocess(raw, cfg)
-        assert np.allclose(seg.values, dsp.normalize(raw).samples, atol=0)
+        assert np.allclose(seg, dsp.normalize(raw).samples, atol=0)
 
     def test_whole_signal_normalization_not_per_window(self):
         # independent two-step script: normalize everything, then window
@@ -198,7 +198,7 @@ class TestPreprocess:
         normed = (raw.samples - raw.samples.mean()) / np.sqrt(np.mean((raw.samples - raw.samples.mean()) ** 2))
         for i, seg in enumerate(segs):
             start = i * 15
-            assert np.allclose(seg.values, normed[start : start + 20], atol=1e-12)
+            assert np.allclose(seg, normed[start : start + 20], atol=1e-12)
 
     def test_filtered_pipeline_count(self):
         rng = np.random.default_rng(9)

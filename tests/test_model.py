@@ -1,5 +1,8 @@
 """Network tests: tokenization, attention oracles, fusion algebra, ablation
-wiring, serialization, and end-to-end gradient checks on a tiny model."""
+wiring, model-file layout and serialization, and end-to-end gradient checks
+on a tiny model."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -62,8 +65,8 @@ class TestAttention:
         for _ in range(10):
             tokens = rng.standard_normal((4, 3))
             wq, wk, wv = (rng.standard_normal((3, 5)) for _ in range(3))
-            out = model.intra_attention(tokens, wq, wk, wv)
-            assert np.allclose(out, attention_oracle(tokens, tokens, wq, wk, wv), atol=1e-12)
+            out, _ = model._attention_forward(tokens[None], tokens[None], wq, wk, wv)
+            assert np.allclose(out, attention_oracle(tokens, tokens, wq, wk, wv)[None], atol=1e-12)
 
     def test_cross_matches_oracle(self):
         rng = np.random.default_rng(2)
@@ -72,8 +75,8 @@ class TestAttention:
             tkv = rng.standard_normal((4, 2))
             wq = rng.standard_normal((3, 5))
             wk, wv = (rng.standard_normal((2, 5)) for _ in range(2))
-            out = model.cross_attention(tq, tkv, wq, wk, wv)
-            assert np.allclose(out, attention_oracle(tq, tkv, wq, wk, wv), atol=1e-12)
+            out, _ = model._attention_forward(tq[None], tkv[None], wq, wk, wv)
+            assert np.allclose(out, attention_oracle(tq, tkv, wq, wk, wv)[None], atol=1e-12)
 
     def test_attention_weights_row_stochastic(self):
         rng = np.random.default_rng(3)
@@ -89,8 +92,8 @@ class TestAttention:
         rng = np.random.default_rng(4)
         tokens = rng.standard_normal((3, 4))
         wq, wk = (rng.standard_normal((4, 2)) for _ in range(2))
-        out = model.intra_attention(tokens, wq, wk, np.zeros((4, 2)))
-        assert np.array_equal(out, np.zeros((3, 2)))
+        out, _ = model._attention_forward(tokens[None], tokens[None], wq, wk, np.zeros((4, 2)))
+        assert np.array_equal(out, np.zeros((1, 3, 2)))
 
     def test_gradient(self):
         rng = np.random.default_rng(5)
@@ -136,22 +139,18 @@ class TestFusion:
     def test_fuse_and_classify_probabilities(self):
         cfg = tiny_config(num_classes=3)
         params = model.init_params(cfg, ops.make_rng(2))
-        rng = np.random.default_rng(8)
-        probs = model.fuse_and_classify(
-            rng.standard_normal(cfg.d_t), rng.standard_normal(cfg.d_s), params, cfg
-        )
-        assert probs.shape == (3,)
-        assert np.all(probs > 0.0) and abs(probs.sum() - 1.0) < 1e-12
+        segs, imgs = tiny_inputs(np.random.default_rng(8), n=4)
+        probs = model.forward(segs, imgs, params, cfg).probs
+        assert probs.shape == (4, 3)
+        assert np.all(probs > 0.0) and np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_classifier_bias_shift_leaves_probs_unchanged(self):
         cfg = tiny_config(num_classes=3)
         params = model.init_params(cfg, ops.make_rng(3))
-        rng = np.random.default_rng(9)
-        f_t2 = rng.standard_normal(cfg.d_t)
-        f_s2 = rng.standard_normal(cfg.d_s)
-        base = model.fuse_and_classify(f_t2, f_s2, params, cfg)
+        segs, imgs = tiny_inputs(np.random.default_rng(9))
+        base = model.forward(segs, imgs, params, cfg).probs
         params["cls.b"].value += 4.2
-        shifted = model.fuse_and_classify(f_t2, f_s2, params, cfg)
+        shifted = model.forward(segs, imgs, params, cfg).probs
         assert np.allclose(base, shifted, atol=1e-12)
 
     def test_fuse_gradient(self):
@@ -175,45 +174,45 @@ class TestFusion:
 
 
 class TestBranches:
+    # the head's linear layer rejects features whose width is not fused_in
     def test_temporal_shape(self):
-        cfg = tiny_config()
+        cfg = tiny_config("time_only")
         params = model.init_params(cfg, ops.make_rng(5))
-        f_t = model.temporal_branch(np.random.default_rng(11).standard_normal(8), params, cfg)
-        assert f_t.shape == (cfg.d_t,)
+        trace = model.forward(np.random.default_rng(11).standard_normal((3, 8)), None, params, cfg)
+        assert cfg.fused_in == cfg.d_t and trace.probs.shape == (3, cfg.num_classes)
 
     def test_spatial_shape(self):
-        cfg = tiny_config()
+        cfg = tiny_config("gaf_only")
         params = model.init_params(cfg, ops.make_rng(6))
-        f_s = model.spatial_branch(np.random.default_rng(12).standard_normal((8, 8)), params, cfg)
-        assert f_s.shape == (cfg.d_s,)
+        trace = model.forward(None, np.random.default_rng(12).standard_normal((3, 8, 8)), params, cfg)
+        assert cfg.fused_in == cfg.d_s and trace.probs.shape == (3, cfg.num_classes)
+
+    @staticmethod
+    def branch_grad_check(cfg, params, x, as_inputs):
+        """grad_check of forward(...).logits against backward's input gradient."""
+
+        def fwd(x):
+            trace = model.forward(*as_inputs(x), params, cfg)
+            return trace.logits, trace
+
+        def bwd(g, trace):
+            params.zero_grad()
+            grads = model.backward(trace, g, params, cfg)
+            return tuple(grad for grad in grads if grad is not None)
+
+        return ops.grad_check(fwd, bwd, [x])
 
     def test_temporal_input_gradient(self):
-        cfg = tiny_config()
+        cfg = tiny_config("time_only")
         params = model.init_params(cfg, ops.make_rng(7))
         segs = np.random.default_rng(13).standard_normal((2, 8))
-
-        def fwd(x):
-            return model._temporal_forward(x, params, cfg)
-
-        def bwd(g, cache):
-            params.zero_grad()
-            return (model._temporal_backward(g, cache, params),)
-
-        assert ops.grad_check(fwd, bwd, [segs]) < 1e-5
+        assert self.branch_grad_check(cfg, params, segs, lambda x: (x, None)) < 1e-5
 
     def test_spatial_input_gradient(self):
-        cfg = tiny_config()
+        cfg = tiny_config("gaf_only")
         params = model.init_params(cfg, ops.make_rng(8))
         imgs = np.random.default_rng(14).standard_normal((2, 8, 8))
-
-        def fwd(x):
-            return model._spatial_forward(x, params, cfg)
-
-        def bwd(g, cache):
-            params.zero_grad()
-            return (model._spatial_backward(g, cache, params),)
-
-        assert ops.grad_check(fwd, bwd, [imgs]) < 1e-5
+        assert self.branch_grad_check(cfg, params, imgs, lambda x: (None, x)) < 1e-5
 
 
 class TestVariants:
@@ -272,12 +271,6 @@ class TestVariants:
             model.forward(None, np.zeros((1, 8, 8)), params, cfg)
         with pytest.raises(ValueError):
             model.forward(np.zeros((1, 8)), None, params, cfg)
-
-    def test_ablation_variant_helper(self):
-        cfg = tiny_config("full")
-        assert model.ablation_variant(cfg, "gaf_only").variant == "gaf_only"
-        with pytest.raises(ValueError):
-            model.ablation_variant(cfg, "bogus")
 
 
 class TestFullModelGradient:
@@ -409,6 +402,25 @@ class TestSerialization:
         with pytest.raises(DataFormatError):
             model.load_model(padded)
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        cfg = tiny_config()
+        params = model.init_params(cfg, ops.make_rng(19))
+        path = tmp_path / "model.bin"
+        model.save_model(path, cfg, 8, params)
+        before = path.read_bytes()
+
+        class FailingParams:
+            """Yields one tensor, then fails as a full disk would."""
+
+            def items(self):
+                yield from params.items()[:1]
+                raise OSError("no space left on device")
+
+        with pytest.raises(OSError):
+            model.save_model(path, cfg, 8, FailingParams())
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
+
     def test_loaded_model_predicts_identically(self, tmp_path):
         cfg = tiny_config()
         params = model.init_params(cfg, ops.make_rng(18))
@@ -420,6 +432,54 @@ class TestSerialization:
         cfg2, _, params2 = model.load_model(path)
         after = model.predict_probs(params2, cfg2, segs, imgs)
         assert np.array_equal(before, after)
+
+
+_TEMPORAL_NAMES = ["conv1.0.w", "conv1.0.b", "lstm.f.w_x", "lstm.f.w_h", "lstm.f.b",
+                   "lstm.b.w_x", "lstm.b.w_h", "lstm.b.b"]
+_SPATIAL_NAMES = ["conv2.0.w", "conv2.0.b"]
+_ATTN_NAMES = ["attn.t.wq", "attn.t.wk", "attn.t.wv", "attn.s.wq", "attn.s.wk", "attn.s.wv",
+               "attn.t.wo_intra", "attn.s.wo_intra"]
+_CROSS_NAMES = ["attn.t.wo_cross", "attn.s.wo_cross"]
+_LN_NAMES = ["ln.t.gain", "ln.t.bias", "ln.s.gain", "ln.s.bias"]
+_HEAD_NAMES = ["mlp.w1", "mlp.b1", "cls.w", "cls.b"]
+
+# Parameter order and file digest of `save_model(init_params(tiny_config(v), make_rng(0)))`.
+# PCG64 uniform draws and the explicit little-endian payload make these
+# independent of platform and BLAS; they pin the RNG draw order of init.
+LAYOUT = {
+    "full": (
+        _TEMPORAL_NAMES + _SPATIAL_NAMES + _ATTN_NAMES + _CROSS_NAMES + _LN_NAMES + _HEAD_NAMES,
+        "267e05d6801444cf92b859d0dd66d441c9884399c91cc8a76d85d7107a117e74",
+    ),
+    "no_dual_attention": (
+        _TEMPORAL_NAMES + _SPATIAL_NAMES + _HEAD_NAMES,
+        "643e25a693f7261b6cba89ad49caf4a8a35ecf3455e88af47c8e3a47d8c2ec2e",
+    ),
+    "no_cross_channel": (
+        _TEMPORAL_NAMES + _SPATIAL_NAMES + _ATTN_NAMES + _LN_NAMES + _HEAD_NAMES,
+        "1db8ba5a7dea3ce36291fe76f0816d087a3d04393618640302183c38d14389f7",
+    ),
+    "time_only": (
+        _TEMPORAL_NAMES + _HEAD_NAMES,
+        "acd2b4e44cf210def3023e307a4cc5d1077cb39c4c7f11f99810fc5714229502",
+    ),
+    "gaf_only": (
+        _SPATIAL_NAMES + _HEAD_NAMES,
+        "7e915aea0231a94c6efd701e94a0ed9ba36fae5c7fdae947a686f2680d4e144f",
+    ),
+}
+
+
+class TestLayout:
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    def test_param_order_and_file_digest(self, tmp_path, variant):
+        cfg = tiny_config(variant)
+        params = model.init_params(cfg, ops.make_rng(0))
+        names, digest = LAYOUT[variant]
+        assert [name for name, _ in params.items()] == names
+        path = tmp_path / "m.bin"
+        model.save_model(path, cfg, 8, params)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestInit:

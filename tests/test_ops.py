@@ -153,13 +153,6 @@ class TestPointwise:
         y, _ = ops.global_avg_pool_forward(np.array([[1.0, 3.0], [2.0, 2.0]]))
         assert np.array_equal(y, [2.0, 2.0])
 
-    def test_concat_round_trip(self):
-        a = rng_for(11).standard_normal((2, 3))
-        b = rng_for(12).standard_normal((2, 4))
-        y, cache = ops.concat_forward(a, b, axis=-1)
-        ga, gb = ops.concat_backward(y, cache)
-        assert np.array_equal(ga, a) and np.array_equal(gb, b)
-
 
 class TestBilstm:
     def make_cells(self, rng, din, h):

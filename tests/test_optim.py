@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gafnet import model, ops, optim
-from gafnet.errors import ShapeMismatchError
+from gafnet import model, ops, optim, pipeline
+from gafnet.errors import GafnetError, ShapeMismatchError
 
 
 def tiny_config(variant="full"):
@@ -226,6 +226,27 @@ class TestTrainLoop:
         for policy in ("best_validation", "last"):
             result = optim.train(cfg, segs, None, labels, self.make_train_cfg(checkpoint_policy=policy))
             assert len(result.history) == 3
+
+    def test_cosine_without_horizon_anneals_over_the_run(self):
+        cfg = tiny_config()
+        segs, imgs, labels = toy_training_data(np.random.default_rng(7))
+        inputs = pipeline.ModelInputs(segs=segs, imgs=imgs, labels=labels)
+        train_cfg = self.make_train_cfg(schedule=optim.ScheduleConfig(kind="cosine"))
+        result, _ = pipeline.train_and_evaluate(cfg, inputs, inputs, train_cfg)
+        # 14 of the 16 series remain after the validation slice: 4 batches of 4
+        # per epoch, so each epoch's last step is 3, 7 and 11 of 12
+        horizon = optim.ScheduleConfig(kind="cosine", total_steps=12)
+        assert [r.lr for r in result.history] == [optim.lr_schedule(s, horizon) for s in (3, 7, 11)]
+        assert all(r.lr > 0 for r in result.history)
+        assert train_cfg.schedule.total_steps == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_stops_training(self):
+        cfg = tiny_config("time_only")
+        segs, _, labels = toy_training_data(np.random.default_rng(8))
+        segs[:, 2] = np.inf
+        with pytest.raises(GafnetError, match="epoch 1, step 1"):
+            optim.train(cfg, segs, None, labels, self.make_train_cfg())
 
     def test_empty_dataset_rejected(self):
         cfg = tiny_config("time_only")
