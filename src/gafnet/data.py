@@ -156,17 +156,19 @@ def parse_wfdb_header(text: str) -> WfdbHeader:
             raise DataFormatError(f"malformed format field: {fields[1]!r}") from None
         if fmt != 212:
             raise DataFormatError(f"unsupported signal format {fmt} (only 212)")
-        gain, baseline = 200.0, 0
+        # the baseline is the ADC zero (field 5) unless the gain field gives one
+        gain, baseline = 200.0, fields[4] if len(fields) > 4 else "0"
         if len(fields) >= 3:
             # gain field may look like "200", "200/mV", or "200(1024)/mV"
             m = re.match(r"^(-?[\d.]+)(?:\((-?\d+)\))?", fields[2])
             if not m:
                 raise DataFormatError(f"malformed gain field: {fields[2]!r}")
             gain = float(m.group(1)) or 200.0
-            if m.group(2) is not None:
-                baseline = int(m.group(2))
-        desc = fields[-1] if len(fields) > 3 else ""
-        specs.append(SignalSpec(file_name=fields[0], fmt=fmt, gain=gain, baseline=baseline, description=desc))
+            baseline = m.group(2) or baseline
+        if not re.fullmatch(r"-?\d+", baseline):
+            raise DataFormatError(f"malformed ADC zero field: {baseline!r}")
+        desc = " ".join(fields[8:])  # the description follows the block size (field 8)
+        specs.append(SignalSpec(file_name=fields[0], fmt=fmt, gain=gain, baseline=int(baseline), description=desc))
     return WfdbHeader(record_name=name, n_signals=n_signals, fs=fs, n_samples=n_samples, signals=specs)
 
 

@@ -48,11 +48,18 @@ def per_class_f1(preds, labels, num_classes: int) -> List[float]:
 
 
 def macro_f1(preds, labels, num_classes: int) -> float:
+    """Unweighted mean F1 over the classes that occur in the labels or the
+    predictions. A vocabulary class absent from both is left out, as
+    `macro_auc` leaves out classes absent from the labels, so a fixed
+    vocabulary larger than the data does not deflate the score."""
     preds = np.asarray(preds)
     labels = np.asarray(labels)
     if preds.shape != labels.shape:
         raise ValueError("prediction/label length mismatch")
-    return float(np.mean(per_class_f1(preds, labels, num_classes)))
+    if preds.size == 0:
+        raise ValueError("empty inputs")
+    present = np.isin(np.arange(num_classes), np.concatenate([preds.ravel(), labels.ravel()]))
+    return float(np.mean(np.asarray(per_class_f1(preds, labels, num_classes))[present]))
 
 
 def _binary_auc(scores, positive_mask) -> float:

@@ -279,12 +279,6 @@ def _fuse_backward(gf_t2, gf_s2, cache, params, cfg):
     return gpre["t"] + g_tokens["t"].reshape(bsz, -1), gpre["s"] + g_tokens["s"].reshape(bsz, -1)
 
 
-def dual_attention_fuse(f_t, f_s, params, cfg):
-    """Unbatched convenience wrapper: (d_t,), (d_s,) -> (d_t,), (d_s,)."""
-    f_t2, f_s2, _ = _fuse_forward(np.asarray(f_t)[None], np.asarray(f_s)[None], params, cfg)
-    return f_t2[0], f_s2[0]
-
-
 def _fusion_stage(cfg: ModelConfig) -> Stage:
     """The attention fusion's parameters. Its forward and backward are the
     two-input `_fuse_forward`/`_fuse_backward`, which `forward` and `backward`
@@ -389,12 +383,10 @@ def backward(trace: ForwardTrace, grad_logits, params: ModelParams, cfg: ModelCo
     return grads.get("segment"), grads.get("image")
 
 
-def backward_cross_entropy(trace: ForwardTrace, labels_onehot, params: ModelParams, cfg: ModelConfig, scale: Optional[float] = None):
+def backward_cross_entropy(trace: ForwardTrace, labels_onehot, params: ModelParams, cfg: ModelConfig):
     """Backprop the batch-mean cross-entropy loss; d/dlogits = (p - y) / B."""
     y = np.asarray(labels_onehot, dtype=np.float64)
-    if scale is None:
-        scale = 1.0 / y.shape[0]
-    return backward(trace, (trace.probs - y) * scale, params, cfg)
+    return backward(trace, (trace.probs - y) * (1.0 / y.shape[0]), params, cfg)
 
 
 def predict_probs(params: ModelParams, cfg: ModelConfig, segs, imgs, batch_size: int = 256) -> np.ndarray:

@@ -8,6 +8,9 @@ central finite differences.
 All arithmetic is float64. There is no autograd graph: `model` lists the
 ops of each layer as stages, records every forward's backward op and cache
 on a tape, and replays the tape in reverse.
+
+conv1d and conv2d share one N-d cross-correlation, and the BiLSTM's reverse
+direction is the forward LSTM recurrence run over the flipped sequence.
 """
 
 from dataclasses import dataclass
@@ -94,8 +97,7 @@ def linear_backward(gy, cache):
 
 def relu_forward(x):
     x = np.asarray(x, dtype=np.float64)
-    mask = x > 0
-    return np.where(mask, x, 0.0), (mask,)
+    return np.maximum(x, 0.0), (x > 0,)  # NaN passes through, its gradient is 0
 
 
 def relu_backward(gy, cache):
@@ -166,13 +168,52 @@ def global_avg_pool_backward(gy, cache):
 # convolutions
 
 
-def _as_batched(x, want_ndim):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == want_ndim - 1:
-        return x[None], False
-    if x.ndim == want_ndim:
-        return x, True
-    raise ShapeMismatchError(f"expected {want_ndim - 1}- or {want_ndim}-D input, got {x.ndim}-D")
+# einsum letters of the spatial and kernel axes, per number of spatial axes
+_CONV_AXES = {1: ("t", "k"), 2: ("hw", "kl")}
+
+
+def _conv_forward(x, kernels, bias, stride, nd):
+    """Cross-correlation over the trailing `nd` axes plus bias.
+
+    'Same' zero padding for stride 1, 'valid' otherwise. x: (cin, *spatial)
+    or (B, cin, *spatial); kernels: (cout, cin, k, ..., k); bias: (cout,).
+    """
+    xb = np.asarray(x, dtype=np.float64)
+    if xb.ndim not in (nd + 1, nd + 2):
+        raise ShapeMismatchError(f"expected {nd + 1}- or {nd + 2}-D input, got {xb.ndim}-D")
+    batched = xb.ndim == nd + 2
+    xb = xb if batched else xb[None]
+    w = np.asarray(kernels, dtype=np.float64)
+    b = np.asarray(bias, dtype=np.float64)
+    if w.ndim != nd + 2 or xb.shape[1] != w.shape[1] or b.shape != w.shape[:1]:
+        raise ShapeMismatchError(f"conv{nd}d: input {xb.shape}, kernels {w.shape}, bias {b.shape}")
+    k = w.shape[-1]
+    pad = (k - 1) // 2 if stride == 1 else 0
+    xp = np.pad(xb, ((0, 0), (0, 0)) + ((pad, pad),) * nd)
+    if min(xp.shape[2:]) < k:
+        raise ShapeMismatchError(f"conv{nd}d input smaller than kernel")
+    win = sliding_window_view(xp, (k,) * nd, axis=tuple(range(-nd, 0)))
+    win = win[(slice(None), slice(None)) + (slice(None, None, stride),) * nd]
+    s, kk = _CONV_AXES[nd]
+    y = np.einsum(f"bc{s}{kk},oc{kk}->bo{s}", win, w, optimize=True)
+    y += b.reshape((-1,) + (1,) * nd)
+    cache = (win, w, xb.shape, pad, stride, batched)
+    return (y if batched else y[0]), cache
+
+
+def _conv_backward(gy, cache):
+    win, w, x_shape, pad, stride, batched = cache
+    s, kk = _CONV_AXES[w.ndim - 2]
+    gyb = gy if batched else gy[None]
+    gw = np.einsum(f"bo{s},bc{s}{kk}->oc{kk}", gyb, win, optimize=True)
+    gb = gyb.sum(axis=(0, *range(2, gyb.ndim)))
+    gxp = np.zeros(x_shape[:2] + tuple(n + 2 * pad for n in x_shape[2:]))
+    # scatter each kernel tap's contribution onto the (strided) input positions it read
+    for tap in np.ndindex(*w.shape[2:]):
+        at = tuple(slice(d, d + stride * n, stride) for d, n in zip(tap, gyb.shape[2:]))
+        gxp[(..., *at)] += np.einsum(f"bo{s},oc->bc{s}", gyb, w[(..., *tap)], optimize=True)
+    gx = gxp[(..., *(slice(pad, pad + n) for n in x_shape[2:]))] if pad else gxp
+    return (gx if batched else gx[0]), gw, gb
 
 
 def conv1d_forward(x, kernels, bias):
@@ -180,34 +221,9 @@ def conv1d_forward(x, kernels, bias):
 
     x: (cin, T) or (B, cin, T); kernels: (cout, cin, k) with k odd; bias: (cout,).
     """
-    xb, batched = _as_batched(x, 3)
-    w = np.asarray(kernels, dtype=np.float64)
-    b = np.asarray(bias, dtype=np.float64)
-    cout, cin, k = w.shape
-    if k % 2 == 0:
+    if np.shape(kernels)[-1] % 2 == 0:
         raise ValueError("conv1d kernel length must be odd")
-    if xb.shape[1] != cin or b.shape != (cout,):
-        raise ShapeMismatchError(f"conv1d: input {xb.shape}, kernels {w.shape}, bias {b.shape}")
-    pad = (k - 1) // 2
-    xp = np.pad(xb, ((0, 0), (0, 0), (pad, pad)))
-    win = sliding_window_view(xp, k, axis=-1)  # (B, cin, T, k)
-    y = np.einsum("bctk,ock->bot", win, w, optimize=True) + b[:, None]
-    cache = (win, w, xb.shape, pad, batched)
-    return (y if batched else y[0]), cache
-
-
-def conv1d_backward(gy, cache):
-    win, w, x_shape, pad, batched = cache
-    gyb = gy if batched else gy[None]
-    gw = np.einsum("bot,bctk->ock", gyb, win, optimize=True)
-    gb = gyb.sum(axis=(0, 2))
-    bsz, cin, t = x_shape
-    k = w.shape[2]
-    gxp = np.zeros((bsz, cin, t + 2 * pad))
-    for dt in range(k):
-        gxp[:, :, dt : dt + t] += np.einsum("bot,oc->bct", gyb, w[:, :, dt], optimize=True)
-    gx = gxp[:, :, pad : pad + t] if pad else gxp
-    return (gx if batched else gx[0]), gw, gb
+    return _conv_forward(x, kernels, bias, 1, nd=1)
 
 
 def conv2d_forward(x, kernels, bias, stride=1):
@@ -216,41 +232,12 @@ def conv2d_forward(x, kernels, bias, stride=1):
     'Same' zero padding for stride 1, 'valid' otherwise.
     x: (cin, H, W) or (B, cin, H, W); kernels: (cout, cin, k, k); bias: (cout,).
     """
-    xb, batched = _as_batched(x, 4)
-    w = np.asarray(kernels, dtype=np.float64)
-    b = np.asarray(bias, dtype=np.float64)
-    cout, cin, k, k2 = w.shape
-    if k != k2:
+    if len(set(np.shape(kernels)[2:])) > 1:
         raise ValueError("conv2d kernels must be square")
-    if xb.shape[1] != cin or b.shape != (cout,):
-        raise ShapeMismatchError(f"conv2d: input {xb.shape}, kernels {w.shape}, bias {b.shape}")
-    pad = (k - 1) // 2 if stride == 1 else 0
-    xp = np.pad(xb, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    hp, wp = xp.shape[2], xp.shape[3]
-    if hp < k or wp < k:
-        raise ShapeMismatchError("conv2d input smaller than kernel")
-    win = sliding_window_view(xp, (k, k), axis=(-2, -1))[:, :, ::stride, ::stride]
-    y = np.einsum("bchwkl,ockl->bohw", win, w, optimize=True) + b[:, None, None]
-    cache = (win, w, xb.shape, pad, stride, batched)
-    return (y if batched else y[0]), cache
+    return _conv_forward(x, kernels, bias, stride, nd=2)
 
 
-def conv2d_backward(gy, cache):
-    win, w, x_shape, pad, stride, cache_batched = cache
-    gyb = gy if cache_batched else gy[None]
-    gw = np.einsum("bohw,bchwkl->ockl", gyb, win, optimize=True)
-    gb = gyb.sum(axis=(0, 2, 3))
-    bsz, cin, h, wd = x_shape
-    k = w.shape[2]
-    ho, wo = gyb.shape[2], gyb.shape[3]
-    gxp = np.zeros((bsz, cin, h + 2 * pad, wd + 2 * pad))
-    for dy in range(k):
-        for dx in range(k):
-            gxp[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride] += np.einsum(
-                "bohw,oc->bchw", gyb, w[:, :, dy, dx], optimize=True
-            )
-    gx = gxp[:, :, pad : pad + h, pad : pad + wd] if pad else gxp
-    return (gx if cache_batched else gx[0]), gw, gb
+conv1d_backward = conv2d_backward = _conv_backward
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +265,10 @@ def init_lstm_cell(rng: np.random.Generator, din: int, hidden: int) -> LstmCellP
     )
 
 
-def lstm_forward(x, w_x, w_h, b, reverse=False):
-    """Unidirectional LSTM from zero initial state.
+def lstm_forward(x, w_x, w_h, b):
+    """Unidirectional LSTM from zero initial state, first timestep to last.
 
-    x: (B, T, din) -> h sequence (B, T, h). With reverse=True the recurrence
-    runs from the last timestep to the first; outputs stay time-aligned.
+    x: (B, T, din) -> h sequence (B, T, h).
     """
     x = np.asarray(x, dtype=np.float64)
     bsz, t_len, din = x.shape
@@ -290,67 +276,50 @@ def lstm_forward(x, w_x, w_h, b, reverse=False):
     h = h4 // 4
     if w_x.shape != (h4, din) or w_h.shape != (h4, h):
         raise ShapeMismatchError(f"lstm: x {x.shape}, w_x {w_x.shape}, w_h {w_h.shape}")
-    times = range(t_len - 1, -1, -1) if reverse else range(t_len)
     gates = np.zeros((bsz, t_len, 4 * h))  # post-activation i, f, g, o
-    cs = np.zeros((bsz, t_len, h))
-    hs = np.zeros((bsz, t_len, h))
-    h_prev = np.zeros((bsz, h))
-    c_prev = np.zeros((bsz, h))
-    for t in times:
-        z = x[:, t] @ w_x.T + h_prev @ w_h.T + b
+    # slot t + 1 holds the state after step t; slot 0 is the zero initial state
+    cs = np.zeros((bsz, t_len + 1, h))
+    hs = np.zeros((bsz, t_len + 1, h))
+    h_t = c_t = hs[:, 0]
+    for t in range(t_len):
+        z = x[:, t] @ w_x.T + h_t @ w_h.T + b
         i = expit(z[:, :h])
         f = expit(z[:, h : 2 * h])
         g = np.tanh(z[:, 2 * h : 3 * h])
         o = expit(z[:, 3 * h :])
-        c = f * c_prev + i * g
-        h_t = o * np.tanh(c)
-        gates[:, t, :h] = i
-        gates[:, t, h : 2 * h] = f
-        gates[:, t, 2 * h : 3 * h] = g
-        gates[:, t, 3 * h :] = o
-        cs[:, t] = c
-        hs[:, t] = h_t
-        h_prev, c_prev = h_t, c
-    cache = (x, w_x, w_h, gates, cs, hs, reverse)
-    return hs, cache
+        np.concatenate([i, f, g, o], axis=1, out=gates[:, t])
+        c_t = f * c_t + i * g
+        h_t = o * np.tanh(c_t)
+        cs[:, t + 1] = c_t
+        hs[:, t + 1] = h_t
+    return hs[:, 1:], (x, w_x, w_h, gates, cs, hs)
 
 
 def lstm_backward(gh, cache):
-    x, w_x, w_h, gates, cs, hs, reverse = cache
+    x, w_x, w_h, gates, cs, hs = cache
     bsz, t_len, din = x.shape
     h = cs.shape[2]
-    times = list(range(t_len - 1, -1, -1) if reverse else range(t_len))
     gx = np.zeros_like(x)
     gw_x = np.zeros_like(w_x)
     gw_h = np.zeros_like(w_h)
     gb = np.zeros(4 * h)
     dh_next = np.zeros((bsz, h))
     dc_next = np.zeros((bsz, h))
-    for s in range(len(times) - 1, -1, -1):
-        t = times[s]
-        if s == 0:
-            c_prev = np.zeros((bsz, h))
-            h_prev = np.zeros((bsz, h))
-        else:
-            c_prev = cs[:, times[s - 1]]
-            h_prev = hs[:, times[s - 1]]
-        i = gates[:, t, :h]
-        f = gates[:, t, h : 2 * h]
-        g = gates[:, t, 2 * h : 3 * h]
-        o = gates[:, t, 3 * h :]
-        tc = np.tanh(cs[:, t])
+    for t in range(t_len - 1, -1, -1):
+        i, f, g, o = gates[:, t].reshape(bsz, 4, h).swapaxes(0, 1)
+        tc = np.tanh(cs[:, t + 1])
         dh = gh[:, t] + dh_next
         do = dh * tc
         dc = dc_next + dh * o * (1.0 - tc**2)
         di = dc * g
         dg = dc * i
-        df = dc * c_prev
+        df = dc * cs[:, t]
         dc_next = dc * f
         dz = np.concatenate(
             [di * i * (1 - i), df * f * (1 - f), dg * (1 - g**2), do * o * (1 - o)], axis=1
         )
         gw_x += dz.T @ x[:, t]
-        gw_h += dz.T @ h_prev
+        gw_h += dz.T @ hs[:, t]
         gb += dz.sum(axis=0)
         gx[:, t] = dz @ w_x
         dh_next = dz @ w_h
@@ -360,20 +329,24 @@ def lstm_backward(gh, cache):
 def bilstm_forward(x, fwd: LstmCellParams, bwd: LstmCellParams):
     """Forward and backward LSTM over the sequence, concatenated per timestep.
 
+    The backward direction is the forward recurrence run over the
+    time-reversed sequence, its outputs flipped back into time order.
     x: (B, T, din) -> (B, T, 2h).
     """
-    hf, cache_f = lstm_forward(x, fwd.w_x, fwd.w_h, fwd.b, reverse=False)
-    hb, cache_b = lstm_forward(x, bwd.w_x, bwd.w_h, bwd.b, reverse=True)
-    h = np.concatenate([hf, hb], axis=-1)
+    x = np.asarray(x, dtype=np.float64)
+    hf, cache_f = lstm_forward(x, fwd.w_x, fwd.w_h, fwd.b)
+    # a contiguous copy: the per-step matmuls are slower on a negative-stride view
+    hb, cache_b = lstm_forward(np.ascontiguousarray(x[:, ::-1]), bwd.w_x, bwd.w_h, bwd.b)
+    h = np.concatenate([hf, hb[:, ::-1]], axis=-1)
     return h, (cache_f, cache_b, hf.shape[-1])
 
 
 def bilstm_backward(gh, cache):
     """Returns (gx, (gw_x_f, gw_h_f, gb_f), (gw_x_b, gw_h_b, gb_b))."""
     cache_f, cache_b, h = cache
-    gx_f, gw_x_f, gw_h_f, gb_f = lstm_backward(gh[..., :h], cache_f)
-    gx_b, gw_x_b, gw_h_b, gb_b = lstm_backward(gh[..., h:], cache_b)
-    return gx_f + gx_b, (gw_x_f, gw_h_f, gb_f), (gw_x_b, gw_h_b, gb_b)
+    gx_f, *grads_f = lstm_backward(gh[..., :h], cache_f)
+    gx_b, *grads_b = lstm_backward(gh[:, ::-1, h:], cache_b)
+    return gx_f + gx_b[:, ::-1], tuple(grads_f), tuple(grads_b)
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,8 @@ def train(
             loss = cross_entropy(trace.probs, y)
             loss_sum += loss * batch.size
             model_mod.backward_cross_entropy(trace, y, params, cfg)
-            # the gradients are checked too: ReLU maps NaN activations to 0,
-            # so a NaN inside the network can leave the loss finite
+            # the gradients are checked too, as a safety net: the backward pass
+            # can overflow to inf or NaN while the batch loss is still finite
             if not (np.isfinite(loss) and all(np.isfinite(p.grad).all() for _, p in params.items())):
                 raise GafnetError(f"non-finite loss or gradient at epoch {epoch}, step {global_step + 1}")
             lr = lr_schedule(global_step, schedule)

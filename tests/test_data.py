@@ -91,12 +91,34 @@ class TestWfdbHeader:
         h = data.parse_wfdb_header(HEADER_2CH)
         assert h.record_name == "100" and h.n_signals == 2
         assert h.fs == 360.0 and h.n_samples == 650000
-        assert h.signals[0].gain == 200.0 and h.signals[0].baseline == 0
+        assert h.signals[0].gain == 200.0 and h.signals[0].baseline == 1024
         assert h.signals[0].description == "MLII"
 
     def test_gain_with_baseline_suffix(self):
         h = data.parse_wfdb_header("r 1 250 100\nr.dat 212 200(1024)/mV\n")
         assert h.signals[0].gain == 200.0 and h.signals[0].baseline == 1024
+
+    def test_baseline_from_adc_zero(self):
+        h = data.parse_wfdb_header("r 1 250 100\nr.dat 212 200 11 -37 0 0 0 I\n")
+        assert h.signals[0].baseline == -37
+
+    def test_gain_baseline_overrides_adc_zero(self):
+        h = data.parse_wfdb_header("r 1 250 100\nr.dat 212 200(5)/mV 11 1024 0 0 0 I\n")
+        assert h.signals[0].baseline == 5
+
+    def test_short_line_has_no_description(self):
+        h = data.parse_wfdb_header("r 1 250 100\nr.dat 212 200 11 1024 0 0\n")
+        assert h.signals[0].baseline == 1024 and h.signals[0].description == ""
+        h = data.parse_wfdb_header("r 1 250 100\nr.dat 212 200\n")
+        assert h.signals[0].baseline == 0 and h.signals[0].description == ""
+
+    def test_multi_word_description(self):
+        h = data.parse_wfdb_header("r 1 250 100\nr.dat 212 200 11 0 0 0 0 lead II chest\n")
+        assert h.signals[0].description == "lead II chest"
+
+    def test_malformed_adc_zero_rejected(self):
+        with pytest.raises(DataFormatError):
+            data.parse_wfdb_header("r 1 250 100\nr.dat 212 200 11 zero\n")
 
     def test_comments_skipped(self):
         h = data.parse_wfdb_header("# age 69\n" + HEADER_2CH + "# sex M\n")
@@ -316,4 +338,5 @@ class TestLoadWfdbRecord:
         ds = data.load_wfdb_record(tmp_path / "rec", window=100)
         assert len(ds) == 3
         assert ds.labels.tolist() == [0, 4, 0]
-        assert np.array_equal(ds.values[0], samples[450:550, 0].astype(float))
+        # gain 1 adu/mV, baseline the ADC zero 1024
+        assert np.array_equal(ds.values[0], samples[450:550, 0] - 1024.0)

@@ -69,6 +69,18 @@ class TestF1:
     def test_perfect(self):
         assert metrics.macro_f1([0, 1, 2], [0, 1, 2], 3) == 1.0
 
+    def test_absent_classes_left_out_of_mean(self):
+        # perfect predictions on 2 of a 15-class vocabulary (the WFDB beat classes)
+        assert metrics.macro_f1([3, 7, 7, 3], [3, 7, 7, 3], 15) == 1.0
+
+    def test_class_only_predicted_counts(self):
+        # class 2 is predicted but never true: it scores 0 and stays in the mean
+        assert abs(metrics.macro_f1([0, 2], [0, 1], 4) - 1.0 / 3.0) < 1e-12
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            metrics.macro_f1([], [], 2)
+
 
 class TestAuc:
     def test_hand_value(self):

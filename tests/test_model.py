@@ -119,9 +119,9 @@ class TestFusion:
             if name.startswith("attn."):
                 p.value[...] = 0.0
         rng = np.random.default_rng(6)
-        f_t = rng.standard_normal(cfg.d_t)
-        f_s = rng.standard_normal(cfg.d_s)
-        f_t2, f_s2 = model.dual_attention_fuse(f_t, f_s, params, cfg)
+        f_t = rng.standard_normal((1, cfg.d_t))
+        f_s = rng.standard_normal((1, cfg.d_s))
+        f_t2, f_s2, _ = model._fuse_forward(f_t, f_s, params, cfg)
         ln_t, _ = ops.layer_norm_forward(f_t, params["ln.t.gain"].value, params["ln.t.bias"].value)
         ln_s, _ = ops.layer_norm_forward(f_s, params["ln.s.gain"].value, params["ln.s.bias"].value)
         assert np.allclose(f_t2, ln_t, atol=1e-12)
@@ -131,8 +131,8 @@ class TestFusion:
         cfg = tiny_config()
         params = model.init_params(cfg, ops.make_rng(1))
         rng = np.random.default_rng(7)
-        f_t2, f_s2 = model.dual_attention_fuse(
-            rng.standard_normal(cfg.d_t), rng.standard_normal(cfg.d_s), params, cfg
+        f_t2, f_s2, _ = model._fuse_forward(
+            rng.standard_normal((1, cfg.d_t)), rng.standard_normal((1, cfg.d_s)), params, cfg
         )
         assert abs(f_t2.mean()) < 1e-9 and abs(f_s2.mean()) < 1e-9
 
@@ -263,6 +263,21 @@ class TestVariants:
         a = model.forward(segs, None, params, cfg).probs
         b = model.forward(segs, imgs, params, cfg).probs
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    def test_non_finite_input_gives_non_finite_probs(self, variant):
+        # ReLU must pass NaN through: corrupt input may not come out as plausible probabilities
+        cfg = tiny_config(variant)
+        params = model.init_params(cfg, ops.make_rng(12))
+        segs, imgs = tiny_inputs(np.random.default_rng(17))
+        bad_segs, bad_imgs = segs.copy(), imgs.copy()
+        bad_segs[:, 2] = np.inf
+        bad_imgs[:, 3, 3] = np.nan
+        with np.errstate(invalid="ignore"):
+            if cfg.uses_temporal:
+                assert not np.isfinite(model.forward(bad_segs, imgs, params, cfg).probs).any()
+            if cfg.uses_spatial:
+                assert not np.isfinite(model.forward(segs, bad_imgs, params, cfg).probs).any()
 
     def test_missing_required_input_rejected(self):
         cfg = tiny_config("full")

@@ -119,10 +119,47 @@ class TestConv2d:
             assert np.allclose(y, conv2d_oracle(x, w, b, stride), atol=1e-12)
 
 
+class TestConvInputChecks:
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, b_shape, error",
+        [
+            ((1, 9), (1, 1, 4), (1,), ValueError),  # even kernel
+            ((2, 9), (3, 1, 3), (3,), ops.ShapeMismatchError),  # channel mismatch
+            ((1, 9), (3, 1, 3), (2,), ops.ShapeMismatchError),  # bias mismatch
+            ((9,), (1, 1, 3), (1,), ops.ShapeMismatchError),  # rank too low
+            ((1, 1, 1, 9), (1, 1, 3), (1,), ops.ShapeMismatchError),  # rank too high
+        ],
+    )
+    def test_conv1d_rejects(self, x_shape, w_shape, b_shape, error):
+        with pytest.raises(error):
+            ops.conv1d_forward(np.zeros(x_shape), np.zeros(w_shape), np.zeros(b_shape))
+
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, b_shape, stride, error",
+        [
+            ((1, 6, 6), (1, 1, 3, 2), (1,), 1, ValueError),  # non-square kernel
+            ((2, 6, 6), (3, 1, 3, 3), (3,), 2, ops.ShapeMismatchError),  # channel mismatch
+            ((1, 6, 6), (3, 1, 3, 3), (2,), 2, ops.ShapeMismatchError),  # bias mismatch
+            ((6, 6), (1, 1, 3, 3), (1,), 1, ops.ShapeMismatchError),  # rank too low
+            ((1, 1, 1, 6, 6), (1, 1, 3, 3), (1,), 1, ops.ShapeMismatchError),  # rank too high
+            ((1, 2, 6), (1, 1, 3, 3), (1,), 2, ops.ShapeMismatchError),  # smaller than kernel
+        ],
+    )
+    def test_conv2d_rejects(self, x_shape, w_shape, b_shape, stride, error):
+        with pytest.raises(error):
+            ops.conv2d_forward(np.zeros(x_shape), np.zeros(w_shape), np.zeros(b_shape), stride=stride)
+
+
 class TestPointwise:
     def test_relu(self):
         y, _ = ops.relu_forward([-1.0, 0.0, 2.0])
         assert np.array_equal(y, [0.0, 0.0, 2.0])
+
+    def test_relu_passes_nan_through(self):
+        y, cache = ops.relu_forward([np.nan, -np.inf, np.inf, -0.0])
+        assert np.isnan(y[0]) and np.array_equal(y[1:], [0.0, np.inf, 0.0])
+        (g,) = ops.relu_backward(np.ones(4), cache)
+        assert np.array_equal(g, [0.0, 0.0, 1.0, 0.0])
 
     def test_softmax_uniform(self):
         y, _ = ops.softmax_forward([0.0, 0.0, 0.0])
