@@ -1,6 +1,7 @@
 """ECG signal preprocessing: bandpass filtering, normalization, windowing."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -92,8 +93,14 @@ def design_butterworth(order: int, f_l: float, f_h: float, fs: float) -> FilterC
         raise ValueError("order must be in [1, 8]")
     if not (0 < f_l < f_h < fs / 2):
         raise ValueError(f"cutoffs must satisfy 0 < f_l < f_h < fs/2, got {f_l}, {f_h} at fs={fs}")
-    sos = sps.butter(order, [f_l, f_h], btype="bandpass", output="sos", fs=fs)
-    return FilterCoefficients(sos=sos, f_l=f_l, f_h=f_h, order=order)
+    return FilterCoefficients(sos=_butter_sos(order, f_l, f_h, fs).copy(), f_l=f_l, f_h=f_h, order=order)
+
+
+@lru_cache(maxsize=16)
+def _butter_sos(order: int, f_l: float, f_h: float, fs: float) -> np.ndarray:
+    """The scipy design, once per parameter set: `preprocess` designs the same
+    filter for every beat of a record. Callers get copies of this array."""
+    return sps.butter(order, [f_l, f_h], btype="bandpass", output="sos", fs=fs)
 
 
 def apply_filter(coeffs: FilterCoefficients, sig: Signal, mode: str = "single-pass") -> Signal:

@@ -338,6 +338,19 @@ def _replay(tape: list, g, params: ModelParams):
     return g
 
 
+def _rows(segs, imgs, cfg: ModelConfig) -> int:
+    """The row count shared by the inputs the variant reads."""
+    rows = set()
+    for kind, x, used in (("segment", segs, cfg.uses_temporal), ("image", imgs, cfg.uses_spatial)):
+        if used:
+            if x is None:
+                raise ValueError(f"variant requires {kind} input")
+            rows.add(len(x))
+    if len(rows) > 1:
+        raise ShapeMismatchError(f"segments and images differ in row count: {len(segs)} vs {len(imgs)}")
+    return rows.pop()
+
+
 @dataclass
 class ForwardTrace:
     probs: np.ndarray  # (B, C)
@@ -352,13 +365,12 @@ def forward(segs, imgs, params: ModelParams, cfg: ModelConfig) -> ForwardTrace:
     segs: (B, w) raw segments (None for gaf_only); imgs: (B, w, w) GAF images
     (None for time_only).
     """
+    _rows(segs, imgs, cfg)
     branches, fusion, head = _layout(cfg)
     inputs = {"segment": segs, "image": imgs}
     tapes = [[] for _ in range(len(branches) + 1)]
     feats = []
     for (kind, _width, stages), tape in zip(branches, tapes):
-        if inputs[kind] is None:
-            raise ValueError(f"variant requires {kind} input")
         feats.append(_run(stages, inputs[kind], params, tape))
     fuse_cache = None
     if fusion is not None:
@@ -389,19 +401,31 @@ def backward_cross_entropy(trace: ForwardTrace, labels_onehot, params: ModelPara
     return backward(trace, (trace.probs - y) * (1.0 / y.shape[0]), params, cfg)
 
 
-def predict_probs(params: ModelParams, cfg: ModelConfig, segs, imgs, batch_size: int = 256) -> np.ndarray:
-    """Batched inference over a whole dataset."""
-    n = len(segs) if segs is not None else len(imgs)
+# Rows per `forward` call in `predict_probs`. The conv2d window einsum's
+# temporaries grow with the rows: at 256 rows of w=140 they run to hundreds
+# of MB, each above glibc's 32 MB mmap threshold, so every call maps and
+# page-faults them anew. Predicting 600 rows of w=140 over and over in one
+# process (one BLAS thread, 2 CPUs) took 4.1-4.8 s per pass at 256 rows,
+# 1.3-1.8 s of it system time, and 3.1-3.3 s at 32 rows with 0.2 s; 16 rows
+# tied with 32, 8 and 64 were slower, and at w=96 32 rows was the fastest.
+PREDICT_ROWS = 32
+
+
+def predict_probs(params: ModelParams, cfg: ModelConfig, segs, imgs) -> np.ndarray:
+    """Inference over a whole dataset, `PREDICT_ROWS` rows per `forward` call."""
+    n = _rows(segs, imgs, cfg)
+    if n == 0:
+        return np.empty((0, cfg.num_classes))
     out = []
-    for start in range(0, n, batch_size):
-        sl = slice(start, min(start + batch_size, n))
-        trace = forward(
+    for start in range(0, n, PREDICT_ROWS):
+        sl = slice(start, start + PREDICT_ROWS)
+        # keep only the probabilities: the tape of one chunk is freed before the next runs
+        out.append(forward(
             segs[sl] if segs is not None else None,
             imgs[sl] if imgs is not None else None,
             params,
             cfg,
-        )
-        out.append(trace.probs)
+        ).probs)
     return np.concatenate(out, axis=0)
 
 

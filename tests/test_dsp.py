@@ -7,6 +7,7 @@ the design and filtering code paths.
 
 import numpy as np
 import pytest
+from scipy import signal as sps
 
 from gafnet import dsp
 
@@ -60,6 +61,27 @@ class TestDesign:
             coeffs = dsp.design_butterworth(order, f_l, f_h, fs)
             for row in coeffs.sos:
                 assert np.all(np.abs(np.roots(row[3:])) < 1.0)
+
+    def test_repeated_design_gives_equal_distinct_arrays(self):
+        a = dsp.design_butterworth(4, 0.5, 40.0, 360.0)
+        b = dsp.design_butterworth(4, 0.5, 40.0, 360.0)
+        assert np.array_equal(a.sos, b.sos)
+        assert not np.shares_memory(a.sos, b.sos)
+        a.sos[0, 0] = 7.0  # a caller that edits its copy leaves later designs intact
+        assert np.array_equal(dsp.design_butterworth(4, 0.5, 40.0, 360.0).sos, b.sos)
+
+    @pytest.mark.parametrize("mode", ["single-pass", "forward-backward"])
+    def test_filtered_beats_match_uncached_design(self, mode):
+        # every beat of a record runs the same design; each must filter as a fresh scipy design does
+        rng = np.random.default_rng(3)
+        cfg = dsp.PreprocessConfig(enable_filter=True, filter_mode=mode)
+        for _beat in range(5):
+            raw = make_signal(rng.standard_normal(128), fs=360.0)
+            sos = sps.butter(cfg.order, [cfg.f_l, cfg.f_h], btype="bandpass", output="sos", fs=360.0)
+            filtered = dsp.apply_filter(dsp.FilterCoefficients(sos, cfg.f_l, cfg.f_h, cfg.order), raw, mode)
+            (expected,) = dsp.segment(dsp.normalize(filtered), 128, 0)
+            (got,) = dsp.preprocess(raw, cfg)
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestApplyFilter:

@@ -263,6 +263,8 @@ class TestVariants:
         a = model.forward(segs, None, params, cfg).probs
         b = model.forward(segs, imgs, params, cfg).probs
         assert np.array_equal(a, b)
+        # nor are the rows of an input the variant does not read compared
+        assert np.array_equal(model.predict_probs(params, cfg, segs, imgs[:1]), a)
 
     @pytest.mark.parametrize("variant", model.VARIANTS)
     def test_non_finite_input_gives_non_finite_probs(self, variant):
@@ -286,6 +288,50 @@ class TestVariants:
             model.forward(None, np.zeros((1, 8, 8)), params, cfg)
         with pytest.raises(ValueError):
             model.forward(np.zeros((1, 8)), None, params, cfg)
+
+
+class TestPredict:
+    def test_chunks_bounded_and_in_order(self, monkeypatch):
+        cfg = tiny_config()
+        params = model.init_params(cfg, ops.make_rng(13))
+        n = 2 * model.PREDICT_ROWS + 5
+        segs, imgs = tiny_inputs(np.random.default_rng(22), n=n)
+        whole = model.forward(segs, imgs, params, cfg).probs
+        seen = []
+        real_forward = model.forward
+
+        def recording_forward(s, i, p, c):
+            seen.append((s, i))
+            return real_forward(s, i, p, c)
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        probs = model.predict_probs(params, cfg, segs, imgs)
+        assert all(len(s) <= model.PREDICT_ROWS for s, _i in seen)
+        assert sum(len(s) for s, _i in seen) == n
+        assert np.array_equal(np.concatenate([s for s, _i in seen]), segs)
+        assert np.array_equal(np.concatenate([i for _s, i in seen]), imgs)
+        # a row's probabilities can move in the last bit with the batch size
+        assert np.allclose(probs, whole, rtol=0, atol=1e-12)
+        assert np.array_equal(probs.argmax(axis=1), whole.argmax(axis=1))
+
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    def test_zero_rows_give_empty_probs(self, variant):
+        cfg = tiny_config(variant, num_classes=3)
+        params = model.init_params(cfg, ops.make_rng(14))
+        segs, imgs = tiny_inputs(np.random.default_rng(23), n=0)
+        probs = model.predict_probs(params, cfg, segs if cfg.uses_temporal else None,
+                                    imgs if cfg.uses_spatial else None)
+        assert probs.shape == (0, 3)
+
+    @pytest.mark.parametrize("variant", ["full", "no_dual_attention", "no_cross_channel"])
+    def test_row_count_mismatch_rejected(self, variant):
+        cfg = tiny_config(variant)
+        params = model.init_params(cfg, ops.make_rng(15))
+        segs, imgs = tiny_inputs(np.random.default_rng(24), n=5)
+        with pytest.raises(ShapeMismatchError):
+            model.predict_probs(params, cfg, segs, imgs[:3])
+        with pytest.raises(ShapeMismatchError):
+            model.forward(segs[:3], imgs, params, cfg)
 
 
 class TestFullModelGradient:
