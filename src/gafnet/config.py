@@ -6,36 +6,30 @@ lists use colon syntax: `model.cnn1d_layers = 32:7,64:5` (channels:kernel)
 and `model.cnn2d_layers = 16:3:2,...` (channels:kernel:stride).
 """
 
-from dataclasses import dataclass, field, fields
-from typing import Optional, Tuple
+from dataclasses import dataclass, field, fields, make_dataclass
+from typing import Optional
 
 from .dsp import PreprocessConfig
 from .model import ModelConfig
 from .optim import ScheduleConfig, TrainConfig
 
 
-@dataclass
-class ModelSettings:
-    """ModelConfig fields that are data-independent (num_classes comes from the dataset)."""
+# ModelConfig's data-independent fields, with its defaults: num_classes comes
+# from the dataset and the variant from the command line
+_MODEL_SETTINGS = [f for f in fields(ModelConfig) if f.name not in ("num_classes", "variant")]
 
-    cnn1d_layers: Tuple[Tuple[int, int], ...] = ((32, 7), (64, 5))
-    lstm_hidden: int = 64
-    cnn2d_layers: Tuple[Tuple[int, int, int], ...] = ((16, 3, 2), (32, 3, 2), (64, 3, 2))
-    groups: int = 8
-    d_attn: int = 16
-    mlp_hidden: int = 128
 
-    def to_model_config(self, num_classes: int, variant: str = "full") -> ModelConfig:
-        return ModelConfig(
-            num_classes=num_classes,
-            cnn1d_layers=self.cnn1d_layers,
-            lstm_hidden=self.lstm_hidden,
-            cnn2d_layers=self.cnn2d_layers,
-            groups=self.groups,
-            d_attn=self.d_attn,
-            mlp_hidden=self.mlp_hidden,
-            variant=variant,
-        )
+def _to_model_config(self, num_classes: int, variant: str = "full") -> ModelConfig:
+    return ModelConfig(num_classes=num_classes, variant=variant,
+                       **{f.name: getattr(self, f.name) for f in _MODEL_SETTINGS})
+
+
+ModelSettings = make_dataclass(
+    "ModelSettings",
+    [(f.name, f.type, field(default=f.default)) for f in _MODEL_SETTINGS],
+    namespace={"__module__": __name__, "__doc__": "The `model.*` keys of a run config.",
+               "to_model_config": _to_model_config},
+)
 
 
 @dataclass

@@ -155,7 +155,9 @@ def _attention_backward(gout, cache):
 # A stage is one layer: `forward(x, *values) -> (y, cache)` takes the values
 # of the parameters `names` after its input, `backward(gy, cache)` returns the
 # input gradient and then one gradient per name, and `init(rng)` draws the
-# values of `names` in order. The lists are built per call, so every `ops.*`
+# values of `names` in order. A stage that can be a branch's first with
+# parameters also takes `input_grad=False`, and then returns None for the
+# input gradient. The lists are built per call, so every `ops.*`
 # function is looked up through its module attribute when the model runs.
 
 
@@ -185,9 +187,9 @@ def _bilstm_stage(din, hidden):
         h, cache = ops.bilstm_forward(np.ascontiguousarray(np.swapaxes(x, 1, 2)), *cells)
         return np.swapaxes(h, 1, 2), cache
 
-    def backward(g, cache):
+    def backward(g, cache, input_grad=True):
         gx, grads_f, grads_b = ops.bilstm_backward(np.swapaxes(g, 1, 2), cache)
-        return (np.ascontiguousarray(np.swapaxes(gx, 1, 2)), *grads_f, *grads_b)
+        return (np.ascontiguousarray(np.swapaxes(gx, 1, 2)) if input_grad else None, *grads_f, *grads_b)
 
     def init(rng):
         cells = [ops.init_lstm_cell(rng, din, hidden) for _direction in "fb"]
@@ -329,10 +331,15 @@ def _run(stages: List[Stage], x, params: ModelParams, tape: list):
     return x
 
 
-def _replay(tape: list, g, params: ModelParams):
-    """Replay a tape in reverse: accumulate parameter gradients, return the input gradient."""
-    for backward_fn, cache, names in reversed(tape):
-        g, *grads = backward_fn(g, cache)
+def _replay(tape: list, g, params: ModelParams, input_grad: bool = True):
+    """Replay a tape in reverse: accumulate parameter gradients, return the input
+    gradient. Without `input_grad` the replay ends at the tape's first stage that
+    owns parameters, which is called with `input_grad=False` (it computes its
+    parameter gradients only), and the result is None."""
+    stop = 0 if input_grad else next(i for i, (_fn, _cache, names) in enumerate(tape) if names)
+    for i in reversed(range(stop, len(tape))):
+        backward_fn, cache, names = tape[i]
+        g, *grads = backward_fn(g, cache) if input_grad or i > stop else backward_fn(g, cache, input_grad=False)
         for name, grad in zip(names, grads):
             params.add_grad(name, grad)
     return g
@@ -380,25 +387,29 @@ def forward(segs, imgs, params: ModelParams, cfg: ModelConfig) -> ForwardTrace:
     return ForwardTrace(probs=probs, logits=logits, tapes=tapes, fuse_cache=fuse_cache)
 
 
-def backward(trace: ForwardTrace, grad_logits, params: ModelParams, cfg: ModelConfig):
+def backward(trace: ForwardTrace, grad_logits, params: ModelParams, cfg: ModelConfig, input_grads: bool = True):
     """Accumulate dLoss/dtheta into every ParamTensor given dLoss/dlogits.
 
     Returns (grad_segments, grad_images); entries are None for branches the
-    variant does not use.
+    variant does not use. With `input_grads=False` both are None and each
+    branch's backward stops at its first layer with parameters, which skips
+    that layer's input gradient; the parameter gradients are the same bytes.
     """
     branches, fusion, _head = _layout(cfg)
     gz = _replay(trace.tapes[-1], np.asarray(grad_logits, dtype=np.float64), params)
     gfeats = np.split(gz, np.cumsum([width for _kind, width, _stages in branches])[:-1], axis=-1)
     if fusion is not None:
         gfeats = fusion.backward(*gfeats, trace.fuse_cache, params, cfg)
-    grads = {kind: _replay(tape, g, params) for (kind, _w, _s), tape, g in zip(branches, trace.tapes, gfeats)}
+    grads = {kind: _replay(tape, g, params, input_grads)
+             for (kind, _w, _s), tape, g in zip(branches, trace.tapes, gfeats)}
     return grads.get("segment"), grads.get("image")
 
 
-def backward_cross_entropy(trace: ForwardTrace, labels_onehot, params: ModelParams, cfg: ModelConfig):
+def backward_cross_entropy(trace: ForwardTrace, labels_onehot, params: ModelParams, cfg: ModelConfig,
+                           input_grads: bool = True):
     """Backprop the batch-mean cross-entropy loss; d/dlogits = (p - y) / B."""
     y = np.asarray(labels_onehot, dtype=np.float64)
-    return backward(trace, (trace.probs - y) * (1.0 / y.shape[0]), params, cfg)
+    return backward(trace, (trace.probs - y) * (1.0 / y.shape[0]), params, cfg, input_grads=input_grads)
 
 
 # Rows per `forward` call in `predict_probs`. The conv2d window einsum's

@@ -172,6 +172,13 @@ def global_avg_pool_backward(gy, cache):
 _CONV_AXES = {1: ("t", "k"), 2: ("hw", "kl")}
 
 
+def _channel_axis(w):
+    """(einsum letter, index) of the input-channel axis. A single channel is
+    indexed away: numpy >= 2.3's einsum would drop that size-1 axis of the
+    strided window view in a slow extra pass before the same matmul."""
+    return ("c", slice(None)) if w.shape[1] > 1 else ("", 0)
+
+
 def _conv_forward(x, kernels, bias, stride, nd):
     """Cross-correlation over the trailing `nd` axes plus bias.
 
@@ -195,24 +202,36 @@ def _conv_forward(x, kernels, bias, stride, nd):
     win = sliding_window_view(xp, (k,) * nd, axis=tuple(range(-nd, 0)))
     win = win[(slice(None), slice(None)) + (slice(None, None, stride),) * nd]
     s, kk = _CONV_AXES[nd]
-    y = np.einsum(f"bc{s}{kk},oc{kk}->bo{s}", win, w, optimize=True)
+    c, ci = _channel_axis(w)
+    y = np.einsum(f"b{c}{s}{kk},o{c}{kk}->bo{s}", win[:, ci], w[:, ci], optimize=True)
     y += b.reshape((-1,) + (1,) * nd)
     cache = (win, w, xb.shape, pad, stride, batched)
     return (y if batched else y[0]), cache
 
 
-def _conv_backward(gy, cache):
+def _conv_backward(gy, cache, input_grad=True):
+    """(gx, gw, gb) of `_conv_forward`; gx is None without `input_grad`."""
     win, w, x_shape, pad, stride, batched = cache
     s, kk = _CONV_AXES[w.ndim - 2]
     gyb = gy if batched else gy[None]
-    gw = np.einsum(f"bo{s},bc{s}{kk}->oc{kk}", gyb, win, optimize=True)
+    c, ci = _channel_axis(w)
+    gw = np.einsum(f"bo{s},b{c}{s}{kk}->o{c}{kk}", gyb, win[:, ci], optimize=True).reshape(w.shape)
     gb = gyb.sum(axis=(0, *range(2, gyb.ndim)))
-    gxp = np.zeros(x_shape[:2] + tuple(n + 2 * pad for n in x_shape[2:]))
+    if not input_grad:
+        return None, gw, gb
+    bsz, cout, *spatial = gyb.shape
+    # One (cout, B*spatial) copy of gy serves every kernel tap. `w_tapᵀ @ gy_flat`
+    # is the product numpy's einsum ran per tap, so gx keeps its bytes; the other
+    # orientation, gy_flatᵀ @ w_tap, rounds differently at most batch sizes.
+    gy_flat = np.ascontiguousarray(np.moveaxis(gyb, 1, 0)).reshape(cout, -1)
+    gxp = np.zeros((x_shape[1], bsz) + tuple(n + 2 * pad for n in x_shape[2:]))
     # scatter each kernel tap's contribution onto the (strided) input positions it read
     for tap in np.ndindex(*w.shape[2:]):
-        at = tuple(slice(d, d + stride * n, stride) for d, n in zip(tap, gyb.shape[2:]))
-        gxp[(..., *at)] += np.einsum(f"bo{s},oc->bc{s}", gyb, w[(..., *tap)], optimize=True)
-    gx = gxp[(..., *(slice(pad, pad + n) for n in x_shape[2:]))] if pad else gxp
+        at = tuple(slice(d, d + stride * n, stride) for d, n in zip(tap, spatial))
+        gxp[(..., *at)] += (w[(..., *tap)].T @ gy_flat).reshape(gxp.shape[:2] + tuple(spatial))
+    gxp = gxp[(..., *(slice(pad, pad + n) for n in x_shape[2:]))] if pad else gxp
+    # C order: the next layer's bias gradient sums gy in that layout
+    gx = np.ascontiguousarray(np.moveaxis(gxp, 0, 1))
     return (gx if batched else gx[0]), gw, gb
 
 

@@ -189,7 +189,8 @@ def train(
             y = tr_onehot[batch]
             loss = cross_entropy(trace.probs, y)
             loss_sum += loss * batch.size
-            model_mod.backward_cross_entropy(trace, y, params, cfg)
+            # nothing reads the segment or image gradients: skip them
+            model_mod.backward_cross_entropy(trace, y, params, cfg, input_grads=False)
             # the gradients are checked too, as a safety net: the backward pass
             # can overflow to inf or NaN while the batch loss is still finite
             if not (np.isfinite(loss) and all(np.isfinite(p.grad).all() for _, p in params.items())):

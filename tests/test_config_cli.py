@@ -45,6 +45,19 @@ class TestConfigText:
         cfg = config.parse_config_text(text)
         assert config.config_to_text(cfg) == text
 
+    def test_model_keys_are_model_config_defaults(self):
+        text = config.config_to_text(config.RunConfig())
+        assert [line for line in text.splitlines() if line.startswith("model.")] == [
+            "model.cnn1d_layers = 32:7,64:5",
+            "model.lstm_hidden = 64",
+            "model.cnn2d_layers = 16:3:2,32:3:2,64:3:2",
+            "model.groups = 8",
+            "model.d_attn = 16",
+            "model.mlp_hidden = 128",
+        ]
+        settings = config.ModelSettings()
+        assert settings.to_model_config(5, variant="gaf_only") == model.ModelConfig(num_classes=5, variant="gaf_only")
+
     def test_override_values(self):
         cfg = config.parse_config_text(
             "train.epochs = 7\nschedule.eta0 = 0.01\npreprocess.window = 32\ndata.fs = 180.0\n"

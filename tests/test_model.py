@@ -3,6 +3,7 @@ wiring, model-file layout and serialization, and end-to-end gradient checks
 on a tiny model."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -412,6 +413,46 @@ class TestFullModelGradient:
                 a = p.grad.reshape(-1)[j]
                 worst = max(worst, abs(a - numeric) / max(1.0, abs(a), abs(numeric)))
         assert worst < 1e-4
+
+
+class TestInputGradOptOut:
+    """Training skips the segment and image gradients; the parameter
+    gradients it gets are the bytes the default backward gives."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [tiny_config(v) for v in model.VARIANTS] + [replace(tiny_config("time_only"), cnn1d_layers=())],
+        ids=list(model.VARIANTS) + ["bilstm_first"],
+    )
+    def test_same_parameter_gradients(self, cfg):
+        segs, imgs = tiny_inputs(np.random.default_rng(30))
+        y = optim.one_hot([0, 1, 1], 2)
+        grads = {}
+        for input_grads in (True, False):
+            params = model.init_params(cfg, ops.make_rng(14))
+            trace = model.forward(segs if cfg.uses_temporal else None, imgs if cfg.uses_spatial else None, params, cfg)
+            out = model.backward_cross_entropy(trace, y, params, cfg, input_grads=input_grads)
+            grads[input_grads] = {name: p.grad for name, p in params.items()}
+        assert out == (None, None)  # of the input_grads=False pass
+        for name, g in grads[True].items():
+            assert np.array_equal(grads[False][name], g), name
+
+    def test_train_skips_input_gradients(self, monkeypatch):
+        seen = []
+
+        def recording(original):
+            def backward(g, cache, **kwargs):
+                seen.append(kwargs.get("input_grad", True))
+                return original(g, cache, **kwargs)
+            return backward
+
+        monkeypatch.setattr(ops, "conv1d_backward", recording(ops.conv1d_backward))
+        monkeypatch.setattr(ops, "conv2d_backward", recording(ops.conv2d_backward))
+        segs, imgs = tiny_inputs(np.random.default_rng(31), n=6)
+        labels = np.arange(6) % 2
+        optim.train(tiny_config(), segs, imgs, labels, optim.TrainConfig(epochs=1, batch_size=3, val_fraction=0.0))
+        # each of the two steps replays the first (and only) conv of each branch
+        assert seen == [False] * 4
 
 
 class TestSerialization:

@@ -3,6 +3,7 @@ convolution oracles, and finite-difference gradient checks."""
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gafnet import ops
 
@@ -46,6 +47,55 @@ def conv2d_oracle(x, w, b, stride):
                             acc += w[o, c, dy, dx] * xp[c, i * stride + dy, j * stride + dx]
                 y[o, i, j] = acc
     return y
+
+
+def _conv_windows(x, k, stride):
+    """Strided window view of a batched input, padded as `ops` pads it."""
+    nd = x.ndim - 2
+    pad = (k - 1) // 2 if stride == 1 else 0
+    xp = np.pad(x, ((0, 0), (0, 0)) + ((pad, pad),) * nd)
+    win = sliding_window_view(xp, (k,) * nd, axis=tuple(range(-nd, 0)))
+    return win[(slice(None), slice(None)) + (slice(None, None, stride),) * nd], pad
+
+
+_CONV_LETTERS = {1: ("t", "k"), 2: ("hw", "kl")}
+
+# numpy >= 2.3 contracts a two-operand einsum with `bmm_einsum`, which runs the
+# matmuls `ops` runs, so the references below must match byte for byte. Older
+# numpy contracts through `tensordot`, whose per-tap `gx` product is the other
+# orientation (gyᵀ @ w_tap): there the sums are ordered differently and only a
+# float64 rounding tolerance holds.
+_SAME_PRODUCTS = np.lib.NumpyVersion(np.__version__) >= "2.3.0"
+
+
+def assert_same_conv_result(got, want):
+    if _SAME_PRODUCTS:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def conv_forward_reference(x, w, b, stride):
+    """Batched conv as one einsum over the channel axis, whatever its size."""
+    win, _ = _conv_windows(x, w.shape[-1], stride)
+    s, kk = _CONV_LETTERS[w.ndim - 2]
+    y = np.einsum(f"bc{s}{kk},oc{kk}->bo{s}", win, w, optimize=True)
+    y += b.reshape((-1,) + (1,) * (w.ndim - 2))
+    return y
+
+
+def conv_backward_reference(gy, x, w, stride):
+    """(gx, gw, gb) with one einsum per kernel tap for gx, each reading gy as it is."""
+    win, pad = _conv_windows(x, w.shape[-1], stride)
+    s, kk = _CONV_LETTERS[w.ndim - 2]
+    gw = np.einsum(f"bo{s},bc{s}{kk}->oc{kk}", gy, win, optimize=True)
+    gb = gy.sum(axis=(0, *range(2, gy.ndim)))
+    gxp = np.zeros(x.shape[:2] + tuple(n + 2 * pad for n in x.shape[2:]))
+    for tap in np.ndindex(*w.shape[2:]):
+        at = tuple(slice(d, d + stride * n, stride) for d, n in zip(tap, gy.shape[2:]))
+        gxp[(..., *at)] += np.einsum(f"bo{s},oc->bc{s}", gy, w[(..., *tap)], optimize=True)
+    gx = gxp[(..., *(slice(pad, pad + n) for n in x.shape[2:]))] if pad else gxp
+    return gx, gw, gb
 
 
 class TestMatmul:
@@ -117,6 +167,43 @@ class TestConv2d:
             b = rng.standard_normal(3)
             y, _ = ops.conv2d_forward(x, w, b, stride=stride)
             assert np.allclose(y, conv2d_oracle(x, w, b, stride), atol=1e-12)
+
+
+class TestConvBytes:
+    """The convolutions give the same bytes as the plain einsum references
+    (on numpy >= 2.3), so a trained model file does not depend on which of
+    the two ran."""
+
+    # (cin, cout, kernel, size, stride): the paper-default layers on the
+    # 96-sample surrogate (the conv2d chain 96 -> 47 -> 23 and both conv1d)
+    @pytest.mark.parametrize(
+        "cin, cout, k, size, stride",
+        [(1, 16, 3, (96, 96), 2), (16, 32, 3, (47, 47), 2), (32, 64, 3, (23, 23), 2),
+         (1, 32, 7, (96,), 1), (32, 64, 5, (96,), 1)],
+    )
+    def test_matches_einsum_reference(self, cin, cout, k, size, stride):
+        rng = rng_for(40 + cin + len(size))
+        w = rng.standard_normal((cout, cin) + (k,) * len(size))
+        b = rng.standard_normal(cout)
+        backward = ops.conv2d_backward if len(size) == 2 else ops.conv1d_backward
+        for bsz in range(1, 20):
+            x = rng.standard_normal((bsz, cin) + size)
+            if len(size) == 2:
+                y, cache = ops.conv2d_forward(x, w, b, stride=stride)
+            else:
+                y, cache = ops.conv1d_forward(x, w, b)
+            assert_same_conv_result(y, conv_forward_reference(x, w, b, stride))
+            # gy in C order, and in the layout relu_backward gives it in the model
+            (gy_relu,) = ops.relu_backward(rng.standard_normal(y.shape), ops.relu_forward(y)[1])
+            for gy in (rng.standard_normal(y.shape), gy_relu):
+                gx, gw, gb = backward(gy, cache)
+                want = conv_backward_reference(gy, x, w, stride)
+                for got, ref in zip((gx, gw, gb), want):
+                    assert_same_conv_result(got, ref)
+                assert gx.flags.c_contiguous
+                no_gx = backward(gy, cache, input_grad=False)
+                assert no_gx[0] is None
+                assert np.array_equal(no_gx[1], gw) and np.array_equal(no_gx[2], gb)
 
 
 class TestConvInputChecks:
