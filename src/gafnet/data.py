@@ -6,6 +6,7 @@ binary signal file, MIT binary annotation file.
 """
 
 import logging
+import math
 import re
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -85,6 +86,8 @@ def load_ucr(path, fs: float = 1.0, split_tag: str = "train") -> Dataset:
             if rows and len(numbers) - 1 != len(rows[0]):
                 raise DataFormatError(f"{path}:{line_no}: inconsistent series length")
             label = numbers[0]
+            if not math.isfinite(label):
+                raise DataFormatError(f"{path}:{line_no}: non-finite class label {fields[0]}")
             if label != int(label):
                 raise DataFormatError(f"{path}:{line_no}: non-integer class label {label}")
             raw_labels.append(int(label))

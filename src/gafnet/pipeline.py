@@ -28,7 +28,7 @@ def prepare_inputs(ds: Dataset, pre_cfg: dsp.PreprocessConfig, need_images: bool
     labels = np.repeat(ds.labels, [len(w) for w in windows])
     imgs = None
     if need_images:
-        imgs = np.stack([gaf.gaf_transform(s) for s in segs]).astype(np.float32)
+        imgs = gaf.gaf_images(segs)
     return ModelInputs(segs=segs, imgs=imgs, labels=labels)
 
 

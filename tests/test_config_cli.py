@@ -122,6 +122,11 @@ class TestCliGaf:
     def test_missing_input_is_data_error(self, tmp_path):
         assert cli.main(["gaf", "--input", str(tmp_path / "nope.tsv"), "--out-dir", str(tmp_path)]) == 2
 
+    def test_infinite_label_is_data_error(self, tmp_path):
+        src = tmp_path / "d.tsv"
+        src.write_text("1\t0.5\t1.5\ninf\t2.0\t3.0\n")
+        assert cli.main(["gaf", "--input", str(src), "--out-dir", str(tmp_path / "imgs")]) == 2
+
 
 class TestCliTrainEval:
     def test_train_writes_artifacts(self, workspace, capsys):

@@ -85,6 +85,12 @@ class TestLoadUcr:
         with pytest.raises(DataFormatError):
             data.load_ucr(path)
 
+    @pytest.mark.parametrize("label", ["inf", "-inf", "nan"])
+    def test_non_finite_label_rejected_with_location(self, tmp_path, label):
+        path = write(tmp_path, "bad.tsv", f"1\t1.0\t2.0\n{label}\t3.0\t4.0\n")
+        with pytest.raises(DataFormatError, match=r"bad\.tsv:2: non-finite class label"):
+            data.load_ucr(path)
+
 
 class TestWfdbHeader:
     def test_typical_record(self):

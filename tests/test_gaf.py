@@ -104,6 +104,63 @@ class TestGafTransform:
         assert np.allclose(base, mapped, atol=1e-9)
 
 
+def per_window_images(segs):
+    """The float32 images as the per-window float64 definition gives them."""
+    return np.stack([gaf.gaf_transform(s) for s in segs]).astype(np.float32)
+
+
+def assert_within_one_ulp(imgs, ref):
+    """Each float32 pixel is at most one float32 ULP from the reference; an
+    absolute 1e-15 covers the float64 rounding of the two forms near 0."""
+    gap = np.abs(imgs.astype(np.float64) - ref.astype(np.float64))
+    assert np.all(gap <= np.spacing(np.abs(ref)).astype(np.float64) + 1e-15)
+
+
+class TestGafImages:
+    @pytest.mark.parametrize("w", [1, 2, 96, 128, 140, 360])
+    def test_within_one_ulp_of_per_window_transform(self, w):
+        segs = np.random.default_rng(w).standard_normal((5, w))
+        imgs = gaf.gaf_images(segs)
+        assert imgs.dtype == np.float32 and imgs.shape == (5, w, w) and imgs.flags.c_contiguous
+        assert_within_one_ulp(imgs, per_window_images(segs))
+
+    def test_empty_batch(self):
+        imgs = gaf.gaf_images(np.empty((0, 140)))
+        assert imgs.dtype == np.float32 and imgs.shape == (0, 140, 140)
+
+    def test_single_row(self):
+        seg = np.random.default_rng(7).standard_normal((1, 33))
+        assert_within_one_ulp(gaf.gaf_images(seg), per_window_images(seg))
+
+    def test_one_past_block_boundary(self):
+        w = 140
+        rows = gaf.IMAGE_BLOCK_BYTES // (8 * w * w)
+        segs = np.random.default_rng(8).standard_normal((rows + 1, w))
+        imgs = gaf.gaf_images(segs)
+        assert imgs.shape == (rows + 1, w, w)
+        assert_within_one_ulp(imgs, per_window_images(segs))
+        for r in (0, rows - 1, rows):
+            assert np.array_equal(imgs[r], gaf.gaf_images(segs[r:r + 1])[0])
+
+    def test_symmetric_in_range_and_constant_rows(self):
+        rng = np.random.default_rng(9)
+        segs = rng.standard_normal((12, 64)) * rng.uniform(0.1, 10.0, size=(12, 1))
+        segs[[3, 8]] = 2.5
+        imgs = gaf.gaf_images(segs)
+        assert all(np.array_equal(img, img.T) for img in imgs)
+        assert imgs.min() >= -1.0 and imgs.max() <= 1.0
+        assert np.array_equal(imgs[[3, 8]], -np.ones((2, 64, 64), dtype=np.float32))
+
+    def test_batched_rescale_matches_rows_byte_for_byte(self):
+        rng = np.random.default_rng(10)
+        segs = rng.standard_normal((9, 50)) * 3.0 + 1.0
+        segs[4] = -0.75
+        batched = gaf.rescale(segs)
+        assert batched.shape == segs.shape
+        for row, seg in zip(batched, segs):
+            assert row.tobytes() == gaf.rescale(seg).tobytes()
+
+
 class TestExport:
     def test_value_to_pixel_endpoints(self, tmp_path):
         path = tmp_path / "m.pgm"
