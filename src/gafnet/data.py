@@ -71,6 +71,7 @@ def load_ucr(path, fs: float = 1.0, split_tag: str = "train") -> Dataset:
     0-based ids in ascending order."""
     raw_labels: List[float] = []
     rows: List[List[float]] = []
+    line_nos: List[int] = []
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
@@ -92,13 +93,19 @@ def load_ucr(path, fs: float = 1.0, split_tag: str = "train") -> Dataset:
                 raise DataFormatError(f"{path}:{line_no}: non-integer class label {label}")
             raw_labels.append(int(label))
             rows.append(numbers[1:])
+            line_nos.append(line_no)
     if not rows:
         raise DataFormatError(f"{path}: empty file")
+    values = np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        row, col = bad[0]
+        raise DataFormatError(f"{path}:{line_nos[row]}: non-finite series value {values[row, col]} in field {col + 2}")
     vocab = sorted(set(raw_labels))
     mapping = {orig: i for i, orig in enumerate(vocab)}
     labels = np.array([mapping[l] for l in raw_labels], dtype=np.int64)
     return Dataset(
-        values=np.asarray(rows, dtype=np.float64),
+        values=values,
         labels=labels,
         class_names=[str(v) for v in vocab],
         fs=fs,

@@ -178,13 +178,15 @@ _CHANNEL = Stage(lambda x: (np.asarray(x)[:, None], None), lambda g, _cache: (g[
 
 
 def _bilstm_stage(din, hidden):
-    """BiLSTM over channels-first (B, din, T) -> (B, 2h, T). The output is a
-    swapped view, so the pool after it sums over time in the LSTM's own
-    (B, T, 2h) order; a contiguous copy would be summed pairwise."""
+    """BiLSTM over channels-first (B, din, T) -> (B, 2h, T). `ops` copies the
+    input into its own time-major buffers, so the (B, T, din) view is enough.
+    The output is a swapped view of the C-order (B, T, 2h) result, so the
+    pool after it sums over time one step after another; over a contiguous
+    (B, 2h, T) copy it would sum pairwise, with other bytes."""
 
     def forward(x, *values):
         cells = ops.LstmCellParams(*values[:3]), ops.LstmCellParams(*values[3:])
-        h, cache = ops.bilstm_forward(np.ascontiguousarray(np.swapaxes(x, 1, 2)), *cells)
+        h, cache = ops.bilstm_forward(np.swapaxes(x, 1, 2), *cells)
         return np.swapaxes(h, 1, 2), cache
 
     def backward(g, cache, input_grad=True):

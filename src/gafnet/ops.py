@@ -9,8 +9,10 @@ All arithmetic is float64. There is no autograd graph: `model` lists the
 ops of each layer as stages, records every forward's backward op and cache
 on a tape, and replays the tape in reverse.
 
-conv1d and conv2d share one N-d cross-correlation, and the BiLSTM's reverse
-direction is the forward LSTM recurrence run over the flipped sequence.
+conv1d and conv2d share one N-d cross-correlation. The BiLSTM's reverse
+direction is the forward LSTM recurrence run over the flipped sequence; one
+loop steps both directions together over time-major buffers stacked by
+direction, (T, 2, B, ·), so each step works on contiguous slices.
 """
 
 from dataclasses import dataclass
@@ -284,88 +286,106 @@ def init_lstm_cell(rng: np.random.Generator, din: int, hidden: int) -> LstmCellP
     )
 
 
-def lstm_forward(x, w_x, w_h, b):
-    """Unidirectional LSTM from zero initial state, first timestep to last.
+def _lstm_forward(x, w_x, w_h, b):
+    """Both LSTM directions stepped together from zero initial state.
 
-    x: (B, T, din) -> h sequence (B, T, h).
+    Time-major and direction-stacked: x (T, 2, B, din), each direction's
+    sequence in its own time order; w_x (2, 4h, din), w_h (2, 4h, h) and
+    b (2, 4h) in (input, forget, candidate, output) gate order. Returns the
+    h sequence (T, 2, B, h). Every step's arrays are contiguous slices.
     """
-    x = np.asarray(x, dtype=np.float64)
-    bsz, t_len, din = x.shape
-    h4 = b.shape[0]
-    h = h4 // 4
-    if w_x.shape != (h4, din) or w_h.shape != (h4, h):
-        raise ShapeMismatchError(f"lstm: x {x.shape}, w_x {w_x.shape}, w_h {w_h.shape}")
-    gates = np.zeros((bsz, t_len, 4 * h))  # post-activation i, f, g, o
+    t_len, _, bsz, _ = x.shape
+    h = w_h.shape[-1]
+    w_ht = np.swapaxes(w_h, 1, 2)
+    # x_t @ W_xᵀ of every step up front: still one (B, din) x (din, 4h) gemm per
+    # step and direction. Each step then turns its slice into the gates in place.
+    gates = np.matmul(x, np.swapaxes(w_x, 1, 2))
     # slot t + 1 holds the state after step t; slot 0 is the zero initial state
-    cs = np.zeros((bsz, t_len + 1, h))
-    hs = np.zeros((bsz, t_len + 1, h))
-    h_t = c_t = hs[:, 0]
+    cs = np.zeros((t_len + 1, 2, bsz, h))
+    hs = np.zeros((t_len + 1, 2, bsz, h))
+    tcs = np.empty((t_len, 2, bsz, h))  # tanh(c), kept for the backward pass
     for t in range(t_len):
-        z = x[:, t] @ w_x.T + h_t @ w_h.T + b
-        i = expit(z[:, :h])
-        f = expit(z[:, h : 2 * h])
-        g = np.tanh(z[:, 2 * h : 3 * h])
-        o = expit(z[:, 3 * h :])
-        np.concatenate([i, f, g, o], axis=1, out=gates[:, t])
-        c_t = f * c_t + i * g
-        h_t = o * np.tanh(c_t)
-        cs[:, t + 1] = c_t
-        hs[:, t + 1] = h_t
-    return hs[:, 1:], (x, w_x, w_h, gates, cs, hs)
+        z = gates[t]
+        z += np.matmul(hs[t], w_ht)
+        z += b[:, None]
+        expit(z[..., : 2 * h], out=z[..., : 2 * h])
+        np.tanh(z[..., 2 * h : 3 * h], out=z[..., 2 * h : 3 * h])
+        expit(z[..., 3 * h :], out=z[..., 3 * h :])
+        i, f, g, o = z[..., :h], z[..., h : 2 * h], z[..., 2 * h : 3 * h], z[..., 3 * h :]
+        c = np.multiply(f, cs[t], out=cs[t + 1])
+        c += i * g
+        np.multiply(o, np.tanh(c, out=tcs[t]), out=hs[t + 1])
+    return hs[1:], (x, w_x, w_h, gates, cs, hs, tcs)
 
 
-def lstm_backward(gh, cache):
-    x, w_x, w_h, gates, cs, hs = cache
-    bsz, t_len, din = x.shape
-    h = cs.shape[2]
-    gx = np.zeros_like(x)
-    gw_x = np.zeros_like(w_x)
-    gw_h = np.zeros_like(w_h)
-    gb = np.zeros(4 * h)
-    dh_next = np.zeros((bsz, h))
-    dc_next = np.zeros((bsz, h))
+def _lstm_backward(gh, cache):
+    """(gx, gw_x, gw_h, gb) of `_lstm_forward`, stacked as its arguments are."""
+    x, w_x, w_h, gates, cs, hs, tcs = cache
+    t_len, _, bsz, _ = x.shape
+    h = w_h.shape[-1]
+    gw_x, gw_h = np.zeros_like(w_x), np.zeros_like(w_h)
+    gb = np.zeros(w_h.shape[:2])
+    dzs = np.empty_like(gates)
+    dh_next = np.zeros((2, bsz, h))
+    dc_next = np.zeros((2, bsz, h))
     for t in range(t_len - 1, -1, -1):
-        i, f, g, o = gates[:, t].reshape(bsz, 4, h).swapaxes(0, 1)
-        tc = np.tanh(cs[:, t + 1])
-        dh = gh[:, t] + dh_next
+        z, tc, dz = gates[t], tcs[t], dzs[t]
+        i, f, g, o = z[..., :h], z[..., h : 2 * h], z[..., 2 * h : 3 * h], z[..., 3 * h :]
+        dh = gh[t] + dh_next
         do = dh * tc
         dc = dc_next + dh * o * (1.0 - tc**2)
         di = dc * g
         dg = dc * i
-        df = dc * cs[:, t]
+        df = dc * cs[t]
         dc_next = dc * f
-        dz = np.concatenate(
-            [di * i * (1 - i), df * f * (1 - f), dg * (1 - g**2), do * o * (1 - o)], axis=1
-        )
-        gw_x += dz.T @ x[:, t]
-        gw_h += dz.T @ hs[:, t]
-        gb += dz.sum(axis=0)
-        gx[:, t] = dz @ w_x
-        dh_next = dz @ w_h
-    return gx, gw_x, gw_h, gb
+        np.multiply(di * i, 1 - i, out=dz[..., :h])
+        np.multiply(df * f, 1 - f, out=dz[..., h : 2 * h])
+        np.multiply(dg, 1 - g**2, out=dz[..., 2 * h : 3 * h])
+        np.multiply(do * o, 1 - o, out=dz[..., 3 * h :])
+        # per-step accumulation: one gemm over all T·B rows would round differently
+        dzt = np.swapaxes(dz, 1, 2)
+        gw_x += np.matmul(dzt, x[t])
+        gw_h += np.matmul(dzt, hs[t])
+        gb += dz.sum(axis=1)
+        dh_next = np.matmul(dz, w_h)
+    return np.matmul(dzs, w_x), gw_x, gw_h, gb
 
 
 def bilstm_forward(x, fwd: LstmCellParams, bwd: LstmCellParams):
     """Forward and backward LSTM over the sequence, concatenated per timestep.
 
-    The backward direction is the forward recurrence run over the
-    time-reversed sequence, its outputs flipped back into time order.
-    x: (B, T, din) -> (B, T, 2h).
+    The backward direction is the same recurrence run over the time-reversed
+    sequence, its outputs flipped back into time order; both directions step
+    together in `_lstm_forward`. x: (B, T, din) -> (B, T, 2h), C order.
     """
     x = np.asarray(x, dtype=np.float64)
-    hf, cache_f = lstm_forward(x, fwd.w_x, fwd.w_h, fwd.b)
-    # a contiguous copy: the per-step matmuls are slower on a negative-stride view
-    hb, cache_b = lstm_forward(np.ascontiguousarray(x[:, ::-1]), bwd.w_x, bwd.w_h, bwd.b)
-    h = np.concatenate([hf, hb[:, ::-1]], axis=-1)
-    return h, (cache_f, cache_b, hf.shape[-1])
+    bsz, t_len, din = x.shape
+    h4, h = fwd.b.shape[0], fwd.w_h.shape[1]
+    for cell in (fwd, bwd):
+        if cell.w_x.shape != (h4, din) or cell.w_h.shape != (h4, h) or cell.b.shape != (h4,):
+            raise ShapeMismatchError(f"lstm: x {x.shape}, w_x {cell.w_x.shape}, w_h {cell.w_h.shape}")
+    xs = np.empty((t_len, 2, bsz, din))
+    xs[:, 0] = np.swapaxes(x, 0, 1)
+    xs[:, 1] = np.swapaxes(x[:, ::-1], 0, 1)
+    w_x, w_h, b = np.stack([fwd.w_x, bwd.w_x]), np.stack([fwd.w_h, bwd.w_h]), np.stack([fwd.b, bwd.b])
+    hs, cache = _lstm_forward(xs, w_x, w_h, b)
+    out = np.empty((bsz, t_len, 2 * h))
+    out[..., :h] = np.swapaxes(hs[:, 0], 0, 1)
+    out[..., h:] = np.swapaxes(hs[::-1, 1], 0, 1)
+    return out, cache
 
 
 def bilstm_backward(gh, cache):
-    """Returns (gx, (gw_x_f, gw_h_f, gb_f), (gw_x_b, gw_h_b, gb_b))."""
-    cache_f, cache_b, h = cache
-    gx_f, *grads_f = lstm_backward(gh[..., :h], cache_f)
-    gx_b, *grads_b = lstm_backward(gh[:, ::-1, h:], cache_b)
-    return gx_f + gx_b[:, ::-1], tuple(grads_f), tuple(grads_b)
+    """Returns (gx, (gw_x_f, gw_h_f, gb_f), (gw_x_b, gw_h_b, gb_b)); gx in C order."""
+    xs, _w_x, w_h, *_ = cache
+    t_len, _, bsz, din = xs.shape
+    h = w_h.shape[-1]
+    ghs = np.empty((t_len, 2, bsz, h))
+    ghs[:, 0] = np.swapaxes(gh[..., :h], 0, 1)
+    ghs[:, 1] = np.swapaxes(gh[:, ::-1, h:], 0, 1)
+    gxs, gw_x, gw_h, gb = _lstm_backward(ghs, cache)
+    gx = np.add(np.swapaxes(gxs[:, 0], 0, 1), np.swapaxes(gxs[::-1, 1], 0, 1), out=np.empty((bsz, t_len, din)))
+    return gx, (gw_x[0], gw_h[0], gb[0]), (gw_x[1], gw_h[1], gb[1])
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,15 @@ class TestCliGaf:
         src.write_text("1\t0.5\t1.5\ninf\t2.0\t3.0\n")
         assert cli.main(["gaf", "--input", str(src), "--out-dir", str(tmp_path / "imgs")]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_series_value_is_data_error(self, tmp_path, capsys, value):
+        src = tmp_path / "d.tsv"
+        src.write_text(f"1\t0.5\t1.5\n2\t{value}\t3.0\n")
+        out = tmp_path / "imgs"
+        assert cli.main(["gaf", "--input", str(src), "--out-dir", str(out)]) == 2
+        assert "d.tsv:2: non-finite series value" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestCliTrainEval:
     def test_train_writes_artifacts(self, workspace, capsys):

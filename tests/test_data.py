@@ -91,6 +91,12 @@ class TestLoadUcr:
         with pytest.raises(DataFormatError, match=r"bad\.tsv:2: non-finite class label"):
             data.load_ucr(path)
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_series_value_rejected_with_location(self, tmp_path, value):
+        path = write(tmp_path, "bad.tsv", f"1\t1.0\t2.0\n\n2\t3.0\t{value}\n")
+        with pytest.raises(DataFormatError, match=r"bad\.tsv:3: non-finite series value .* in field 3"):
+            data.load_ucr(path)
+
 
 class TestWfdbHeader:
     def test_typical_record(self):

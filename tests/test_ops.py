@@ -4,8 +4,9 @@ convolution oracles, and finite-difference gradient checks."""
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import expit
 
-from gafnet import ops
+from gafnet import model, ops
 
 
 def rng_for(seed):
@@ -64,11 +65,13 @@ _CONV_LETTERS = {1: ("t", "k"), 2: ("hw", "kl")}
 # matmuls `ops` runs, so the references below must match byte for byte. Older
 # numpy contracts through `tensordot`, whose per-tap `gx` product is the other
 # orientation (gyᵀ @ w_tap): there the sums are ordered differently and only a
-# float64 rounding tolerance holds.
+# float64 rounding tolerance holds. The LSTM references below run the same
+# per-step matmuls as `ops`; they are held to the same tolerance below 2.3,
+# where their bytes were not checked.
 _SAME_PRODUCTS = np.lib.NumpyVersion(np.__version__) >= "2.3.0"
 
 
-def assert_same_conv_result(got, want):
+def assert_same_result(got, want):
     if _SAME_PRODUCTS:
         assert np.array_equal(got, want)
     else:
@@ -96,6 +99,72 @@ def conv_backward_reference(gy, x, w, stride):
         gxp[(..., *at)] += np.einsum(f"bo{s},oc->bc{s}", gy, w[(..., *tap)], optimize=True)
     gx = gxp[(..., *(slice(pad, pad + n) for n in x.shape[2:]))] if pad else gxp
     return gx, gw, gb
+
+
+def lstm_forward_reference(x, w_x, w_h, b):
+    """One direction over batch-major x (B, T, din), one step at a time."""
+    bsz, t_len, _ = x.shape
+    h = b.shape[0] // 4
+    gates = np.zeros((bsz, t_len, 4 * h))
+    cs = np.zeros((bsz, t_len + 1, h))
+    hs = np.zeros((bsz, t_len + 1, h))
+    h_t = c_t = hs[:, 0]
+    for t in range(t_len):
+        z = x[:, t] @ w_x.T + h_t @ w_h.T + b
+        i = expit(z[:, :h])
+        f = expit(z[:, h : 2 * h])
+        g = np.tanh(z[:, 2 * h : 3 * h])
+        o = expit(z[:, 3 * h :])
+        np.concatenate([i, f, g, o], axis=1, out=gates[:, t])
+        c_t = f * c_t + i * g
+        h_t = o * np.tanh(c_t)
+        cs[:, t + 1] = c_t
+        hs[:, t + 1] = h_t
+    return hs[:, 1:], (x, w_x, w_h, gates, cs, hs)
+
+
+def lstm_backward_reference(gh, cache):
+    x, w_x, w_h, gates, cs, hs = cache
+    bsz, t_len, _ = x.shape
+    h = cs.shape[2]
+    gx = np.zeros_like(x)
+    gw_x, gw_h, gb = np.zeros_like(w_x), np.zeros_like(w_h), np.zeros(4 * h)
+    dh_next = np.zeros((bsz, h))
+    dc_next = np.zeros((bsz, h))
+    for t in range(t_len - 1, -1, -1):
+        i, f, g, o = gates[:, t].reshape(bsz, 4, h).swapaxes(0, 1)
+        tc = np.tanh(cs[:, t + 1])
+        dh = gh[:, t] + dh_next
+        do = dh * tc
+        dc = dc_next + dh * o * (1.0 - tc**2)
+        di = dc * g
+        dg = dc * i
+        df = dc * cs[:, t]
+        dc_next = dc * f
+        dz = np.concatenate(
+            [di * i * (1 - i), df * f * (1 - f), dg * (1 - g**2), do * o * (1 - o)], axis=1
+        )
+        gw_x += dz.T @ x[:, t]
+        gw_h += dz.T @ hs[:, t]
+        gb += dz.sum(axis=0)
+        gx[:, t] = dz @ w_x
+        dh_next = dz @ w_h
+    return gx, gw_x, gw_h, gb
+
+
+def bilstm_reference(x, fwd, bwd):
+    """BiLSTM output (B, T, 2h) and a backward giving (gx, six parameter
+    gradients), each direction run on its own over batch-major buffers."""
+    hf, cache_f = lstm_forward_reference(x, fwd.w_x, fwd.w_h, fwd.b)
+    hb, cache_b = lstm_forward_reference(np.ascontiguousarray(x[:, ::-1]), bwd.w_x, bwd.w_h, bwd.b)
+    hid = hf.shape[-1]
+
+    def backward(gh):
+        gx_f, *grads_f = lstm_backward_reference(gh[..., :hid], cache_f)
+        gx_b, *grads_b = lstm_backward_reference(gh[:, ::-1, hid:], cache_b)
+        return gx_f + gx_b[:, ::-1], (*grads_f, *grads_b)
+
+    return np.concatenate([hf, hb[:, ::-1]], axis=-1), backward
 
 
 class TestMatmul:
@@ -192,14 +261,14 @@ class TestConvBytes:
                 y, cache = ops.conv2d_forward(x, w, b, stride=stride)
             else:
                 y, cache = ops.conv1d_forward(x, w, b)
-            assert_same_conv_result(y, conv_forward_reference(x, w, b, stride))
+            assert_same_result(y, conv_forward_reference(x, w, b, stride))
             # gy in C order, and in the layout relu_backward gives it in the model
             (gy_relu,) = ops.relu_backward(rng.standard_normal(y.shape), ops.relu_forward(y)[1])
             for gy in (rng.standard_normal(y.shape), gy_relu):
                 gx, gw, gb = backward(gy, cache)
                 want = conv_backward_reference(gy, x, w, stride)
                 for got, ref in zip((gx, gw, gb), want):
-                    assert_same_conv_result(got, ref)
+                    assert_same_result(got, ref)
                 assert gx.flags.c_contiguous
                 no_gx = backward(gy, cache, input_grad=False)
                 assert no_gx[0] is None
@@ -303,6 +372,55 @@ class TestBilstm:
         h_rev, _ = ops.bilstm_forward(x[:, ::-1], cell, cell)
         assert np.allclose(h_rev[:, :, :2], h[:, ::-1, 2:], atol=1e-12)
         assert np.allclose(h_rev[:, :, 2:], h[:, ::-1, :2], atol=1e-12)
+
+
+class TestLstmBytes:
+    """The BiLSTM gives the same bytes as the per-direction recurrence kept
+    above as the reference (on numpy >= 2.3), so a trained model file does not
+    depend on which of the two ran."""
+
+    HIDDEN = 64  # the paper default: the gemm shapes decide the rounding
+    BATCHES = list(range(1, 20)) + [32, 64]
+
+    def check(self, din, t_len, rng, exact_gw_x=True):
+        fwd, bwd = (ops.init_lstm_cell(rng, din, self.HIDDEN) for _direction in "fb")
+        stage = model._bilstm_stage(din, self.HIDDEN)
+        for bsz in self.BATCHES:
+            x = rng.standard_normal((bsz, t_len, din))
+            want_h, want_backward = bilstm_reference(x, fwd, bwd)
+            h, cache = ops.bilstm_forward(x, fwd, bwd)
+            assert_same_result(h, want_h)
+            gh = rng.standard_normal(h.shape)
+            gx, grads_f, grads_b = ops.bilstm_backward(gh, cache)
+            want_gx, want_grads = want_backward(gh)
+            self.assert_same_grads((gx, *grads_f, *grads_b), (want_gx, *want_grads), exact_gw_x)
+            # the model's stage over channels-first input: the time pool after it
+            # sums in the layout the stage returns, so its features check that layout
+            xc = np.ascontiguousarray(np.swapaxes(x, 1, 2))
+            y, _ = stage.forward(xc, fwd.w_x, fwd.w_h, fwd.b, bwd.w_x, bwd.w_h, bwd.b)
+            feats, _ = ops.global_avg_pool_forward(y, n_spatial=1)
+            want_feats, _ = ops.global_avg_pool_forward(np.swapaxes(want_h, 1, 2), n_spatial=1)
+            assert_same_result(feats, want_feats)
+
+    @staticmethod
+    def assert_same_grads(got, want, exact_gw_x):
+        for k, (a, b) in enumerate(zip(got, want)):
+            if exact_gw_x or k not in (1, 4):  # gw_x of each direction
+                assert_same_result(a, b)
+            else:
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("t_len", [1, 2, 96, 140])
+    @pytest.mark.parametrize("din", [2, 64])
+    def test_matches_per_direction_reference(self, din, t_len):
+        self.check(din, t_len, rng_for(60 + din + t_len))
+
+    @pytest.mark.parametrize("t_len", [1, 2, 96])
+    def test_single_input_feature(self, t_len):
+        """With no conv1d layers the BiLSTM reads one feature. Its gw_x sums
+        the per-step dzᵀ @ x_t, a gemv whose rounding depends on the stride it
+        reads x_t with, so gw_x is held to a float64 tolerance."""
+        self.check(1, t_len, rng_for(70 + t_len), exact_gw_x=False)
 
 
 class TestGradients:
