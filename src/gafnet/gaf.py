@@ -2,8 +2,6 @@
 
 import numpy as np
 
-ARCCOS_CLAMP_TOL = 1e-9
-
 # gaf_images works through blocks of rows whose two float64 (rows, w, w)
 # temporaries stay near this size whatever N is: well under glibc's 32 MB
 # mmap threshold, and small enough to stay in cache (at w=140, 1-2 MB blocks
@@ -24,27 +22,12 @@ def rescale(values) -> np.ndarray:
     return np.where(flat, 0.0, (x - lo) * 2.0 / np.where(flat, 1.0, span) - 1.0)
 
 
-def angular_encode(rescaled) -> np.ndarray:
-    """phi_j = arccos(x_j) for x in [-1, 1], each phase in [0, pi].
-
-    Entries within ARCCOS_CLAMP_TOL outside [-1, 1] are clamped (rounding
-    noise); anything farther out is a contract violation.
-    """
-    x = np.asarray(rescaled, dtype=np.float64)
-    if np.any(x < -1.0 - ARCCOS_CLAMP_TOL) or np.any(x > 1.0 + ARCCOS_CLAMP_TOL):
-        raise ValueError("angular_encode input outside [-1, 1] beyond clamp tolerance")
-    return np.arccos(np.clip(x, -1.0, 1.0))
-
-
-def gaf_matrix(phases) -> np.ndarray:
-    """GAF[j, k] = cos(phi_j + phi_k); symmetric with entries in [-1, 1]."""
-    p = np.asarray(phases, dtype=np.float64)
-    return np.cos(p[:, None] + p[None, :])
-
-
 def gaf_transform(values) -> np.ndarray:
-    """rescale -> angular_encode -> gaf_matrix."""
-    return gaf_matrix(angular_encode(rescale(values)))
+    """GAF[j, k] = cos(phi_j + phi_k), phi = arccos of the rescaled segment:
+    a symmetric float64 matrix with entries in [-1, 1]. The clip only guards
+    arccos, since `rescale` already maps finite input into [-1, 1]."""
+    p = np.arccos(np.clip(rescale(values), -1.0, 1.0))
+    return np.cos(p[:, None] + p[None, :])
 
 
 def gaf_images(segs) -> np.ndarray:

@@ -3,17 +3,19 @@ GAF image, dual-layer cross-channel split attention fusion, MLP head, softmax
 classifier.
 
 Each branch and the head is one ordered list of stages (`Stage`: a forward
-op, its hand-written backward op and the parameter names it owns), and
-`_layout` picks the lists a variant uses. `init_params` walks the lists to
-draw the parameters; `forward` runs them and records each stage's backward
-and cache on a tape; `backward` replays the tapes in reverse.
+op, its hand-written backward op and the parameter names it owns). The head
+reads the concatenated branch features; in the variants with attention its
+first stage is the attention fusion. `VARIANTS` is the one table of what
+each variant uses, and `_layout` builds the lists from it. `init_params`
+walks the lists to draw the parameters; `forward` runs them and records each
+stage's backward and cache on a tape; `backward` replays the tapes in reverse.
 """
 
 import os
 import struct
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -21,7 +23,15 @@ from . import ops
 from .errors import DataFormatError, ShapeMismatchError
 from .ops import ParamTensor
 
-VARIANTS = ("full", "no_dual_attention", "no_cross_channel", "time_only", "gaf_only")
+# What each variant uses: (temporal branch, spatial branch, attention fusion,
+# cross-attention). The order of the names is the variant code of the model file.
+VARIANTS = {
+    "full": (True, True, True, True),
+    "no_dual_attention": (True, True, False, False),
+    "no_cross_channel": (True, True, True, False),
+    "time_only": (True, False, False, False),
+    "gaf_only": (False, True, False, False),
+}
 
 MODEL_MAGIC = b"GAFN"
 MODEL_VERSION = 1
@@ -47,6 +57,16 @@ class ModelConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.d_attn <= 0 or self.groups <= 0 or self.mlp_hidden <= 0:
             raise ValueError("d_attn, groups, mlp_hidden must be positive")
+
+        def positive_ints(layers, n):  # every layer is n integers >= 1
+            return all(len(l) == n and all(isinstance(v, (int, np.integer)) and v >= 1 for v in l) for l in layers)
+
+        if not positive_ints(self.cnn1d_layers, 2) or any(k % 2 == 0 for _ch, k in self.cnn1d_layers):
+            raise ValueError("cnn1d_layers: every layer must be (channels >= 1, odd kernel >= 1)")
+        if not self.cnn2d_layers or not positive_ints(self.cnn2d_layers, 3):
+            raise ValueError("cnn2d_layers: need at least one layer, each (channels, kernel, stride) >= 1")
+        if self.lstm_hidden < 1:
+            raise ValueError("lstm_hidden must be >= 1")
         if self.d_t % self.groups or self.d_s % self.groups:
             raise ValueError("groups must divide both feature dims")
 
@@ -64,19 +84,19 @@ class ModelConfig:
 
     @property
     def uses_temporal(self) -> bool:
-        return self.variant != "gaf_only"
+        return VARIANTS[self.variant][0]
 
     @property
     def uses_spatial(self) -> bool:
-        return self.variant != "time_only"
+        return VARIANTS[self.variant][1]
 
     @property
     def uses_attention(self) -> bool:
-        return self.variant in ("full", "no_cross_channel")
+        return VARIANTS[self.variant][2]
 
     @property
     def uses_cross(self) -> bool:
-        return self.variant == "full"
+        return VARIANTS[self.variant][3]
 
 
 class ModelParams:
@@ -96,24 +116,8 @@ class ModelParams:
         for p in self.tensors.values():
             p.zero_grad()
 
-    def add_grad(self, name: str, g):
-        self.tensors[name].grad += g
-
     def copy(self) -> "ModelParams":
         return ModelParams(self.cfg, {k: ParamTensor(p.value.copy()) for k, p in self.items()})
-
-
-# ---------------------------------------------------------------------------
-# feature vector tokenization
-
-
-def channel_split(f: np.ndarray, groups: int) -> np.ndarray:
-    """Reshape a feature vector (..., d) into (..., g, d/g) tokens, order preserved."""
-    f = np.asarray(f, dtype=np.float64)
-    d = f.shape[-1]
-    if d % groups:
-        raise ShapeMismatchError(f"groups {groups} does not divide feature dim {d}")
-    return f.reshape(*f.shape[:-1], groups, d // groups)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +158,8 @@ def _attention_backward(gout, cache):
 #
 # A stage is one layer: `forward(x, *values) -> (y, cache)` takes the values
 # of the parameters `names` after its input, `backward(gy, cache)` returns the
-# input gradient and then one gradient per name, and `init(rng)` draws the
+# input gradient and then one gradient per name (a parameter used more than
+# once inside the stage gets the sum of its uses), and `init(rng)` draws the
 # values of `names` in order. A stage that can be a branch's first with
 # parameters also takes `input_grad=False`, and then returns None for the
 # input gradient. The lists are built per call, so every `ops.*`
@@ -237,66 +242,64 @@ def _head_stages(cfg: ModelConfig) -> List[Stage]:
 # attention fusion
 
 
-def _attention_paths(cfg: ModelConfig):
-    """(query modality, key/value modality, output projection) of every
-    attention path: self-attention within each modality, then, when the
-    variant uses it, cross-attention from each modality to the other."""
-    paths = [("t", "t", "attn.t.wo_intra"), ("s", "s", "attn.s.wo_intra")]
-    if cfg.uses_cross:
-        paths += [("t", "s", "attn.t.wo_cross"), ("s", "t", "attn.s.wo_cross")]
-    return paths
-
-
-def _fuse_forward(f_t, f_s, params, cfg):
-    bsz = f_t.shape[0]
-    tokens = {"t": channel_split(f_t, cfg.groups), "s": channel_split(f_s, cfg.groups)}
-    pre = {"t": f_t, "s": f_s}
-    paths = []
-    for q, kv, wo in _attention_paths(cfg):
-        w = (params[f"attn.{q}.wq"].value, params[f"attn.{kv}.wk"].value, params[f"attn.{kv}.wv"].value)
-        out, att_cache = _attention_forward(tokens[q], tokens[kv], *w)
-        pre[q] = pre[q] + out.reshape(bsz, -1) @ params[wo].value
-        paths.append((q, kv, wo, out, att_cache))
-    f_t2, ln_t_cache = ops.layer_norm_forward(pre["t"], params["ln.t.gain"].value, params["ln.t.bias"].value)
-    f_s2, ln_s_cache = ops.layer_norm_forward(pre["s"], params["ln.s.gain"].value, params["ln.s.bias"].value)
-    return f_t2, f_s2, (tokens, paths, {"t": ln_t_cache, "s": ln_s_cache})
-
-
-def _fuse_backward(gf_t2, gf_s2, cache, params, cfg):
-    tokens, paths, ln_caches = cache
-    bsz = gf_t2.shape[0]
-    gpre = {}
-    for m, g in (("t", gf_t2), ("s", gf_s2)):
-        gpre[m], ggain, gbias = ops.layer_norm_backward(g, ln_caches[m])
-        params.add_grad(f"ln.{m}.gain", ggain)
-        params.add_grad(f"ln.{m}.bias", gbias)
-    g_tokens = {m: np.zeros_like(tk) for m, tk in tokens.items()}
-    for q, kv, wo, out, att_cache in paths:
-        params.add_grad(wo, out.reshape(bsz, -1).T @ gpre[q])
-        g_out = (gpre[q] @ params[wo].value.T).reshape(out.shape)
-        g_tq, g_tkv, gwq, gwk, gwv = _attention_backward(g_out, att_cache)
-        g_tokens[q] += g_tq
-        g_tokens[kv] += g_tkv
-        params.add_grad(f"attn.{q}.wq", gwq)
-        params.add_grad(f"attn.{kv}.wk", gwk)
-        params.add_grad(f"attn.{kv}.wv", gwv)
-    return gpre["t"] + g_tokens["t"].reshape(bsz, -1), gpre["s"] + g_tokens["s"].reshape(bsz, -1)
-
-
 def _fusion_stage(cfg: ModelConfig) -> Stage:
-    """The attention fusion's parameters. Its forward and backward are the
-    two-input `_fuse_forward`/`_fuse_backward`, which `forward` and `backward`
-    call between the branches and the head."""
+    """Dual-layer cross-channel split attention over the concatenated branch
+    features (B, d_t + d_s) -> (B, d_t + d_s). Each modality's vector is cut
+    into `groups` tokens of consecutive channels; every attention path adds
+    its projected output to its query modality's vector, and each modality is
+    then layer-normalized. With cross-attention a modality's wq, wk and wv
+    serve two paths, and their gradient sums the two in path order."""
     dims = {"t": cfg.d_t, "s": cfg.d_s}
+    # (query modality, key/value modality, their wq/wk/wv, output projection) of
+    # each path: self-attention within each modality, then cross-attention
+    # from each modality to the other
+    pairs = [("t", "t"), ("s", "s")] + ([("t", "s"), ("s", "t")] if cfg.uses_cross else [])
+    paths = [(q, kv, (f"attn.{q}.wq", f"attn.{kv}.wk", f"attn.{kv}.wv"), f"attn.{q}.wo_{'intra' if q == kv else 'cross'}")
+             for q, kv in pairs]
     weights = [(f"attn.{m}.{p}", (dims[m] // cfg.groups, cfg.d_attn)) for m in "ts" for p in ("wq", "wk", "wv")]
-    weights += [(wo, (cfg.groups * cfg.d_attn, dims[q])) for q, _kv, wo in _attention_paths(cfg)]
-    names = [name for name, _ in weights] + [f"ln.{m}.{p}" for m in "ts" for p in ("gain", "bias")]
+    weights += [(wo, (cfg.groups * cfg.d_attn, dims[q])) for q, _kv, _qkv, wo in paths]
+    names = tuple([name for name, _ in weights] + [f"ln.{m}.{p}" for m in "ts" for p in ("gain", "bias")])
+
+    def modalities(x):
+        return {"t": x[:, : cfg.d_t], "s": x[:, cfg.d_t :]}
+
+    def forward(x, *values):
+        w = dict(zip(names, values))
+        pre = modalities(x)
+        tokens = {m: f.reshape(len(x), cfg.groups, -1) for m, f in pre.items()}
+        outs = []
+        for q, kv, qkv, wo in paths:
+            out, att_cache = _attention_forward(tokens[q], tokens[kv], *(w[name] for name in qkv))
+            pre[q] = pre[q] + out.reshape(len(x), -1) @ w[wo]
+            outs.append((out, att_cache))
+        normed = [ops.layer_norm_forward(pre[m], w[f"ln.{m}.gain"], w[f"ln.{m}.bias"]) for m in "ts"]
+        return np.concatenate([y for y, _ in normed], axis=-1), (w, tokens, outs, [c for _, c in normed])
+
+    def backward(gy, cache):
+        w, tokens, outs, ln_caches = cache
+        grads = {name: [] for name in names}
+        gpre = {}
+        for (m, g), ln_cache in zip(modalities(gy).items(), ln_caches):
+            gpre[m], ggain, gbias = ops.layer_norm_backward(g, ln_cache)
+            grads[f"ln.{m}.gain"].append(ggain)
+            grads[f"ln.{m}.bias"].append(gbias)
+        g_tokens = {m: np.zeros_like(tk) for m, tk in tokens.items()}
+        for (q, kv, qkv, wo), (out, att_cache) in zip(paths, outs):
+            grads[wo].append(out.reshape(len(gy), -1).T @ gpre[q])
+            g_out = (gpre[q] @ w[wo].T).reshape(out.shape)
+            g_tq, g_tkv, *gw = _attention_backward(g_out, att_cache)
+            g_tokens[q] += g_tq
+            g_tokens[kv] += g_tkv
+            for name, g in zip(qkv, gw):
+                grads[name].append(g)
+        gx = np.concatenate([gpre[m] + g_tokens[m].reshape(len(gy), -1) for m in "ts"], axis=-1)
+        return (gx, *(sum(grads[name]) for name in names))
 
     def init(rng):  # every attention weight has fan-in shape[0]
         drawn = [ops.uniform_init(rng, shape, shape[0]) for _, shape in weights]
         return drawn + [make(dims[m]) for m in "ts" for make in (np.ones, np.zeros)]
 
-    return Stage(_fuse_forward, _fuse_backward, tuple(names), init)
+    return Stage(forward, backward, names, init)
 
 
 # ---------------------------------------------------------------------------
@@ -304,23 +307,25 @@ def _fusion_stage(cfg: ModelConfig) -> Stage:
 
 
 def _layout(cfg: ModelConfig):
-    """The one place where a variant picks its layers: (branches, fusion, head).
-    `branches` holds (input name, feature width, stage list) for each branch in
-    use, in input order; `fusion` is None for plain concatenation."""
+    """The one place where the layers of a variant are put together:
+    (branches, head). `branches` holds (input name, feature width, stage list)
+    for each branch in use, in input order; `head` is the stage list over
+    their concatenated features, led by the attention fusion when the variant
+    uses it."""
     branches = []
     if cfg.uses_temporal:
         branches.append(("segment", cfg.d_t, _temporal_stages(cfg)))
     if cfg.uses_spatial:
         branches.append(("image", cfg.d_s, _spatial_stages(cfg)))
-    return branches, _fusion_stage(cfg) if cfg.uses_attention else None, _head_stages(cfg)
+    return branches, ([_fusion_stage(cfg)] if cfg.uses_attention else []) + _head_stages(cfg)
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
     """Seed-deterministic initialization: weights uniform(+-sqrt(1/fan_in)),
     biases zero (LSTM forget gate 1.0), layer-norm gain 1 / bias 0. Draws
     follow `_layout` order, which is also the tensor order of the model file."""
-    branches, fusion, head = _layout(cfg)
-    stages = [stage for _kind, _width, branch in branches for stage in branch] + ([fusion] if fusion else []) + head
+    branches, head = _layout(cfg)
+    stages = [stage for _kind, _width, branch in branches for stage in branch] + head
     t = {name: ParamTensor(value) for stage in stages for name, value in zip(stage.names, stage.init(rng))}
     return ModelParams(cfg, t)
 
@@ -343,7 +348,7 @@ def _replay(tape: list, g, params: ModelParams, input_grad: bool = True):
         backward_fn, cache, names = tape[i]
         g, *grads = backward_fn(g, cache) if input_grad or i > stop else backward_fn(g, cache, input_grad=False)
         for name, grad in zip(names, grads):
-            params.add_grad(name, grad)
+            params[name].grad += grad
     return g
 
 
@@ -365,28 +370,22 @@ class ForwardTrace:
     probs: np.ndarray  # (B, C)
     logits: np.ndarray
     tapes: List[list]  # one per branch in use, then the head's
-    fuse_cache: Optional[tuple]  # None without attention fusion
 
 
 def forward(segs, imgs, params: ModelParams, cfg: ModelConfig) -> ForwardTrace:
     """Run the variant's full pipeline on a batch.
 
-    segs: (B, w) raw segments (None for gaf_only); imgs: (B, w, w) GAF images
-    (None for time_only).
+    segs: (B, w) raw segments; imgs: (B, w, w) GAF images. An input the
+    variant does not read may be None.
     """
     _rows(segs, imgs, cfg)
-    branches, fusion, head = _layout(cfg)
+    branches, head = _layout(cfg)
     inputs = {"segment": segs, "image": imgs}
     tapes = [[] for _ in range(len(branches) + 1)]
-    feats = []
-    for (kind, _width, stages), tape in zip(branches, tapes):
-        feats.append(_run(stages, inputs[kind], params, tape))
-    fuse_cache = None
-    if fusion is not None:
-        *feats, fuse_cache = fusion.forward(*feats, params, cfg)
+    feats = [_run(stages, inputs[kind], params, tape) for (kind, _width, stages), tape in zip(branches, tapes)]
     logits = _run(head, np.concatenate(feats, axis=-1), params, tapes[-1])
     probs, _ = ops.softmax_forward(logits, axis=-1)
-    return ForwardTrace(probs=probs, logits=logits, tapes=tapes, fuse_cache=fuse_cache)
+    return ForwardTrace(probs=probs, logits=logits, tapes=tapes)
 
 
 def backward(trace: ForwardTrace, grad_logits, params: ModelParams, cfg: ModelConfig, input_grads: bool = True):
@@ -397,11 +396,9 @@ def backward(trace: ForwardTrace, grad_logits, params: ModelParams, cfg: ModelCo
     branch's backward stops at its first layer with parameters, which skips
     that layer's input gradient; the parameter gradients are the same bytes.
     """
-    branches, fusion, _head = _layout(cfg)
+    branches, _head = _layout(cfg)
     gz = _replay(trace.tapes[-1], np.asarray(grad_logits, dtype=np.float64), params)
     gfeats = np.split(gz, np.cumsum([width for _kind, width, _stages in branches])[:-1], axis=-1)
-    if fusion is not None:
-        gfeats = fusion.backward(*gfeats, trace.fuse_cache, params, cfg)
     grads = {kind: _replay(tape, g, params, input_grads)
              for (kind, _w, _s), tape, g in zip(branches, trace.tapes, gfeats)}
     return grads.get("segment"), grads.get("image")
@@ -473,7 +470,7 @@ def _write_model(path, cfg: ModelConfig, input_len: int, params: ModelParams) ->
         f.write(struct.pack("<H", MODEL_VERSION))
         f.write(struct.pack("<IIIIII", input_len, cfg.num_classes, cfg.lstm_hidden,
                             cfg.groups, cfg.d_attn, cfg.mlp_hidden))
-        f.write(struct.pack("<B", VARIANTS.index(cfg.variant)))
+        f.write(struct.pack("<B", list(VARIANTS).index(cfg.variant)))
         f.write(struct.pack("<B", len(cfg.cnn1d_layers)))
         for ch, k in cfg.cnn1d_layers:
             f.write(struct.pack("<II", ch, k))
@@ -522,7 +519,7 @@ def load_model(path) -> Tuple[ModelConfig, int, "ModelParams"]:
         groups=groups,
         d_attn=d_attn,
         mlp_hidden=mlp_hidden,
-        variant=VARIANTS[variant_idx],
+        variant=list(VARIANTS)[variant_idx],
     )
     params = init_params(cfg, ops.make_rng(0))
     for name, p in params.items():

@@ -195,14 +195,15 @@ def test_criterion_2_gradient_suite():
     def fuse_case(rng):
         cfg = tiny_config()
         params = model.init_params(cfg, rng)
+        stage = model._fusion_stage(cfg)
+        values = [params[name].value for name in stage.names]
 
         def fwd(ft, fs):
-            t2, s2, cache = model._fuse_forward(ft, fs, params, cfg)
-            return np.concatenate([t2, s2], axis=-1), cache
+            return stage.forward(np.concatenate([ft, fs], axis=-1), *values)
 
         def bwd(g, cache):
-            params.zero_grad()
-            return model._fuse_backward(g[:, : cfg.d_t], g[:, cfg.d_t :], cache, params, cfg)
+            gx = stage.backward(g, cache)[0]
+            return gx[:, : cfg.d_t], gx[:, cfg.d_t :]
 
         return fwd, bwd, [rng.standard_normal((2, cfg.d_t)), rng.standard_normal((2, cfg.d_s))]
 

@@ -285,3 +285,13 @@ class TestCliUsage:
             "train", "--dataset", "ucr", "--train", str(train), "--test", str(test),
             "--config", str(bad), "--out", str(tmp_path / "y"),
         ]) == 2
+
+    def test_no_conv2d_layers_is_data_error(self, workspace, capsys):
+        tmp_path, train, test, _ = workspace
+        bad = tmp_path / "no_conv2d.cfg"
+        bad.write_text(TINY_MODEL_CONFIG + "model.cnn2d_layers =\n")
+        assert cli.main([
+            "train", "--dataset", "ucr", "--train", str(train), "--test", str(test),
+            "--config", str(bad), "--out", str(tmp_path / "y"),
+        ]) == 2
+        assert "cnn2d_layers" in capsys.readouterr().err

@@ -29,35 +29,42 @@ class TestRescale:
 
 
 class TestAngularEncode:
+    """The polar encoding phi = arccos(rescaled value), seen through gaf_transform."""
+
     def test_landmarks(self):
-        phases = gaf.angular_encode([-1.0, 0.0, 1.0])
-        assert np.allclose(phases, [np.pi, np.pi / 2, 0.0], atol=1e-15)
+        # rescaled -1, 0, 1 -> phases pi, pi/2, 0
+        phases = np.array([np.pi, np.pi / 2, 0.0])
+        m = gaf.gaf_transform([0.0, 5.0, 10.0])
+        assert np.allclose(m, np.cos(phases[:, None] + phases[None, :]), atol=1e-15)
 
     def test_arccos_half(self):
-        assert np.allclose(gaf.angular_encode([0.5]), [np.pi / 3], atol=1e-15)
+        # rescaled 0.5 -> phase pi/3
+        m = gaf.gaf_transform([-1.0, 0.5, 1.0])
+        assert np.allclose([m[1, 1], m[1, 2]], [np.cos(2 * np.pi / 3), np.cos(np.pi / 3)], atol=1e-15)
 
-    def test_rounding_overshoot_clamped(self):
-        assert gaf.angular_encode([1.0 + 5e-10])[0] == 0.0
-
-    def test_out_of_domain_rejected(self):
-        with pytest.raises(ValueError):
-            gaf.angular_encode([1.0 + 1e-6])
+    def test_rounding_overshoot_clamped(self, monkeypatch):
+        monkeypatch.setattr(gaf, "rescale", lambda values: np.array([1.0 + 5e-10, -1.0 - 5e-10]))
+        assert np.array_equal(gaf.gaf_transform([0.0, 0.0]), [[1.0, -1.0], [-1.0, 1.0]])
 
 
 class TestGafMatrix:
+    """GAF[j, k] = cos(phi_j + phi_k), seen through gaf_transform."""
+
     def test_landmark_matrix(self):
-        m = gaf.gaf_matrix([np.pi, np.pi / 2, 0.0])
+        m = gaf.gaf_transform([2.0, 1.0, 0.0])  # rescaled 1, 0, -1: phases 0, pi/2, pi
         expected = np.array([[1, 0, -1], [0, -1, 0], [-1, 0, 1]], dtype=float)
         assert np.allclose(m, expected, atol=1e-12)
 
     def test_single_phase(self):
-        assert np.allclose(gaf.gaf_matrix([0.0]), [[1.0]], atol=0)
+        # a one-sample segment is constant: rescaled 0, phase pi/2, cos(pi)
+        assert np.allclose(gaf.gaf_transform([3.0]), [[-1.0]], atol=0)
 
     def test_diagonal_double_angle(self):
         rng = np.random.default_rng(0)
-        phases = rng.uniform(0, np.pi, size=17)
-        m = gaf.gaf_matrix(phases)
-        assert np.allclose(np.diag(m), 2 * np.cos(phases) ** 2 - 1, atol=1e-12)
+        seg = rng.uniform(-3, 3, size=17)
+        x = gaf.rescale(seg)
+        m = gaf.gaf_transform(seg)
+        assert np.allclose(np.diag(m), 2 * x**2 - 1, atol=1e-12)
 
 
 class TestGafTransform:

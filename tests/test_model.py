@@ -45,19 +45,32 @@ def attention_oracle(tq, tkv, wq, wk, wv):
     return out
 
 
-class TestChannelSplit:
-    def test_order_preserved(self):
-        tokens = model.channel_split(np.arange(6.0), 2)
-        assert np.array_equal(tokens, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+def fuse(cfg, params, f_t, f_s):
+    """The attention fusion stage on the concatenated features: (output, cache)."""
+    stage = model._fusion_stage(cfg)
+    return stage.forward(np.concatenate([f_t, f_s], axis=-1), *(params[name].value for name in stage.names))
 
-    def test_round_trip(self):
+
+class TestChannelSplit:
+    """The fusion stage cuts each modality's features into `groups` tokens of
+    consecutive channels."""
+
+    def test_order_preserved(self):
+        cfg = tiny_config("no_cross_channel")
+        params = model.init_params(cfg, ops.make_rng(0))
         rng = np.random.default_rng(0)
-        f = rng.standard_normal((4, 12))
-        assert np.array_equal(model.channel_split(f, 3).reshape(4, 12), f)
+        f_t, f_s = rng.standard_normal((1, cfg.d_t)), rng.standard_normal((1, cfg.d_s))
+        out, _ = fuse(cfg, params, f_t, f_s)
+        for m, f, y in (("t", f_t, out[:, : cfg.d_t]), ("s", f_s, out[:, cfg.d_t :])):
+            tokens = f[0].reshape(cfg.groups, -1)  # row i holds channels i*c .. (i+1)*c - 1
+            w = [params[f"attn.{m}.{p}"].value for p in ("wq", "wk", "wv")]
+            pre = f + attention_oracle(tokens, tokens, *w).reshape(1, -1) @ params[f"attn.{m}.wo_intra"].value
+            expected, _ = ops.layer_norm_forward(pre, params[f"ln.{m}.gain"].value, params[f"ln.{m}.bias"].value)
+            assert np.allclose(y, expected, atol=1e-12)
 
     def test_indivisible_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            model.channel_split(np.zeros(10), 3)
+        with pytest.raises(ValueError, match="groups"):
+            replace(tiny_config(), groups=4)  # d_t = 6
 
 
 class TestAttention:
@@ -122,7 +135,8 @@ class TestFusion:
         rng = np.random.default_rng(6)
         f_t = rng.standard_normal((1, cfg.d_t))
         f_s = rng.standard_normal((1, cfg.d_s))
-        f_t2, f_s2, _ = model._fuse_forward(f_t, f_s, params, cfg)
+        out, _ = fuse(cfg, params, f_t, f_s)
+        f_t2, f_s2 = out[:, : cfg.d_t], out[:, cfg.d_t :]
         ln_t, _ = ops.layer_norm_forward(f_t, params["ln.t.gain"].value, params["ln.t.bias"].value)
         ln_s, _ = ops.layer_norm_forward(f_s, params["ln.s.gain"].value, params["ln.s.bias"].value)
         assert np.allclose(f_t2, ln_t, atol=1e-12)
@@ -132,9 +146,8 @@ class TestFusion:
         cfg = tiny_config()
         params = model.init_params(cfg, ops.make_rng(1))
         rng = np.random.default_rng(7)
-        f_t2, f_s2, _ = model._fuse_forward(
-            rng.standard_normal((1, cfg.d_t)), rng.standard_normal((1, cfg.d_s)), params, cfg
-        )
+        out, _ = fuse(cfg, params, rng.standard_normal((1, cfg.d_t)), rng.standard_normal((1, cfg.d_s)))
+        f_t2, f_s2 = out[:, : cfg.d_t], out[:, cfg.d_t :]
         assert abs(f_t2.mean()) < 1e-9 and abs(f_s2.mean()) < 1e-9
 
     def test_fuse_and_classify_probabilities(self):
@@ -162,15 +175,24 @@ class TestFusion:
         f_s = rng.standard_normal((2, cfg.d_s))
 
         def fwd(ft, fs):
-            t2, s2, cache = model._fuse_forward(ft, fs, params, cfg)
-            out = np.concatenate([t2, s2], axis=-1)
-            return out, cache
+            return fuse(cfg, params, ft, fs)
 
         def bwd(g, cache):
-            params.zero_grad()
-            return model._fuse_backward(g[:, : cfg.d_t], g[:, cfg.d_t :], cache, params, cfg)
+            gx = model._fusion_stage(cfg).backward(g, cache)[0]
+            return gx[:, : cfg.d_t], gx[:, cfg.d_t :]
 
         err = ops.grad_check(fwd, bwd, [f_t, f_s])
+        assert err < 1e-5
+
+    @pytest.mark.parametrize("variant", ["full", "no_cross_channel"])
+    def test_stage_gradient_over_input_and_every_weight(self, variant):
+        # with cross-attention each wq/wk/wv serves two paths, whose
+        # gradients the stage sums; checked over every entry
+        cfg = tiny_config(variant)
+        stage = model._fusion_stage(cfg)
+        params = model.init_params(cfg, ops.make_rng(5))
+        x = np.random.default_rng(11).standard_normal((3, cfg.d_t + cfg.d_s))
+        err = ops.grad_check(stage.forward, stage.backward, [x] + [params[name].value for name in stage.names])
         assert err < 1e-5
 
 
@@ -608,3 +630,20 @@ class TestInit:
             model.ModelConfig(num_classes=2, lstm_hidden=3, cnn2d_layers=((4, 3, 2),), groups=5)
         with pytest.raises(ValueError):
             tiny_config("nonexistent")
+        # each fails at construction with the key named, not at the first forward
+        cases = [
+            ("cnn2d_layers", ()),
+            ("cnn1d_layers", ((4, 3, 1),)),
+            ("cnn1d_layers", ((4, 4),)),
+            ("cnn1d_layers", ((4, -1),)),
+            ("cnn1d_layers", ((0, 3),)),
+            ("cnn2d_layers", ((4, 3, 0),)),
+            ("cnn2d_layers", ((0, 3, 2),)),
+            ("cnn2d_layers", ((4, 0, 2),)),
+            ("cnn2d_layers", ((4, 3),)),
+            ("cnn2d_layers", ((4, 3.0, 2),)),
+            ("lstm_hidden", 0),
+        ]
+        for key, value in cases:
+            with pytest.raises(ValueError, match=key):
+                replace(tiny_config(), **{key: value})
