@@ -266,11 +266,11 @@ def _fusion_stage(cfg: ModelConfig) -> Stage:
     def forward(x, *values):
         w = dict(zip(names, values))
         pre = modalities(x)
-        tokens = {m: f.reshape(len(x), cfg.groups, -1) for m, f in pre.items()}
+        tokens = {m: f.reshape(len(x), cfg.groups, dims[m] // cfg.groups) for m, f in pre.items()}
         outs = []
         for q, kv, qkv, wo in paths:
             out, att_cache = _attention_forward(tokens[q], tokens[kv], *(w[name] for name in qkv))
-            pre[q] = pre[q] + out.reshape(len(x), -1) @ w[wo]
+            pre[q] = pre[q] + out.reshape(len(x), cfg.groups * cfg.d_attn) @ w[wo]
             outs.append((out, att_cache))
         normed = [ops.layer_norm_forward(pre[m], w[f"ln.{m}.gain"], w[f"ln.{m}.bias"]) for m in "ts"]
         return np.concatenate([y for y, _ in normed], axis=-1), (w, tokens, outs, [c for _, c in normed])
@@ -285,14 +285,14 @@ def _fusion_stage(cfg: ModelConfig) -> Stage:
             grads[f"ln.{m}.bias"].append(gbias)
         g_tokens = {m: np.zeros_like(tk) for m, tk in tokens.items()}
         for (q, kv, qkv, wo), (out, att_cache) in zip(paths, outs):
-            grads[wo].append(out.reshape(len(gy), -1).T @ gpre[q])
+            grads[wo].append(out.reshape(len(gy), cfg.groups * cfg.d_attn).T @ gpre[q])
             g_out = (gpre[q] @ w[wo].T).reshape(out.shape)
             g_tq, g_tkv, *gw = _attention_backward(g_out, att_cache)
             g_tokens[q] += g_tq
             g_tokens[kv] += g_tkv
             for name, g in zip(qkv, gw):
                 grads[name].append(g)
-        gx = np.concatenate([gpre[m] + g_tokens[m].reshape(len(gy), -1) for m in "ts"], axis=-1)
+        gx = np.concatenate([gpre[m] + g_tokens[m].reshape(len(gy), dims[m]) for m in "ts"], axis=-1)
         return (gx, *(sum(grads[name]) for name in names))
 
     def init(rng):  # every attention weight has fan-in shape[0]
@@ -411,13 +411,15 @@ def backward_cross_entropy(trace: ForwardTrace, labels_onehot, params: ModelPara
     return backward(trace, (trace.probs - y) * (1.0 / y.shape[0]), params, cfg, input_grads=input_grads)
 
 
-# Rows per `forward` call in `predict_probs`. The conv2d window einsum's
-# temporaries grow with the rows: at 256 rows of w=140 they run to hundreds
-# of MB, each above glibc's 32 MB mmap threshold, so every call maps and
-# page-faults them anew. Predicting 600 rows of w=140 over and over in one
-# process (one BLAS thread, 2 CPUs) took 4.1-4.8 s per pass at 256 rows,
-# 1.3-1.8 s of it system time, and 3.1-3.3 s at 32 rows with 0.2 s; 16 rows
-# tied with 32, 8 and 64 were slower, and at w=96 32 rows was the fastest.
+# Rows per `forward` call in `predict_probs`. A chunk's layer outputs grow
+# with the rows; an array above glibc's 32 MB mmap threshold is mapped and
+# page-faulted anew on every call. At 32 rows of w=140 the largest, the
+# first conv2d layer's output, is 19.5 MB; at 64 rows it is 39 MB. The conv
+# window copies do not grow with the rows past `ops.WINDOW_BLOCK_BYTES`.
+# Fewer rows cost more per row instead: the BiLSTM steps every time step
+# once per chunk, and its forward at w=140 takes 2.02 ms per row at 16 rows
+# against 1.72 at 32 (one BLAS thread). Predicting 600 rows of w=140 in a
+# fresh process took 2.7-3.5 s at 16 rows, 1.9-3.0 s at 32 and 2.3-3.1 s at 64.
 PREDICT_ROWS = 32
 
 

@@ -181,6 +181,36 @@ def _channel_axis(w):
     return ("c", slice(None)) if w.shape[1] > 1 else ("", 0)
 
 
+# Bytes of the contiguous window copy that the forward einsum makes per
+# block of samples. Above glibc's 32 MB mmap threshold every call would map
+# and page-fault its copy anew (the second conv2d layer at 32 rows of w=140
+# needs 42.6 MB in one piece).
+WINDOW_BLOCK_BYTES = 16 * 2**20
+
+
+def _window_product(spec, win, w):
+    """`np.einsum(spec, win, w)` over blocks of samples whose window copy
+    stays under `WINDOW_BLOCK_BYTES` (a block of 8 samples at least).
+
+    Blocks start every `rows` samples, a multiple of 8, and the last block
+    also takes the remainder, so its copy stays under twice a block's. Both
+    rules keep the single einsum's bytes: other block sizes, or a separate
+    short tail block, round the last sample of a block differently. The
+    output keeps the single einsum's strides."""
+    bsz = win.shape[0]
+    row_bytes = win[:1].size * win.itemsize  # 0 for an empty batch
+    rows = max(8, WINDOW_BLOCK_BYTES // max(row_bytes, 1) // 8 * 8)
+    if bsz < 2 * rows:
+        return np.einsum(spec, win, w, optimize=True)
+    ends = list(range(rows, bsz - rows + 1, rows)) + [bsz]
+    first = np.einsum(spec, win[:rows], w, optimize=True)
+    y = np.empty_like(first, shape=(bsz,) + first.shape[1:])
+    y[:rows] = first
+    for start, end in zip(ends, ends[1:]):
+        y[start:end] = np.einsum(spec, win[start:end], w, optimize=True)
+    return y
+
+
 def _conv_forward(x, kernels, bias, stride, nd):
     """Cross-correlation over the trailing `nd` axes plus bias.
 
@@ -198,14 +228,15 @@ def _conv_forward(x, kernels, bias, stride, nd):
         raise ShapeMismatchError(f"conv{nd}d: input {xb.shape}, kernels {w.shape}, bias {b.shape}")
     k = w.shape[-1]
     pad = (k - 1) // 2 if stride == 1 else 0
-    xp = np.pad(xb, ((0, 0), (0, 0)) + ((pad, pad),) * nd)
+    # without padding the window view (and the cache holding it) reads x itself
+    xp = np.pad(xb, ((0, 0), (0, 0)) + ((pad, pad),) * nd) if pad else xb
     if min(xp.shape[2:]) < k:
         raise ShapeMismatchError(f"conv{nd}d input smaller than kernel")
     win = sliding_window_view(xp, (k,) * nd, axis=tuple(range(-nd, 0)))
     win = win[(slice(None), slice(None)) + (slice(None, None, stride),) * nd]
     s, kk = _CONV_AXES[nd]
     c, ci = _channel_axis(w)
-    y = np.einsum(f"b{c}{s}{kk},o{c}{kk}->bo{s}", win[:, ci], w[:, ci], optimize=True)
+    y = _window_product(f"b{c}{s}{kk},o{c}{kk}->bo{s}", win[:, ci], w[:, ci])
     y += b.reshape((-1,) + (1,) * nd)
     cache = (win, w, xb.shape, pad, stride, batched)
     return (y if batched else y[0]), cache

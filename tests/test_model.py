@@ -342,9 +342,11 @@ class TestPredict:
         cfg = tiny_config(variant, num_classes=3)
         params = model.init_params(cfg, ops.make_rng(14))
         segs, imgs = tiny_inputs(np.random.default_rng(23), n=0)
-        probs = model.predict_probs(params, cfg, segs if cfg.uses_temporal else None,
-                                    imgs if cfg.uses_spatial else None)
-        assert probs.shape == (0, 3)
+        segs = segs if cfg.uses_temporal else None
+        imgs = imgs if cfg.uses_spatial else None
+        assert model.predict_probs(params, cfg, segs, imgs).shape == (0, 3)
+        # predict_probs returns before the model runs; forward itself must cope too
+        assert model.forward(segs, imgs, params, cfg).probs.shape == (0, 3)
 
     @pytest.mark.parametrize("variant", ["full", "no_dual_attention", "no_cross_channel"])
     def test_row_count_mismatch_rejected(self, variant):

@@ -1,6 +1,8 @@
 """Differentiable primitive tests: hand-computed values, brute-force
 convolution oracles, and finite-difference gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -273,6 +275,54 @@ class TestConvBytes:
                 no_gx = backward(gy, cache, input_grad=False)
                 assert no_gx[0] is None
                 assert np.array_equal(no_gx[1], gw) and np.array_equal(no_gx[2], gb)
+
+    # the 96-sample surrogate's conv2d layers that read 16 and 32 channels
+    @pytest.mark.parametrize("cin, cout, size", [(16, 32, (47, 47)), (32, 64, (23, 23))])
+    def test_blocked_window_product(self, monkeypatch, cin, cout, size):
+        rng = rng_for(60 + cin)
+        w = rng.standard_normal((cout, cin, 3, 3))
+        b = rng.standard_normal(cout)
+        real_einsum = np.einsum
+        blocks = []
+
+        def recording_einsum(spec, *operands, **kwargs):
+            blocks.append(len(operands[0]))
+            return real_einsum(spec, *operands, **kwargs)
+
+        for bsz in (1, 7, 8, 9, 16, 17, 33, 40):
+            x = rng.standard_normal((bsz, cin) + size)
+            whole, _ = ops.conv2d_forward(x, w, b, stride=2)  # one block at the default budget
+            # every block's window copy is over a budget of 1 byte: 8-sample blocks
+            with monkeypatch.context() as m:
+                m.setattr(ops, "WINDOW_BLOCK_BYTES", 1)
+                m.setattr(np, "einsum", recording_einsum)
+                blocks.clear()
+                y, cache = ops.conv2d_forward(x, w, b, stride=2)
+            # blocks start every 8 samples and the last one takes the remainder
+            assert blocks == ([8] * (bsz // 8 - 1) + [8 + bsz % 8] if bsz >= 16 else [bsz])
+            assert_same_result(y, whole)
+            assert y.strides == whole.strides
+            gy = rng.standard_normal(y.shape)
+            for got, ref in zip(ops.conv2d_backward(gy, cache), conv_backward_reference(gy, x, w, 2)):
+                assert_same_result(got, ref)
+
+    def test_window_copy_stays_under_mmap_threshold(self):
+        # the paper-default second conv2d layer at 32 rows of w=140: one window
+        # copy of 42.6 MB, above glibc's 32 MB mmap threshold, unless blocked
+        rng = rng_for(70)
+        x = rng.standard_normal((32, 16, 69, 69))
+        w = rng.standard_normal((32, 16, 3, 3))
+        b = rng.standard_normal(32)
+        tracemalloc.start()
+        try:
+            y, cache = ops.conv2d_forward(x, w, b, stride=2)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        # the output is all that stays: the cached window view reads x itself
+        assert y.nbytes <= held < y.nbytes + 2**20
+        assert np.shares_memory(cache[0], x)
 
 
 class TestConvInputChecks:
