@@ -9,8 +9,16 @@ first stage is the attention fusion. `VARIANTS` is the one table of what
 each variant uses, and `_layout` builds the lists from it. `init_params`
 walks the lists to draw the parameters; `forward` runs them and records each
 stage's backward and cache on a tape; `backward` replays the tapes in reverse.
+
+The layers compute in the dtype of their input; the parameters, their
+gradients and the model file stay float64. `optim.train` and
+`predict_probs` hand the model `COMPUTE_DTYPE` (float32) inputs, and each
+stage runs on a copy of its weights cast to that dtype. The final softmax
+and the loss gradient at the logits stay float64. On float64 inputs
+`forward` and `backward` are the float64 reference.
 """
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -32,6 +40,9 @@ VARIANTS = {
     "time_only": (True, False, False, False),
     "gaf_only": (False, True, False, False),
 }
+
+# The dtype training and prediction compute in; see the module docstring.
+COMPUTE_DTYPE = np.float32
 
 MODEL_MAGIC = b"GAFN"
 MODEL_VERSION = 1
@@ -129,7 +140,7 @@ def _attention_forward(tq, tkv, wq, wk, wv):
     q = tq @ wq
     k = tkv @ wk
     v = tkv @ wv
-    scale = 1.0 / np.sqrt(wq.shape[1])
+    scale = 1.0 / math.sqrt(wq.shape[1])  # a Python float keeps float32 tokens float32
     scores = q @ np.swapaxes(k, -1, -2) * scale
     att, sm_cache = ops.softmax_forward(scores, axis=-1)
     out = att @ v
@@ -179,7 +190,7 @@ def _affine(forward, backward, names, w_shape, fan_in, n_out):
 
 
 # adds the channel axis the first convolution of a branch reads
-_CHANNEL = Stage(lambda x: (np.asarray(x)[:, None], None), lambda g, _cache: (g[:, 0],))
+_CHANNEL = Stage(lambda x: (x[:, None], None), lambda g, _cache: (g[:, 0],))
 
 
 def _bilstm_stage(din, hidden):
@@ -331,9 +342,11 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
 
 
 def _run(stages: List[Stage], x, params: ModelParams, tape: list):
-    """Run stages forward, recording (backward, cache, names) of each on `tape`."""
+    """Run stages forward, recording (backward, cache, names) of each on `tape`.
+    Each stage gets its weights cast to the dtype of its input."""
+    x = ops.as_float(x)
     for stage in stages:
-        x, cache = stage.forward(x, *(params[name].value for name in stage.names))
+        x, cache = stage.forward(x, *(params[name].value.astype(x.dtype, copy=False) for name in stage.names))
         tape.append((stage.backward, cache, stage.names))
     return x
 
@@ -348,7 +361,7 @@ def _replay(tape: list, g, params: ModelParams, input_grad: bool = True):
         backward_fn, cache, names = tape[i]
         g, *grads = backward_fn(g, cache) if input_grad or i > stop else backward_fn(g, cache, input_grad=False)
         for name, grad in zip(names, grads):
-            params[name].grad += grad
+            params[name].grad += grad  # float64 master gradients, whatever the compute dtype
     return g
 
 
@@ -384,7 +397,8 @@ def forward(segs, imgs, params: ModelParams, cfg: ModelConfig) -> ForwardTrace:
     tapes = [[] for _ in range(len(branches) + 1)]
     feats = [_run(stages, inputs[kind], params, tape) for (kind, _width, stages), tape in zip(branches, tapes)]
     logits = _run(head, np.concatenate(feats, axis=-1), params, tapes[-1])
-    probs, _ = ops.softmax_forward(logits, axis=-1)
+    # float64 probabilities: the loss takes log(p + 1e-12), which float32 cannot resolve near 1
+    probs, _ = ops.softmax_forward(logits.astype(np.float64, copy=False), axis=-1)
     return ForwardTrace(probs=probs, logits=logits, tapes=tapes)
 
 
@@ -397,7 +411,7 @@ def backward(trace: ForwardTrace, grad_logits, params: ModelParams, cfg: ModelCo
     that layer's input gradient; the parameter gradients are the same bytes.
     """
     branches, _head = _layout(cfg)
-    gz = _replay(trace.tapes[-1], np.asarray(grad_logits, dtype=np.float64), params)
+    gz = _replay(trace.tapes[-1], np.asarray(grad_logits, dtype=trace.logits.dtype), params)
     gfeats = np.split(gz, np.cumsum([width for _kind, width, _stages in branches])[:-1], axis=-1)
     grads = {kind: _replay(tape, g, params, input_grads)
              for (kind, _w, _s), tape, g in zip(branches, trace.tapes, gfeats)}
@@ -413,18 +427,20 @@ def backward_cross_entropy(trace: ForwardTrace, labels_onehot, params: ModelPara
 
 # Rows per `forward` call in `predict_probs`. A chunk's layer outputs grow
 # with the rows; an array above glibc's 32 MB mmap threshold is mapped and
-# page-faulted anew on every call. At 32 rows of w=140 the largest, the
-# first conv2d layer's output, is 19.5 MB; at 64 rows it is 39 MB. The conv
-# window copies do not grow with the rows past `ops.WINDOW_BLOCK_BYTES`.
-# Fewer rows cost more per row instead: the BiLSTM steps every time step
-# once per chunk, and its forward at w=140 takes 2.02 ms per row at 16 rows
-# against 1.72 at 32 (one BLAS thread). Predicting 600 rows of w=140 in a
-# fresh process took 2.7-3.5 s at 16 rows, 1.9-3.0 s at 32 and 2.3-3.1 s at 64.
+# page-faulted anew on every call. At 32 float32 rows of w=140 the largest
+# are the second conv2d layer's window copy, 21.3 MB (one block: under two
+# of `ops.WINDOW_BLOCK_BYTES`), and the first conv2d layer's output, 9.8 MB;
+# at 64 rows the output doubles and the copy is blocked. Fewer rows cost
+# more per row instead: the BiLSTM steps every time step once per chunk.
+# Predicting 600 rows of w=140 in a fresh process (float32, one BLAS
+# thread, three runs each) took 1.6-1.9 s at 16 rows, 1.3-2.5 s at 32 and
+# 1.6-1.8 s at 64: no size was clearly faster.
 PREDICT_ROWS = 32
 
 
 def predict_probs(params: ModelParams, cfg: ModelConfig, segs, imgs) -> np.ndarray:
-    """Inference over a whole dataset, `PREDICT_ROWS` rows per `forward` call."""
+    """Inference over a whole dataset, `PREDICT_ROWS` rows per `forward` call,
+    each chunk cast to `COMPUTE_DTYPE`."""
     n = _rows(segs, imgs, cfg)
     if n == 0:
         return np.empty((0, cfg.num_classes))
@@ -433,8 +449,8 @@ def predict_probs(params: ModelParams, cfg: ModelConfig, segs, imgs) -> np.ndarr
         sl = slice(start, start + PREDICT_ROWS)
         # keep only the probabilities: the tape of one chunk is freed before the next runs
         out.append(forward(
-            segs[sl] if segs is not None else None,
-            imgs[sl] if imgs is not None else None,
+            np.asarray(segs[sl], dtype=COMPUTE_DTYPE) if segs is not None else None,
+            np.asarray(imgs[sl], dtype=COMPUTE_DTYPE) if imgs is not None else None,
             params,
             cfg,
         ).probs)

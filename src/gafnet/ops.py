@@ -5,9 +5,13 @@ Every op comes as a pair: `<op>_forward(*arrays) -> (out, cache)` and
 forward's array arguments). `grad_check` validates any such pair against
 central finite differences.
 
-All arithmetic is float64. There is no autograd graph: `model` lists the
-ops of each layer as stages, records every forward's backward op and cache
-on a tape, and replays the tape in reverse.
+Every op computes in the dtype of its input: float32 and float64 stay as
+they are (`as_float`), anything else becomes float64, and every buffer an
+op allocates takes that dtype. `model` casts its float64 weights to the
+dtype it is fed, float32 in training and prediction; float64 input gives
+the float64 reference, which `grad_check` runs. There is no autograd graph: `model` lists the ops of
+each layer as stages, records every forward's backward op and cache on a
+tape, and replays the tape in reverse.
 
 conv1d and conv2d share one N-d cross-correlation. The BiLSTM's reverse
 direction is the forward LSTM recurrence run over the flipped sequence; one
@@ -25,6 +29,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import GafnetError, ShapeMismatchError
 
 LAYER_NORM_EPS = 1e-5
+
+
+def as_float(x) -> np.ndarray:
+    """`x` as an array of its own float32 or float64 dtype; any other dtype
+    becomes float64."""
+    x = np.asarray(x)
+    return x if x.dtype in (np.float32, np.float64) else x.astype(np.float64)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -60,8 +71,8 @@ class ParamTensor:
 
 
 def matmul_forward(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = as_float(a)
+    b = as_float(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeMismatchError("matmul expects matrices (optionally stacked)")
     if a.shape[-1] != b.shape[-2]:
@@ -83,7 +94,7 @@ def matmul_backward(gy, cache):
 
 def linear_forward(x, w, b):
     """y = x @ w + b for x of shape (..., din), w (din, dout), b (dout,)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = as_float(x)
     if x.shape[-1] != w.shape[0]:
         raise ShapeMismatchError(f"linear: {x.shape} vs weight {w.shape}")
     return x @ w + b, (x, w)
@@ -98,7 +109,7 @@ def linear_backward(gy, cache):
 
 
 def relu_forward(x):
-    x = np.asarray(x, dtype=np.float64)
+    x = as_float(x)
     return np.maximum(x, 0.0), (x > 0,)  # NaN passes through, its gradient is 0
 
 
@@ -108,7 +119,7 @@ def relu_backward(gy, cache):
 
 
 def softmax_forward(x, axis=-1):
-    x = np.asarray(x, dtype=np.float64)
+    x = as_float(x)
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
@@ -123,7 +134,7 @@ def softmax_backward(gy, cache):
 
 def layer_norm_forward(x, gain, bias):
     """Normalize over the last axis (eps 1e-5), then apply per-feature gain/bias."""
-    x = np.asarray(x, dtype=np.float64)
+    x = as_float(x)
     mu = x.mean(axis=-1, keepdims=True)
     var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
@@ -152,7 +163,7 @@ def layer_norm_backward(gy, cache):
 
 def global_avg_pool_forward(x, n_spatial: Optional[int] = None):
     """Mean over the trailing `n_spatial` axes (default: all but the first)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = as_float(x)
     if n_spatial is None:
         n_spatial = x.ndim - 1
     axes = tuple(range(x.ndim - n_spatial, x.ndim))
@@ -183,8 +194,9 @@ def _channel_axis(w):
 
 # Bytes of the contiguous window copy that the forward einsum makes per
 # block of samples. Above glibc's 32 MB mmap threshold every call would map
-# and page-fault its copy anew (the second conv2d layer at 32 rows of w=140
-# needs 42.6 MB in one piece).
+# and page-fault its copy anew (the second conv2d layer's windows of w=140
+# take 21.3 MB per 32 rows in float32, 42.6 MB in float64). On the float32
+# path 8 MiB predicted no faster than 16 MiB.
 WINDOW_BLOCK_BYTES = 16 * 2**20
 
 
@@ -217,13 +229,13 @@ def _conv_forward(x, kernels, bias, stride, nd):
     'Same' zero padding for stride 1, 'valid' otherwise. x: (cin, *spatial)
     or (B, cin, *spatial); kernels: (cout, cin, k, ..., k); bias: (cout,).
     """
-    xb = np.asarray(x, dtype=np.float64)
+    xb = as_float(x)
     if xb.ndim not in (nd + 1, nd + 2):
         raise ShapeMismatchError(f"expected {nd + 1}- or {nd + 2}-D input, got {xb.ndim}-D")
     batched = xb.ndim == nd + 2
     xb = xb if batched else xb[None]
-    w = np.asarray(kernels, dtype=np.float64)
-    b = np.asarray(bias, dtype=np.float64)
+    w = as_float(kernels)
+    b = as_float(bias)
     if w.ndim != nd + 2 or xb.shape[1] != w.shape[1] or b.shape != w.shape[:1]:
         raise ShapeMismatchError(f"conv{nd}d: input {xb.shape}, kernels {w.shape}, bias {b.shape}")
     k = w.shape[-1]
@@ -257,7 +269,7 @@ def _conv_backward(gy, cache, input_grad=True):
     # is the product numpy's einsum ran per tap, so gx keeps its bytes; the other
     # orientation, gy_flatᵀ @ w_tap, rounds differently at most batch sizes.
     gy_flat = np.ascontiguousarray(np.moveaxis(gyb, 1, 0)).reshape(cout, -1)
-    gxp = np.zeros((x_shape[1], bsz) + tuple(n + 2 * pad for n in x_shape[2:]))
+    gxp = np.zeros((x_shape[1], bsz) + tuple(n + 2 * pad for n in x_shape[2:]), dtype=win.dtype)
     # scatter each kernel tap's contribution onto the (strided) input positions it read
     for tap in np.ndindex(*w.shape[2:]):
         at = tuple(slice(d, d + stride * n, stride) for d, n in zip(tap, spatial))
@@ -332,9 +344,9 @@ def _lstm_forward(x, w_x, w_h, b):
     # step and direction. Each step then turns its slice into the gates in place.
     gates = np.matmul(x, np.swapaxes(w_x, 1, 2))
     # slot t + 1 holds the state after step t; slot 0 is the zero initial state
-    cs = np.zeros((t_len + 1, 2, bsz, h))
-    hs = np.zeros((t_len + 1, 2, bsz, h))
-    tcs = np.empty((t_len, 2, bsz, h))  # tanh(c), kept for the backward pass
+    cs = np.zeros((t_len + 1, 2, bsz, h), dtype=x.dtype)
+    hs = np.zeros((t_len + 1, 2, bsz, h), dtype=x.dtype)
+    tcs = np.empty((t_len, 2, bsz, h), dtype=x.dtype)  # tanh(c), kept for the backward pass
     for t in range(t_len):
         z = gates[t]
         z += np.matmul(hs[t], w_ht)
@@ -355,10 +367,10 @@ def _lstm_backward(gh, cache):
     t_len, _, bsz, _ = x.shape
     h = w_h.shape[-1]
     gw_x, gw_h = np.zeros_like(w_x), np.zeros_like(w_h)
-    gb = np.zeros(w_h.shape[:2])
+    gb = np.zeros(w_h.shape[:2], dtype=x.dtype)
     dzs = np.empty_like(gates)
-    dh_next = np.zeros((2, bsz, h))
-    dc_next = np.zeros((2, bsz, h))
+    dh_next = np.zeros((2, bsz, h), dtype=x.dtype)
+    dc_next = np.zeros((2, bsz, h), dtype=x.dtype)
     for t in range(t_len - 1, -1, -1):
         z, tc, dz = gates[t], tcs[t], dzs[t]
         i, f, g, o = z[..., :h], z[..., h : 2 * h], z[..., 2 * h : 3 * h], z[..., 3 * h :]
@@ -389,18 +401,18 @@ def bilstm_forward(x, fwd: LstmCellParams, bwd: LstmCellParams):
     sequence, its outputs flipped back into time order; both directions step
     together in `_lstm_forward`. x: (B, T, din) -> (B, T, 2h), C order.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_float(x)
     bsz, t_len, din = x.shape
     h4, h = fwd.b.shape[0], fwd.w_h.shape[1]
     for cell in (fwd, bwd):
         if cell.w_x.shape != (h4, din) or cell.w_h.shape != (h4, h) or cell.b.shape != (h4,):
             raise ShapeMismatchError(f"lstm: x {x.shape}, w_x {cell.w_x.shape}, w_h {cell.w_h.shape}")
-    xs = np.empty((t_len, 2, bsz, din))
+    xs = np.empty((t_len, 2, bsz, din), dtype=x.dtype)
     xs[:, 0] = np.swapaxes(x, 0, 1)
     xs[:, 1] = np.swapaxes(x[:, ::-1], 0, 1)
     w_x, w_h, b = np.stack([fwd.w_x, bwd.w_x]), np.stack([fwd.w_h, bwd.w_h]), np.stack([fwd.b, bwd.b])
     hs, cache = _lstm_forward(xs, w_x, w_h, b)
-    out = np.empty((bsz, t_len, 2 * h))
+    out = np.empty((bsz, t_len, 2 * h), dtype=hs.dtype)
     out[..., :h] = np.swapaxes(hs[:, 0], 0, 1)
     out[..., h:] = np.swapaxes(hs[::-1, 1], 0, 1)
     return out, cache
@@ -411,11 +423,12 @@ def bilstm_backward(gh, cache):
     xs, _w_x, w_h, *_ = cache
     t_len, _, bsz, din = xs.shape
     h = w_h.shape[-1]
-    ghs = np.empty((t_len, 2, bsz, h))
+    ghs = np.empty((t_len, 2, bsz, h), dtype=xs.dtype)
     ghs[:, 0] = np.swapaxes(gh[..., :h], 0, 1)
     ghs[:, 1] = np.swapaxes(gh[:, ::-1, h:], 0, 1)
     gxs, gw_x, gw_h, gb = _lstm_backward(ghs, cache)
-    gx = np.add(np.swapaxes(gxs[:, 0], 0, 1), np.swapaxes(gxs[::-1, 1], 0, 1), out=np.empty((bsz, t_len, din)))
+    gx = np.empty((bsz, t_len, din), dtype=gxs.dtype)
+    np.add(np.swapaxes(gxs[:, 0], 0, 1), np.swapaxes(gxs[::-1, 1], 0, 1), out=gx)
     return gx, (gw_x[0], gw_h[0], gb[0]), (gw_x[1], gw_h[1], gb[1])
 
 

@@ -144,6 +144,10 @@ def train(
 
     A cosine schedule with `total_steps` 0 anneals over all the steps of this
     run. A non-finite batch loss or gradient stops training with `GafnetError`.
+
+    The steps compute in `model.COMPUTE_DTYPE` (the inputs are cast once,
+    after the validation slice is carved); the parameters, their gradients
+    and the Adam moments stay float64.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.size
@@ -159,10 +163,12 @@ def train(
     else:
         tr_idx = val_idx = np.arange(n)
 
-    def subset(arr, idx):
-        return None if arr is None else arr[idx]
+    def subset(arr, idx, dtype=None):
+        return None if arr is None else np.asarray(arr[idx], dtype=dtype)
 
-    tr_segs, tr_imgs, tr_labels = subset(segs, tr_idx), subset(imgs, tr_idx), labels[tr_idx]
+    # the rows every training step reads, cast to the compute dtype once
+    dtype = model_mod.COMPUTE_DTYPE
+    tr_segs, tr_imgs, tr_labels = subset(segs, tr_idx, dtype), subset(imgs, tr_idx, dtype), labels[tr_idx]
     val_segs, val_imgs, val_labels = subset(segs, val_idx), subset(imgs, val_idx), labels[val_idx]
     tr_onehot = one_hot(tr_labels, cfg.num_classes)
     val_onehot = one_hot(val_labels, cfg.num_classes)

@@ -13,7 +13,7 @@ from .model import ModelConfig
 
 @dataclass
 class ModelInputs:
-    segs: Optional[np.ndarray]  # (N, w)
+    segs: Optional[np.ndarray]  # (N, w), float64; the model casts them to float32 per batch
     imgs: Optional[np.ndarray]  # (N, w, w), float32 to bound memory
     labels: np.ndarray  # (N,)
 

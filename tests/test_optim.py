@@ -248,6 +248,23 @@ class TestTrainLoop:
         with pytest.raises(GafnetError, match="epoch 1, step 1"):
             optim.train(cfg, segs, None, labels, self.make_train_cfg())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_segment_stops_float32_training(self, monkeypatch):
+        seen = []
+        real_forward = model.forward
+
+        def recording_forward(s, i, p, c):
+            seen.append(s.dtype)
+            return real_forward(s, i, p, c)
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        cfg = tiny_config("time_only")
+        segs, _, labels = toy_training_data(np.random.default_rng(9))
+        segs[3, 5] = np.inf  # one sample of one float64 segment
+        with pytest.raises(GafnetError, match="non-finite"):
+            optim.train(cfg, segs, None, labels, self.make_train_cfg())
+        assert seen and set(seen) == {np.dtype(model.COMPUTE_DTYPE)} and model.COMPUTE_DTYPE == np.float32
+
     def test_empty_dataset_rejected(self):
         cfg = tiny_config("time_only")
         with pytest.raises(ValueError):
