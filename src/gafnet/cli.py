@@ -74,8 +74,9 @@ def _load_run_config(path: Optional[str]) -> RunConfig:
 
 
 def _on_vocabulary(ds: data.Dataset, class_names: List[str]) -> data.Dataset:
-    """Relabel `ds` onto `class_names`, matching classes by name: `load_ucr`
-    numbers the classes of each file on its own."""
+    """Relabel `ds` onto `class_names` (the training set's, or those stored in
+    the model file), matching classes by name: `load_ucr` numbers the classes
+    of each file on its own."""
     unseen = [name for name in ds.class_names if name not in class_names]
     if unseen:
         raise DataFormatError(f"test classes {unseen} do not occur in the training data")
@@ -149,7 +150,8 @@ def cmd_train(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     input_len = train_inputs.segs.shape[1]
-    model_mod.save_model(os.path.join(args.out, "model.bin"), model_cfg, input_len, result.params)
+    model_mod.save_model(os.path.join(args.out, "model.bin"), model_cfg, input_len, result.params,
+                         train_ds.class_names)
     optim.write_history_csv(os.path.join(args.out, "history.csv"), result.history)
     report_text = metrics.format_report(report)
     with open(os.path.join(args.out, "report.txt"), "w") as f:
@@ -161,19 +163,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model_cfg, input_len, params = model_mod.load_model(args.model)
+    model_cfg, stored, params = model_mod.load_model(args.model)
     cfg = _load_run_config(args.config)
     if args.test is None:
         raise DataFormatError("eval requires --test")
     _, test_ds = _load_datasets(args, cfg, None)
+    test_ds = _on_vocabulary(test_ds, stored.class_names)
     pre = _effective_preprocess(args, cfg)
     test_inputs = pipeline.prepare_inputs(test_ds, pre, need_images=model_cfg.uses_spatial)
-    if test_inputs.segs.shape[1] != input_len:
+    if test_inputs.segs.shape[1] != stored.input_len:
         raise DataFormatError(
-            f"model expects segments of length {input_len}, test data has {test_inputs.segs.shape[1]}"
+            f"model expects segments of length {stored.input_len}, test data has {test_inputs.segs.shape[1]}"
         )
-    if test_ds.num_classes > model_cfg.num_classes:
-        raise DataFormatError("test data has more classes than the model")
     segs, imgs = pipeline.inputs_for_variant(test_inputs, model_cfg)
     probs = model_mod.predict_probs(params, model_cfg, segs, imgs)
     report = metrics.evaluate(probs, test_inputs.labels, model_cfg.num_classes)

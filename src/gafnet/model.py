@@ -18,12 +18,13 @@ and the loss gradient at the logits stay float64. On float64 inputs
 `forward` and `backward` are the float64 reference.
 """
 
+import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .errors import DataFormatError, ShapeMismatchError
 from .ops import ParamTensor
 
 # What each variant uses: (temporal branch, spatial branch, attention fusion,
-# cross-attention). The order of the names is the variant code of the model file.
+# cross-attention).
 VARIANTS = {
     "full": (True, True, True, True),
     "no_dual_attention": (True, True, False, False),
@@ -45,7 +46,7 @@ VARIANTS = {
 COMPUTE_DTYPE = np.float32
 
 MODEL_MAGIC = b"GAFN"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -460,21 +461,35 @@ def predict_probs(params: ModelParams, cfg: ModelConfig, segs, imgs) -> np.ndarr
 # ---------------------------------------------------------------------------
 # serialization
 #
-# Layout (little-endian throughout):
-#   magic "GAFN" | version u16 | input_len u32 | num_classes u32
-#   lstm_hidden u32 | groups u32 | d_attn u32 | mlp_hidden u32 | variant u8
-#   n_conv1 u8, then per layer: channels u32, kernel u32
-#   n_conv2 u8, then per layer: channels u32, kernel u32, stride u32
-#   then every ParamTensor in `init_params` order:
-#     rank u8, dims u32 each, payload float64
+# Layout: magic "GAFN" | version u16 | header length u32 (both little-endian)
+#   | header: UTF-8 JSON with sorted keys, holding
+#       "model": the `ModelConfig` fields, "input_len", "class_names",
+#       "tensors": [[name, shape], ...] in `init_params` order
+#   | payload: every tensor's little-endian float64 values, back to back in
+#       that order.
+# A new `ModelConfig` field is stored and read back with no change here.
+
+_PREFIX = struct.Struct("<4sHI")
 
 
-def save_model(path, cfg: ModelConfig, input_len: int, params: ModelParams) -> None:
+class StoredInputs(NamedTuple):
+    """What a model file records about the data the model was trained on."""
+
+    input_len: int
+    class_names: List[str]
+
+
+def save_model(path, cfg: ModelConfig, input_len: int, params: ModelParams,
+               class_names: Optional[Sequence[str]] = None) -> None:
     """Write the model file atomically: into `<path>.tmp` beside it, then
-    renamed over `path`, so a failed write leaves any previous file intact."""
+    renamed over `path`, so a failed write leaves any previous file intact.
+    `class_names` defaults to the class ids "0".."C-1"."""
+    names = [str(c) for c in (range(cfg.num_classes) if class_names is None else class_names)]
+    if len(names) != cfg.num_classes:
+        raise ValueError(f"{len(names)} class names for {cfg.num_classes} classes")
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        _write_model(tmp, cfg, input_len, params)
+        _write_model(tmp, cfg, StoredInputs(input_len, names), params)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -482,71 +497,54 @@ def save_model(path, cfg: ModelConfig, input_len: int, params: ModelParams) -> N
         raise
 
 
-def _write_model(path, cfg: ModelConfig, input_len: int, params: ModelParams) -> None:
+def _write_model(path, cfg: ModelConfig, stored: StoredInputs, params: ModelParams) -> None:
+    tensors = list(params.items())
+    header = {
+        "model": asdict(cfg),
+        **stored._asdict(),
+        "tensors": [[name, p.value.shape] for name, p in tensors],
+    }
+    # `default=int` writes numpy integers (allowed in the layer tuples) as plain ints
+    blob = json.dumps(header, sort_keys=True, default=int).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<H", MODEL_VERSION))
-        f.write(struct.pack("<IIIIII", input_len, cfg.num_classes, cfg.lstm_hidden,
-                            cfg.groups, cfg.d_attn, cfg.mlp_hidden))
-        f.write(struct.pack("<B", list(VARIANTS).index(cfg.variant)))
-        f.write(struct.pack("<B", len(cfg.cnn1d_layers)))
-        for ch, k in cfg.cnn1d_layers:
-            f.write(struct.pack("<II", ch, k))
-        f.write(struct.pack("<B", len(cfg.cnn2d_layers)))
-        for ch, k, s in cfg.cnn2d_layers:
-            f.write(struct.pack("<III", ch, k, s))
-        for _name, p in params.items():
-            arr = p.value
-            f.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                f.write(struct.pack("<I", d))
-            f.write(arr.astype("<f8").tobytes())
+        f.write(_PREFIX.pack(MODEL_MAGIC, MODEL_VERSION, len(blob)))
+        f.write(blob)
+        for _name, p in tensors:
+            f.write(p.value.astype("<f8").tobytes())
 
 
-def load_model(path) -> Tuple[ModelConfig, int, "ModelParams"]:
+def load_model(path) -> Tuple[ModelConfig, StoredInputs, ModelParams]:
+    """Read a model file written by `save_model`. A file that is not a
+    complete, consistent version-2 model file raises `DataFormatError`."""
     with open(path, "rb") as f:
         data = f.read()
-    off = 0
-
-    def take(n):
-        nonlocal off
-        if off + n > len(data):
-            raise DataFormatError("truncated model file")
-        chunk = data[off : off + n]
-        off += n
-        return chunk
-
-    if take(4) != MODEL_MAGIC:
+    if data[:4] != MODEL_MAGIC:
         raise DataFormatError("bad magic: not a model file")
-    (version,) = struct.unpack("<H", take(2))
+    if len(data) < _PREFIX.size:
+        raise DataFormatError("truncated model file")
+    _magic, version, header_len = _PREFIX.unpack_from(data)
     if version != MODEL_VERSION:
-        raise DataFormatError(f"unsupported model format version {version}")
-    input_len, num_classes, lstm_hidden, groups, d_attn, mlp_hidden = struct.unpack("<IIIIII", take(24))
-    (variant_idx,) = struct.unpack("<B", take(1))
-    if variant_idx >= len(VARIANTS):
-        raise DataFormatError("unknown variant code")
-    (n1,) = struct.unpack("<B", take(1))
-    cnn1d = tuple(struct.unpack("<II", take(8)) for _ in range(n1))
-    (n2,) = struct.unpack("<B", take(1))
-    cnn2d = tuple(struct.unpack("<III", take(12)) for _ in range(n2))
-    cfg = ModelConfig(
-        num_classes=num_classes,
-        cnn1d_layers=cnn1d,
-        lstm_hidden=lstm_hidden,
-        cnn2d_layers=cnn2d,
-        groups=groups,
-        d_attn=d_attn,
-        mlp_hidden=mlp_hidden,
-        variant=list(VARIANTS)[variant_idx],
-    )
-    params = init_params(cfg, ops.make_rng(0))
-    for name, p in params.items():
-        (rank,) = struct.unpack("<B", take(1))
-        dims = tuple(struct.unpack("<I", take(4))[0] for _ in range(rank))
-        if dims != p.value.shape:
-            raise DataFormatError(f"shape mismatch for {name}: file {dims}, expected {p.value.shape}")
-        payload = take(8 * int(np.prod(dims, dtype=np.int64)))
-        p.value[...] = np.frombuffer(payload, dtype="<f8").reshape(dims)
-    if off != len(data):
-        raise DataFormatError("trailing bytes after model payload")
-    return cfg, input_len, params
+        raise DataFormatError(f"unsupported model format version {version} (this build reads {MODEL_VERSION})")
+    start = _PREFIX.size + header_len
+    if start > len(data):
+        raise DataFormatError("truncated model file")
+    try:
+        header = json.loads(data[_PREFIX.size : start].decode("utf-8"))
+        cfg = ModelConfig(**header["model"])  # its own checks validate the fields
+        stored = StoredInputs(header["input_len"], header["class_names"])
+        if not isinstance(stored.input_len, int) or stored.input_len < 1:
+            raise ValueError("input_len must be a positive integer")
+        if len(stored.class_names) != cfg.num_classes or not all(isinstance(n, str) for n in stored.class_names):
+            raise ValueError(f"class_names must be {cfg.num_classes} strings")
+        params = init_params(cfg, ops.make_rng(0))
+        if header["tensors"] != [[name, list(p.value.shape)] for name, p in params.items()]:
+            raise ValueError("tensor table does not match the model config")
+    except (ValueError, TypeError, KeyError) as e:  # json.JSONDecodeError is a ValueError
+        raise DataFormatError(f"bad model header: {e}") from e
+    size = sum(p.value.nbytes for _name, p in params.items())
+    if len(data) - start != size:
+        raise DataFormatError(f"model payload is {len(data) - start} bytes, expected {size}")
+    for _name, p in params.items():
+        p.value[...] = np.frombuffer(data, dtype="<f8", count=p.value.size, offset=start).reshape(p.value.shape)
+        start += p.value.nbytes
+    return cfg, stored, params

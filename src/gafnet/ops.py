@@ -70,28 +70,6 @@ class ParamTensor:
 # dense / pointwise ops
 
 
-def matmul_forward(a, b):
-    a = as_float(a)
-    b = as_float(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeMismatchError("matmul expects matrices (optionally stacked)")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatchError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
-    return a @ b, (a, b)
-
-
-def matmul_backward(gy, cache):
-    a, b = cache
-    ga = gy @ np.swapaxes(b, -1, -2)
-    gb = np.swapaxes(a, -1, -2) @ gy
-    # collapse broadcast batch dims back onto 2-D operands
-    while ga.ndim > a.ndim:
-        ga = ga.sum(axis=0)
-    while gb.ndim > b.ndim:
-        gb = gb.sum(axis=0)
-    return ga, gb
-
-
 def linear_forward(x, w, b):
     """y = x @ w + b for x of shape (..., din), w (din, dout), b (dout,)."""
     x = as_float(x)

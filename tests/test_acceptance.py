@@ -148,8 +148,6 @@ def test_criterion_2_gradient_suite():
             errs.append(ops.grad_check(fwd, bwd, inputs, seed=trial))
         worst[name] = max(errs)
 
-    run("matmul", lambda rng: (ops.matmul_forward, ops.matmul_backward,
-                               [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))]))
     run("conv1d", lambda rng: (ops.conv1d_forward, ops.conv1d_backward,
                                [rng.standard_normal((2, 6)), rng.standard_normal((3, 2, 3)),
                                 rng.standard_normal(3)]))

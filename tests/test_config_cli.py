@@ -246,6 +246,40 @@ class TestCliUcrLabels:
         ]) == 2
         assert "['4']" in capsys.readouterr().err
 
+    def train_three_classes(self, tmp_path, cfg):
+        """Trains on classes {1, 2, 3} and scores on {2, 3, 3}; returns the
+        test file, the run directory and the report `train` printed."""
+        train = write_labeled(tmp_path / "three_train.tsv", [1, 2, 3])
+        test = write_labeled(tmp_path / "three_test.tsv", [2, 3, 3])
+        out = tmp_path / "run"
+        assert cli.main([
+            "train", "--dataset", "ucr", "--train", str(train), "--test", str(test),
+            "--config", str(cfg), "--out", str(out),
+        ]) == 0
+        return test, out, (out / "report.txt").read_text()
+
+    def test_eval_labels_follow_model_vocabulary(self, workspace, capsys):
+        tmp_path, _, _, cfg = workspace
+        test, out, train_report = self.train_three_classes(tmp_path, cfg)
+        capsys.readouterr()
+        assert cli.main([
+            "eval", "--model", str(out / "model.bin"), "--dataset", "ucr", "--test", str(test),
+            "--config", str(cfg),
+        ]) == 0
+        # the test file numbers "2" as its class 0; eval maps it onto the model's "2"
+        assert capsys.readouterr().out == train_report
+
+    def test_eval_class_unknown_to_model_is_data_error(self, workspace, capsys):
+        tmp_path, _, _, cfg = workspace
+        _, out, _ = self.train_three_classes(tmp_path, cfg)
+        unknown = write_labeled(tmp_path / "unknown_test.tsv", [2, 3, 4])
+        capsys.readouterr()
+        assert cli.main([
+            "eval", "--model", str(out / "model.bin"), "--dataset", "ucr", "--test", str(unknown),
+            "--config", str(cfg),
+        ]) == 2
+        assert "['4']" in capsys.readouterr().err
+
 
 class TestCliAblate:
     def test_table_lists_all_variants(self, workspace, capsys):

@@ -3,6 +3,8 @@ wiring, model-file layout and serialization, and end-to-end gradient checks
 on a tiny model."""
 
 import hashlib
+import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -568,9 +570,9 @@ class TestSerialization:
         cfg = tiny_config(variant, num_classes=3)
         params = model.init_params(cfg, ops.make_rng(14))
         path = tmp_path / "m.bin"
-        model.save_model(path, cfg, 8, params)
-        cfg2, input_len, params2 = model.load_model(path)
-        assert cfg2 == cfg and input_len == 8
+        model.save_model(path, cfg, 8, params, ["a", "b", "c"])
+        cfg2, stored, params2 = model.load_model(path)
+        assert cfg2 == cfg and stored == (8, ["a", "b", "c"])
         for (name, p), (name2, p2) in zip(params.items(), params2.items()):
             assert name == name2
             assert np.array_equal(p.value, p2.value)
@@ -580,8 +582,9 @@ class TestSerialization:
         params = model.init_params(cfg, ops.make_rng(15))
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
         model.save_model(a, cfg, 8, params)
-        cfg2, input_len, params2 = model.load_model(a)
-        model.save_model(b, cfg2, input_len, params2)
+        cfg2, stored, params2 = model.load_model(a)
+        assert stored == (8, ["0", "1"])  # class ids when no names are given
+        model.save_model(b, cfg2, stored.input_len, params2, stored.class_names)
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -610,6 +613,67 @@ class TestSerialization:
         padded.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(DataFormatError):
             model.load_model(padded)
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "v1.bin"
+        path.write_bytes(model.MODEL_MAGIC + struct.pack("<H", 1) + b"\x00" * 64)
+        with pytest.raises(DataFormatError, match="version 1"):
+            model.load_model(path)
+
+    @staticmethod
+    def saved_with_header(tmp_path, edit=None, raw=None):
+        """A tiny model file whose JSON header went through `edit(header)`,
+        or was replaced by the bytes `raw`; the payload is kept."""
+        cfg = tiny_config()
+        params = model.init_params(cfg, ops.make_rng(20))
+        path = tmp_path / "m.bin"
+        model.save_model(path, cfg, 8, params)
+        blob = path.read_bytes()
+        (n,) = struct.unpack_from("<I", blob, 6)
+        if raw is None:
+            header = json.loads(blob[10 : 10 + n])
+            edit(header)
+            raw = json.dumps(header).encode()
+        path.write_bytes(blob[:6] + struct.pack("<I", len(raw)) + raw + blob[10 + n :])
+        return path
+
+    @pytest.mark.parametrize("raw", [b"{not json", b"[1, 2]", b"\xff\xfe"])
+    def test_unreadable_header_rejected(self, tmp_path, raw):
+        with pytest.raises(DataFormatError, match="bad model header"):
+            model.load_model(self.saved_with_header(tmp_path, raw=raw))
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda h: h["model"].update(groups=4), "groups must divide"),  # d_t = 6
+        (lambda h: h["model"].update(dropout=0.5), "dropout"),
+        (lambda h: h["model"].pop("num_classes"), "num_classes"),
+        (lambda h: h["model"].update(variant="nope"), "unknown variant"),
+        (lambda h: h["model"].update(cnn2d_layers=[[4, 3]]), "cnn2d_layers"),
+        (lambda h: h.pop("input_len"), "input_len"),
+        (lambda h: h.update(input_len="8"), "input_len"),
+        (lambda h: h["tensors"][0].__setitem__(1, [4, 1, 5]), "tensor table"),
+        (lambda h: h["tensors"].pop(), "tensor table"),
+        (lambda h: h["model"].update(num_classes=3), "class_names"),
+        (lambda h: h.update(class_names=["only"]), "class_names"),
+        (lambda h: h.update(class_names=[1, 2]), "class_names"),
+    ])
+    def test_bad_header_fields_rejected(self, tmp_path, edit, match):
+        with pytest.raises(DataFormatError, match=match):
+            model.load_model(self.saved_with_header(tmp_path, edit=edit))
+
+    def test_header_length_past_end_rejected(self, tmp_path):
+        cfg = tiny_config()
+        path = tmp_path / "m.bin"
+        model.save_model(path, cfg, 8, model.init_params(cfg, ops.make_rng(0)))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:6] + struct.pack("<I", len(blob)) + blob[10:])
+        with pytest.raises(DataFormatError, match="truncated"):
+            model.load_model(path)
+
+    def test_save_rejects_wrong_class_name_count(self, tmp_path):
+        cfg = tiny_config()
+        with pytest.raises(ValueError, match="3 class names for 2 classes"):
+            model.save_model(tmp_path / "m.bin", cfg, 8, model.init_params(cfg, ops.make_rng(0)), ["a", "b", "c"])
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
         cfg = tiny_config()
@@ -652,29 +716,37 @@ _CROSS_NAMES = ["attn.t.wo_cross", "attn.s.wo_cross"]
 _LN_NAMES = ["ln.t.gain", "ln.t.bias", "ln.s.gain", "ln.s.bias"]
 _HEAD_NAMES = ["mlp.w1", "mlp.b1", "cls.w", "cls.b"]
 
-# Parameter order and file digest of `save_model(init_params(tiny_config(v), make_rng(0)))`.
-# PCG64 uniform draws and the explicit little-endian payload make these
-# independent of platform and BLAS; they pin the RNG draw order of init.
+# Parameter order, file digest and tensor-payload digest of
+# `save_model(init_params(tiny_config(v), make_rng(0)))`. PCG64 uniform draws
+# and the explicit little-endian payload make these independent of platform
+# and BLAS. The payload digests were computed from `init_params` before the
+# file's header became JSON, so they pin the RNG draw order of init across
+# that format change.
 LAYOUT = {
     "full": (
         _TEMPORAL_NAMES + _SPATIAL_NAMES + _ATTN_NAMES + _CROSS_NAMES + _LN_NAMES + _HEAD_NAMES,
-        "267e05d6801444cf92b859d0dd66d441c9884399c91cc8a76d85d7107a117e74",
+        "78ddaefae6cd45f6d98c9b12c0977f56929504b8f3900495520046c9ce33b53e",
+        "0dd1b0dc7c99a172a17e2774b258377781cfd4a98b382bcdf49e7fcf6af6fd97",
     ),
     "no_dual_attention": (
         _TEMPORAL_NAMES + _SPATIAL_NAMES + _HEAD_NAMES,
-        "643e25a693f7261b6cba89ad49caf4a8a35ecf3455e88af47c8e3a47d8c2ec2e",
+        "db7d036681a5d0dd59e42331a620ea8a3f3b3e5b8c5082f1911a983d492f0cf7",
+        "27519f003c44269bb7a998099086a4d994f5b4cacc81e492c5111ba9f68e98f2",
     ),
     "no_cross_channel": (
         _TEMPORAL_NAMES + _SPATIAL_NAMES + _ATTN_NAMES + _LN_NAMES + _HEAD_NAMES,
-        "1db8ba5a7dea3ce36291fe76f0816d087a3d04393618640302183c38d14389f7",
+        "99f777f84f20ef7594e112cd601354a5ba7f7b994fe8b347d25ce13d01f4a8ed",
+        "e894d878bb23c4342be3e66bd1189c9c693e664281f2af42922cf295fa509b49",
     ),
     "time_only": (
         _TEMPORAL_NAMES + _HEAD_NAMES,
-        "acd2b4e44cf210def3023e307a4cc5d1077cb39c4c7f11f99810fc5714229502",
+        "338269aca3a39079e081226fffd814727b0bf196b7f94f5ce97ea90b9eea6130",
+        "954c87d75e26a80266d3f053e29abddbfd65343e8c6e323415282c5eafab9c79",
     ),
     "gaf_only": (
         _SPATIAL_NAMES + _HEAD_NAMES,
-        "7e915aea0231a94c6efd701e94a0ed9ba36fae5c7fdae947a686f2680d4e144f",
+        "43dab65f1151648f8b46b2525cb56acf59c1a692ec87d0d33a9ae0655b892913",
+        "148008a5bf7e9404f2014ebfd7285d90cee73eedf8acba0f9944b2e2ede6136f",
     ),
 }
 
@@ -684,11 +756,14 @@ class TestLayout:
     def test_param_order_and_file_digest(self, tmp_path, variant):
         cfg = tiny_config(variant)
         params = model.init_params(cfg, ops.make_rng(0))
-        names, digest = LAYOUT[variant]
+        names, digest, payload_digest = LAYOUT[variant]
         assert [name for name, _ in params.items()] == names
         path = tmp_path / "m.bin"
         model.save_model(path, cfg, 8, params)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        blob = path.read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
+        payload = blob[len(blob) - sum(p.value.nbytes for _, p in params.items()) :]
+        assert hashlib.sha256(payload).hexdigest() == payload_digest
 
 
 class TestInit:

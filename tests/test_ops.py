@@ -169,30 +169,6 @@ def bilstm_reference(x, fwd, bwd):
     return np.concatenate([hf, hb[:, ::-1]], axis=-1), backward
 
 
-class TestMatmul:
-    def test_identity(self):
-        x = rng_for(0).standard_normal((3, 5))
-        y, _ = ops.matmul_forward(np.eye(3), x)
-        assert np.array_equal(y, x)
-
-    def test_hand_example(self):
-        y, _ = ops.matmul_forward([[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]])
-        assert np.array_equal(y, [[17.0], [39.0]])
-
-    def test_transpose_identity(self):
-        rng = rng_for(1)
-        for _ in range(10):
-            a = rng.standard_normal((4, 3))
-            b = rng.standard_normal((3, 5))
-            ab, _ = ops.matmul_forward(a, b)
-            ba, _ = ops.matmul_forward(b.T, a.T)
-            assert np.allclose(ab.T, ba, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ops.ShapeMismatchError):
-            ops.matmul_forward(np.zeros((2, 3)), np.zeros((4, 2)))
-
-
 class TestConv1d:
     def test_identity_kernel(self):
         x = rng_for(2).standard_normal((1, 9))
@@ -476,15 +452,6 @@ class TestLstmBytes:
 class TestGradients:
     """Quick per-op finite-difference checks; the acceptance suite runs the
     full 20-trial battery."""
-
-    def test_matmul(self):
-        rng = rng_for(16)
-        err = ops.grad_check(
-            ops.matmul_forward,
-            ops.matmul_backward,
-            [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))],
-        )
-        assert err < 1e-6
 
     def test_conv1d(self):
         rng = rng_for(17)
