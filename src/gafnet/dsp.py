@@ -38,7 +38,8 @@ class Signal:
 class FilterCoefficients:
     """Cascaded second-order sections of a bandpass filter.
 
-    `sos` has shape (n_sections, 6): rows are (b0, b1, b2, 1, a1, a2).
+    `sos` has shape (n_sections, 6): rows are (b0, b1, b2, 1, a1, a2). It
+    is a read-only copy: `design_butterworth` hands one object to every caller.
     """
 
     sos: np.ndarray
@@ -47,7 +48,8 @@ class FilterCoefficients:
     order: int
 
     def __post_init__(self):
-        sos = np.asarray(self.sos, dtype=np.float64)
+        sos = np.array(self.sos, dtype=np.float64)
+        sos.flags.writeable = False
         object.__setattr__(self, "sos", sos)
         if sos.ndim != 2 or sos.shape[1] != 6:
             raise ValueError("sos must have shape (n_sections, 6)")
@@ -83,24 +85,21 @@ class PreprocessConfig:
             raise ValueError(f"unknown filter_mode {self.filter_mode!r}")
 
 
+@lru_cache(maxsize=16)
 def design_butterworth(order: int, f_l: float, f_h: float, fs: float) -> FilterCoefficients:
     """Design a Butterworth bandpass filter as cascaded biquads.
 
     Bilinear transform with frequency pre-warping; `order` is the analog
-    prototype order (the digital bandpass has twice as many poles).
+    prototype order (the digital bandpass has twice as many poles). Each
+    parameter set is designed and checked once: `preprocess` designs the same
+    filter for every beat of a record, and every call gets the same object.
     """
     if not 1 <= order <= 8:
         raise ValueError("order must be in [1, 8]")
     if not (0 < f_l < f_h < fs / 2):
         raise ValueError(f"cutoffs must satisfy 0 < f_l < f_h < fs/2, got {f_l}, {f_h} at fs={fs}")
-    return FilterCoefficients(sos=_butter_sos(order, f_l, f_h, fs).copy(), f_l=f_l, f_h=f_h, order=order)
-
-
-@lru_cache(maxsize=16)
-def _butter_sos(order: int, f_l: float, f_h: float, fs: float) -> np.ndarray:
-    """The scipy design, once per parameter set: `preprocess` designs the same
-    filter for every beat of a record. Callers get copies of this array."""
-    return sps.butter(order, [f_l, f_h], btype="bandpass", output="sos", fs=fs)
+    sos = sps.butter(order, [f_l, f_h], btype="bandpass", output="sos", fs=fs)
+    return FilterCoefficients(sos=sos, f_l=f_l, f_h=f_h, order=order)
 
 
 def apply_filter(coeffs: FilterCoefficients, sig: Signal, mode: str = "single-pass") -> Signal:
@@ -110,10 +109,10 @@ def apply_filter(coeffs: FilterCoefficients, sig: Signal, mode: str = "single-pa
     forward-backward: filter, reverse, filter, reverse -- zero phase with the
     squared magnitude response. Output length equals input length either way.
     """
-    x = sig.samples
-    y = sps.sosfilt(coeffs.sos, x)
+    sos = np.array(coeffs.sos)  # scipy's sosfilt rejects a read-only array
+    y = sps.sosfilt(sos, sig.samples)
     if mode == "forward-backward":
-        y = sps.sosfilt(coeffs.sos, y[::-1])[::-1]
+        y = sps.sosfilt(sos, y[::-1])[::-1]
     elif mode != "single-pass":
         raise ValueError(f"unknown filter mode {mode!r}")
     return Signal(samples=np.ascontiguousarray(y), fs=sig.fs)

@@ -30,7 +30,6 @@ import numpy as np
 
 from . import ops
 from .errors import DataFormatError, ShapeMismatchError
-from .ops import ParamTensor
 
 # What each variant uses: (temporal branch, spatial branch, attention fusion,
 # cross-attention).
@@ -111,25 +110,45 @@ class ModelConfig:
         return VARIANTS[self.variant][3]
 
 
+class Param(NamedTuple):
+    """One tensor of a `ModelParams`: views of its value and gradient in the
+    flat vectors. Read-only, so `p.value = x` cannot detach it from them;
+    write in place (`p.value[...] = x`)."""
+
+    value: np.ndarray
+    grad: np.ndarray
+
+
 class ModelParams:
-    """All learnable tensors, addressed by name in a fixed order."""
+    """All learnable tensors as one float64 vector `values`, with their
+    gradients in `grads` beside it. `shapes` maps each name to its shape, in
+    `init_params` order, which lays out both vectors and the model file's
+    payload. `params[name]` is that tensor's `Param`."""
 
-    def __init__(self, cfg: ModelConfig, tensors: Dict[str, ParamTensor]):
-        self.cfg = cfg
-        self.tensors = tensors
+    def __init__(self, shapes: Dict[str, Tuple[int, ...]], values):
+        self.shapes = {name: tuple(shape) for name, shape in shapes.items()}
+        self.values = np.array(values, dtype=np.float64)  # always a copy
+        sizes = [math.prod(shape) for shape in self.shapes.values()]
+        if self.values.shape != (sum(sizes),):
+            raise ShapeMismatchError(f"{self.values.shape} values for {sum(sizes)} parameters")
+        self.grads = np.zeros_like(self.values)
+        ends = np.cumsum(sizes)
+        self._params = {
+            name: Param(self.values[end - size : end].reshape(shape), self.grads[end - size : end].reshape(shape))
+            for (name, shape), size, end in zip(self.shapes.items(), sizes, ends)
+        }
 
-    def __getitem__(self, name: str) -> ParamTensor:
-        return self.tensors[name]
+    def __getitem__(self, name: str) -> Param:
+        return self._params[name]
 
     def items(self):
-        return list(self.tensors.items())
+        return list(self._params.items())
 
     def zero_grad(self):
-        for p in self.tensors.values():
-            p.zero_grad()
+        self.grads.fill(0.0)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.cfg, {k: ParamTensor(p.value.copy()) for k, p in self.items()})
+        return ModelParams(self.shapes, self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +357,9 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
     follow `_layout` order, which is also the tensor order of the model file."""
     branches, head = _layout(cfg)
     stages = [stage for _kind, _width, branch in branches for stage in branch] + head
-    t = {name: ParamTensor(value) for stage in stages for name, value in zip(stage.names, stage.init(rng))}
-    return ModelParams(cfg, t)
+    drawn = {name: value for stage in stages for name, value in zip(stage.names, stage.init(rng))}
+    shapes = {name: np.shape(value) for name, value in drawn.items()}
+    return ModelParams(shapes, np.concatenate([np.ravel(value) for value in drawn.values()]))
 
 
 def _run(stages: List[Stage], x, params: ModelParams, tape: list):
@@ -362,7 +382,7 @@ def _replay(tape: list, g, params: ModelParams, input_grad: bool = True):
         backward_fn, cache, names = tape[i]
         g, *grads = backward_fn(g, cache) if input_grad or i > stop else backward_fn(g, cache, input_grad=False)
         for name, grad in zip(names, grads):
-            params[name].grad += grad  # float64 master gradients, whatever the compute dtype
+            params[name].grad[...] += grad  # float64 master gradients, whatever the compute dtype
     return g
 
 
@@ -404,7 +424,7 @@ def forward(segs, imgs, params: ModelParams, cfg: ModelConfig) -> ForwardTrace:
 
 
 def backward(trace: ForwardTrace, grad_logits, params: ModelParams, cfg: ModelConfig, input_grads: bool = True):
-    """Accumulate dLoss/dtheta into every ParamTensor given dLoss/dlogits.
+    """Accumulate dLoss/dtheta into `params.grads` given dLoss/dlogits.
 
     Returns (grad_segments, grad_images); entries are None for branches the
     variant does not use. With `input_grads=False` both are None and each
@@ -465,8 +485,8 @@ def predict_probs(params: ModelParams, cfg: ModelConfig, segs, imgs) -> np.ndarr
 #   | header: UTF-8 JSON with sorted keys, holding
 #       "model": the `ModelConfig` fields, "input_len", "class_names",
 #       "tensors": [[name, shape], ...] in `init_params` order
-#   | payload: every tensor's little-endian float64 values, back to back in
-#       that order.
+#   | payload: `ModelParams.values` as little-endian float64, every tensor's
+#       values back to back in that order.
 # A new `ModelConfig` field is stored and read back with no change here.
 
 _PREFIX = struct.Struct("<4sHI")
@@ -498,19 +518,17 @@ def save_model(path, cfg: ModelConfig, input_len: int, params: ModelParams,
 
 
 def _write_model(path, cfg: ModelConfig, stored: StoredInputs, params: ModelParams) -> None:
-    tensors = list(params.items())
     header = {
         "model": asdict(cfg),
         **stored._asdict(),
-        "tensors": [[name, p.value.shape] for name, p in tensors],
+        "tensors": [[name, shape] for name, shape in params.shapes.items()],
     }
     # `default=int` writes numpy integers (allowed in the layer tuples) as plain ints
     blob = json.dumps(header, sort_keys=True, default=int).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_PREFIX.pack(MODEL_MAGIC, MODEL_VERSION, len(blob)))
         f.write(blob)
-        for _name, p in tensors:
-            f.write(p.value.astype("<f8").tobytes())
+        f.write(params.values.astype("<f8").tobytes())
 
 
 def load_model(path) -> Tuple[ModelConfig, StoredInputs, ModelParams]:
@@ -536,15 +554,11 @@ def load_model(path) -> Tuple[ModelConfig, StoredInputs, ModelParams]:
             raise ValueError("input_len must be a positive integer")
         if len(stored.class_names) != cfg.num_classes or not all(isinstance(n, str) for n in stored.class_names):
             raise ValueError(f"class_names must be {cfg.num_classes} strings")
-        params = init_params(cfg, ops.make_rng(0))
-        if header["tensors"] != [[name, list(p.value.shape)] for name, p in params.items()]:
+        template = init_params(cfg, ops.make_rng(0))
+        if header["tensors"] != [[name, list(shape)] for name, shape in template.shapes.items()]:
             raise ValueError("tensor table does not match the model config")
     except (ValueError, TypeError, KeyError) as e:  # json.JSONDecodeError is a ValueError
         raise DataFormatError(f"bad model header: {e}") from e
-    size = sum(p.value.nbytes for _name, p in params.items())
-    if len(data) - start != size:
-        raise DataFormatError(f"model payload is {len(data) - start} bytes, expected {size}")
-    for _name, p in params.items():
-        p.value[...] = np.frombuffer(data, dtype="<f8", count=p.value.size, offset=start).reshape(p.value.shape)
-        start += p.value.nbytes
-    return cfg, stored, params
+    if len(data) - start != template.values.nbytes:
+        raise DataFormatError(f"model payload is {len(data) - start} bytes, expected {template.values.nbytes}")
+    return cfg, stored, ModelParams(template.shapes, np.frombuffer(data, dtype="<f8", offset=start))

@@ -20,7 +20,6 @@ direction, (T, 2, B, ·), so each step works on contiguous slices.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 from scipy.special import expit
@@ -47,23 +46,6 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in))."""
     bound = np.sqrt(1.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-class ParamTensor:
-    """A learnable array paired with its accumulated gradient."""
-
-    __slots__ = ("value", "grad")
-
-    def __init__(self, value):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def zero_grad(self):
-        self.grad[...] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +121,9 @@ def layer_norm_backward(gy, cache):
     return gx, ggain, gbias
 
 
-def global_avg_pool_forward(x, n_spatial: Optional[int] = None):
-    """Mean over the trailing `n_spatial` axes (default: all but the first)."""
+def global_avg_pool_forward(x, n_spatial: int):
+    """Mean over the trailing `n_spatial` axes."""
     x = as_float(x)
-    if n_spatial is None:
-        n_spatial = x.ndim - 1
     axes = tuple(range(x.ndim - n_spatial, x.ndim))
     return x.mean(axis=axes), (x.shape, axes)
 
@@ -204,14 +184,12 @@ def _window_product(spec, win, w):
 def _conv_forward(x, kernels, bias, stride, nd):
     """Cross-correlation over the trailing `nd` axes plus bias.
 
-    'Same' zero padding for stride 1, 'valid' otherwise. x: (cin, *spatial)
-    or (B, cin, *spatial); kernels: (cout, cin, k, ..., k); bias: (cout,).
+    'Same' zero padding for stride 1, 'valid' otherwise. x: (B, cin, *spatial);
+    kernels: (cout, cin, k, ..., k); bias: (cout,).
     """
     xb = as_float(x)
-    if xb.ndim not in (nd + 1, nd + 2):
-        raise ShapeMismatchError(f"expected {nd + 1}- or {nd + 2}-D input, got {xb.ndim}-D")
-    batched = xb.ndim == nd + 2
-    xb = xb if batched else xb[None]
+    if xb.ndim != nd + 2:
+        raise ShapeMismatchError(f"expected {nd + 2}-D (batch, channel, ...) input, got {xb.ndim}-D")
     w = as_float(kernels)
     b = as_float(bias)
     if w.ndim != nd + 2 or xb.shape[1] != w.shape[1] or b.shape != w.shape[:1]:
@@ -228,25 +206,23 @@ def _conv_forward(x, kernels, bias, stride, nd):
     c, ci = _channel_axis(w)
     y = _window_product(f"b{c}{s}{kk},o{c}{kk}->bo{s}", win[:, ci], w[:, ci])
     y += b.reshape((-1,) + (1,) * nd)
-    cache = (win, w, xb.shape, pad, stride, batched)
-    return (y if batched else y[0]), cache
+    return y, (win, w, xb.shape, pad, stride)
 
 
 def _conv_backward(gy, cache, input_grad=True):
     """(gx, gw, gb) of `_conv_forward`; gx is None without `input_grad`."""
-    win, w, x_shape, pad, stride, batched = cache
+    win, w, x_shape, pad, stride = cache
     s, kk = _CONV_AXES[w.ndim - 2]
-    gyb = gy if batched else gy[None]
     c, ci = _channel_axis(w)
-    gw = np.einsum(f"bo{s},b{c}{s}{kk}->o{c}{kk}", gyb, win[:, ci], optimize=True).reshape(w.shape)
-    gb = gyb.sum(axis=(0, *range(2, gyb.ndim)))
+    gw = np.einsum(f"bo{s},b{c}{s}{kk}->o{c}{kk}", gy, win[:, ci], optimize=True).reshape(w.shape)
+    gb = gy.sum(axis=(0, *range(2, gy.ndim)))
     if not input_grad:
         return None, gw, gb
-    bsz, cout, *spatial = gyb.shape
+    bsz, cout, *spatial = gy.shape
     # One (cout, B*spatial) copy of gy serves every kernel tap. `w_tapᵀ @ gy_flat`
     # is the product numpy's einsum ran per tap, so gx keeps its bytes; the other
     # orientation, gy_flatᵀ @ w_tap, rounds differently at most batch sizes.
-    gy_flat = np.ascontiguousarray(np.moveaxis(gyb, 1, 0)).reshape(cout, -1)
+    gy_flat = np.ascontiguousarray(np.moveaxis(gy, 1, 0)).reshape(cout, -1)
     gxp = np.zeros((x_shape[1], bsz) + tuple(n + 2 * pad for n in x_shape[2:]), dtype=win.dtype)
     # scatter each kernel tap's contribution onto the (strided) input positions it read
     for tap in np.ndindex(*w.shape[2:]):
@@ -255,13 +231,13 @@ def _conv_backward(gy, cache, input_grad=True):
     gxp = gxp[(..., *(slice(pad, pad + n) for n in x_shape[2:]))] if pad else gxp
     # C order: the next layer's bias gradient sums gy in that layout
     gx = np.ascontiguousarray(np.moveaxis(gxp, 0, 1))
-    return (gx if batched else gx[0]), gw, gb
+    return gx, gw, gb
 
 
 def conv1d_forward(x, kernels, bias):
     """'Same' zero-padded stride-1 cross-correlation.
 
-    x: (cin, T) or (B, cin, T); kernels: (cout, cin, k) with k odd; bias: (cout,).
+    x: (B, cin, T); kernels: (cout, cin, k) with k odd; bias: (cout,).
     """
     if np.shape(kernels)[-1] % 2 == 0:
         raise ValueError("conv1d kernel length must be odd")
@@ -272,7 +248,7 @@ def conv2d_forward(x, kernels, bias, stride=1):
     """2-D cross-correlation plus bias.
 
     'Same' zero padding for stride 1, 'valid' otherwise.
-    x: (cin, H, W) or (B, cin, H, W); kernels: (cout, cin, k, k); bias: (cout,).
+    x: (B, cin, H, W); kernels: (cout, cin, k, k); bias: (cout,).
     """
     if len(set(np.shape(kernels)[2:])) > 1:
         raise ValueError("conv2d kernels must be square")

@@ -2,7 +2,7 @@
 
 import csv
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -75,32 +75,38 @@ def lr_schedule(step: int, cfg: ScheduleConfig) -> float:
     return cfg.eta0 * (1.0 + np.cos(np.pi * min(step, total) / total)) / 2.0
 
 
-class AdamState:
-    """Per-parameter first/second moments plus the shared step counter."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(self, params: ModelParams, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+
+class AdamState:
+    """First and second moments, flat like `ModelParams.values`, the shared
+    step counter, and two scratch vectors of that size for `adam_step`."""
+
+    def __init__(self, params: ModelParams):
         self.t = 0
-        self.m: Dict[str, np.ndarray] = {k: np.zeros_like(p.value) for k, p in params.items()}
-        self.v: Dict[str, np.ndarray] = {k: np.zeros_like(p.value) for k, p in params.items()}
+        self.m = np.zeros_like(params.values)
+        self.v = np.zeros_like(params.values)
+        self.scratch = np.empty_like(params.values), np.empty_like(params.values)
 
 
 def adam_step(params: ModelParams, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update from each ParamTensor's accumulated grad."""
+    """One bias-corrected Adam update of `params.values` from `params.grads`:
+    value -= lr·(m/bc1) / (sqrt(v/bc2) + eps), evaluated in that order, every
+    temporary written into the state's scratch vectors."""
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
-    for name, p in params.items():
-        g = p.grad
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
+    g, m, v = params.grads, state.m, state.v
+    step, denom = state.scratch
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=step)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=denom), g, out=denom)
+    np.multiply(lr, np.divide(m, bc1, out=step), out=step)
+    np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), ADAM_EPS, out=denom)
+    params.values -= np.divide(step, denom, out=step)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +205,7 @@ def train(
             model_mod.backward_cross_entropy(trace, y, params, cfg, input_grads=False)
             # the gradients are checked too, as a safety net: the backward pass
             # can overflow to inf or NaN while the batch loss is still finite
-            if not (np.isfinite(loss) and all(np.isfinite(p.grad).all() for _, p in params.items())):
+            if not (np.isfinite(loss) and np.isfinite(params.grads).all()):
                 raise GafnetError(f"non-finite loss or gradient at epoch {epoch}, step {global_step + 1}")
             lr = lr_schedule(global_step, schedule)
             adam_step(params, state, lr)

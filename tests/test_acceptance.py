@@ -149,11 +149,11 @@ def test_criterion_2_gradient_suite():
         worst[name] = max(errs)
 
     run("conv1d", lambda rng: (ops.conv1d_forward, ops.conv1d_backward,
-                               [rng.standard_normal((2, 6)), rng.standard_normal((3, 2, 3)),
+                               [rng.standard_normal((1, 2, 6)), rng.standard_normal((3, 2, 3)),
                                 rng.standard_normal(3)]))
     run("conv2d", lambda rng: (lambda x, w, b: ops.conv2d_forward(x, w, b, stride=2),
                                ops.conv2d_backward,
-                               [rng.standard_normal((2, 5, 5)), rng.standard_normal((2, 2, 3, 3)),
+                               [rng.standard_normal((1, 2, 5, 5)), rng.standard_normal((2, 2, 3, 3)),
                                 rng.standard_normal(2)]))
 
     def relu_case(rng):
@@ -167,7 +167,8 @@ def test_criterion_2_gradient_suite():
     run("layer_norm", lambda rng: (ops.layer_norm_forward, ops.layer_norm_backward,
                                    [rng.standard_normal((2, 7)), rng.standard_normal(7),
                                     rng.standard_normal(7)]))
-    run("global_avg_pool", lambda rng: (ops.global_avg_pool_forward, ops.global_avg_pool_backward,
+    run("global_avg_pool", lambda rng: (lambda x: ops.global_avg_pool_forward(x, n_spatial=2),
+                                        ops.global_avg_pool_backward,
                                         [rng.standard_normal((3, 4, 4))]))
 
     def bilstm_case(rng):

@@ -62,13 +62,18 @@ class TestDesign:
             for row in coeffs.sos:
                 assert np.all(np.abs(np.roots(row[3:])) < 1.0)
 
-    def test_repeated_design_gives_equal_distinct_arrays(self):
+    def test_repeated_design_is_shared_and_read_only(self):
         a = dsp.design_butterworth(4, 0.5, 40.0, 360.0)
+        want = a.sos.copy()
+        # the design is shared between callers, so no caller may edit it
+        with pytest.raises(ValueError):
+            a.sos[0, 0] = 7.0
         b = dsp.design_butterworth(4, 0.5, 40.0, 360.0)
-        assert np.array_equal(a.sos, b.sos)
-        assert not np.shares_memory(a.sos, b.sos)
-        a.sos[0, 0] = 7.0  # a caller that edits its copy leaves later designs intact
-        assert np.array_equal(dsp.design_butterworth(4, 0.5, 40.0, 360.0).sos, b.sos)
+        assert b is a and np.array_equal(b.sos, want)
+        # the coefficients given to the dataclass are copied, not frozen in place
+        mine = want.copy()
+        coeffs = dsp.FilterCoefficients(sos=mine, f_l=0.5, f_h=40.0, order=4)
+        assert mine.flags.writeable and not np.shares_memory(coeffs.sos, mine)
 
     @pytest.mark.parametrize("mode", ["single-pass", "forward-backward"])
     def test_filtered_beats_match_uncached_design(self, mode):

@@ -165,7 +165,7 @@ class TestFusion:
         params = model.init_params(cfg, ops.make_rng(3))
         segs, imgs = tiny_inputs(np.random.default_rng(9))
         base = model.forward(segs, imgs, params, cfg).probs
-        params["cls.b"].value += 4.2
+        params["cls.b"].value[...] += 4.2
         shifted = model.forward(segs, imgs, params, cfg).probs
         assert np.allclose(base, shifted, atol=1e-12)
 
@@ -683,10 +683,12 @@ class TestSerialization:
         before = path.read_bytes()
 
         class FailingParams:
-            """Yields one tensor, then fails as a full disk would."""
+            """Gives the tensor table, then fails on the payload as a full disk would."""
 
-            def items(self):
-                yield from params.items()[:1]
+            shapes = params.shapes
+
+            @property
+            def values(self):
                 raise OSError("no space left on device")
 
         with pytest.raises(OSError):
@@ -764,6 +766,60 @@ class TestLayout:
         assert hashlib.sha256(blob).hexdigest() == digest
         payload = blob[len(blob) - sum(p.value.nbytes for _, p in params.items()) :]
         assert hashlib.sha256(payload).hexdigest() == payload_digest
+
+
+class TestFlatParams:
+    """`ModelParams` keeps every tensor in one float64 vector; `params[name]`
+    is a pair of views into it and into the gradient vector."""
+
+    def test_every_tensor_views_the_flat_vectors(self):
+        params = model.init_params(tiny_config(), ops.make_rng(0))
+        pieces = []
+        for name, p in params.items():
+            assert p.value.shape == p.grad.shape == params.shapes[name]
+            assert np.shares_memory(p.value, params.values) and np.shares_memory(p.grad, params.grads)
+            pieces.append(p.value.ravel())
+        # laid out back to back in `init_params` order, covering the whole vector
+        assert np.array_equal(np.concatenate(pieces), params.values)
+        params["cls.b"].value[...] = 7.0
+        params["cls.b"].grad[...] = 3.0
+        assert params.values[-1] == 7.0 and params.grads[-1] == 3.0
+
+    def test_tensor_cannot_be_rebound(self):
+        params = model.init_params(tiny_config(), ops.make_rng(0))
+        with pytest.raises(AttributeError):
+            params["cls.b"].value = np.zeros(2)
+        with pytest.raises(AttributeError):
+            params["cls.b"].grad = np.zeros(2)
+
+    def test_zero_grad_clears_every_tensor(self):
+        params = model.ModelParams({"w": (2, 3)}, np.arange(6.0))
+        assert params["w"].grad.shape == (2, 3)
+        params["w"].grad[...] += 1.0
+        params.zero_grad()
+        assert np.array_equal(params["w"].grad, np.zeros((2, 3)))
+        assert np.array_equal(params["w"].value, np.arange(6.0).reshape(2, 3))
+
+    def test_copy_shares_no_memory(self):
+        params = model.init_params(tiny_config(), ops.make_rng(0))
+        dup = params.copy()
+        assert np.array_equal(dup.values, params.values) and dup.shapes == params.shapes
+        assert not np.shares_memory(dup.values, params.values)
+        assert not np.shares_memory(dup.grads, params.grads)
+        dup["cls.b"].value[...] += 1.0
+        assert not np.array_equal(dup["cls.b"].value, params["cls.b"].value)
+
+    def test_wrong_value_count_rejected(self):
+        with pytest.raises(ShapeMismatchError):
+            model.ModelParams({"w": (2, 3)}, np.zeros(5))
+
+    def test_file_payload_is_the_value_vector(self, tmp_path):
+        params = model.init_params(tiny_config(), ops.make_rng(0))
+        path = tmp_path / "m.bin"
+        model.save_model(path, tiny_config(), 8, params)
+        blob = path.read_bytes()
+        _magic, _version, header_len = struct.unpack_from("<4sHI", blob)
+        assert blob[struct.calcsize("<4sHI") + header_len :] == params.values.astype("<f8").tobytes()
 
 
 class TestInit:

@@ -171,13 +171,13 @@ def bilstm_reference(x, fwd, bwd):
 
 class TestConv1d:
     def test_identity_kernel(self):
-        x = rng_for(2).standard_normal((1, 9))
+        x = rng_for(2).standard_normal((1, 1, 9))
         y, _ = ops.conv1d_forward(x, np.array([[[0.0, 1.0, 0.0]]]), np.zeros(1))
         assert np.allclose(y, x, atol=1e-15)
 
     def test_box_kernel_example(self):
-        y, _ = ops.conv1d_forward([[1.0, 2.0, 3.0]], np.ones((1, 1, 3)), np.zeros(1))
-        assert np.array_equal(y, [[3.0, 6.0, 5.0]])
+        y, _ = ops.conv1d_forward([[[1.0, 2.0, 3.0]]], np.ones((1, 1, 3)), np.zeros(1))
+        assert np.array_equal(y, [[[3.0, 6.0, 5.0]]])
 
     def test_output_shape(self):
         x = rng_for(3).standard_normal((4, 2, 11))
@@ -191,19 +191,19 @@ class TestConv1d:
             x = rng.standard_normal((2, 8))
             w = rng.standard_normal((3, 2, 5))
             b = rng.standard_normal(3)
-            y, _ = ops.conv1d_forward(x, w, b)
-            assert np.allclose(y, conv1d_oracle(x, w, b), atol=1e-12)
+            y, _ = ops.conv1d_forward(x[None], w, b)
+            assert np.allclose(y[0], conv1d_oracle(x, w, b), atol=1e-12)
 
 
 class TestConv2d:
     def test_one_by_one_identity(self):
-        x = rng_for(6).standard_normal((1, 4, 4))
+        x = rng_for(6).standard_normal((1, 1, 4, 4))
         y, _ = ops.conv2d_forward(x, np.ones((1, 1, 1, 1)), np.zeros(1), stride=1)
         assert np.allclose(y, x, atol=1e-15)
 
     def test_all_ones_valid(self):
-        y, _ = ops.conv2d_forward(np.ones((1, 3, 3)), np.ones((1, 1, 3, 3)), np.zeros(1), stride=2)
-        assert y.shape == (1, 1, 1) and y[0, 0, 0] == 9.0
+        y, _ = ops.conv2d_forward(np.ones((1, 1, 3, 3)), np.ones((1, 1, 3, 3)), np.zeros(1), stride=2)
+        assert y.shape == (1, 1, 1, 1) and y[0, 0, 0, 0] == 9.0
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_matches_oracle(self, stride):
@@ -212,8 +212,8 @@ class TestConv2d:
             x = rng.standard_normal((2, 7, 6))
             w = rng.standard_normal((3, 2, 3, 3))
             b = rng.standard_normal(3)
-            y, _ = ops.conv2d_forward(x, w, b, stride=stride)
-            assert np.allclose(y, conv2d_oracle(x, w, b, stride), atol=1e-12)
+            y, _ = ops.conv2d_forward(x[None], w, b, stride=stride)
+            assert np.allclose(y[0], conv2d_oracle(x, w, b, stride), atol=1e-12)
 
 
 class TestConvBytes:
@@ -305,10 +305,10 @@ class TestConvInputChecks:
     @pytest.mark.parametrize(
         "x_shape, w_shape, b_shape, error",
         [
-            ((1, 9), (1, 1, 4), (1,), ValueError),  # even kernel
-            ((2, 9), (3, 1, 3), (3,), ops.ShapeMismatchError),  # channel mismatch
-            ((1, 9), (3, 1, 3), (2,), ops.ShapeMismatchError),  # bias mismatch
-            ((9,), (1, 1, 3), (1,), ops.ShapeMismatchError),  # rank too low
+            ((1, 1, 9), (1, 1, 4), (1,), ValueError),  # even kernel
+            ((1, 2, 9), (3, 1, 3), (3,), ops.ShapeMismatchError),  # channel mismatch
+            ((1, 1, 9), (3, 1, 3), (2,), ops.ShapeMismatchError),  # bias mismatch
+            ((1, 9), (1, 1, 3), (1,), ops.ShapeMismatchError),  # rank too low: no batch axis
             ((1, 1, 1, 9), (1, 1, 3), (1,), ops.ShapeMismatchError),  # rank too high
         ],
     )
@@ -319,12 +319,12 @@ class TestConvInputChecks:
     @pytest.mark.parametrize(
         "x_shape, w_shape, b_shape, stride, error",
         [
-            ((1, 6, 6), (1, 1, 3, 2), (1,), 1, ValueError),  # non-square kernel
-            ((2, 6, 6), (3, 1, 3, 3), (3,), 2, ops.ShapeMismatchError),  # channel mismatch
-            ((1, 6, 6), (3, 1, 3, 3), (2,), 2, ops.ShapeMismatchError),  # bias mismatch
-            ((6, 6), (1, 1, 3, 3), (1,), 1, ops.ShapeMismatchError),  # rank too low
+            ((1, 1, 6, 6), (1, 1, 3, 2), (1,), 1, ValueError),  # non-square kernel
+            ((1, 2, 6, 6), (3, 1, 3, 3), (3,), 2, ops.ShapeMismatchError),  # channel mismatch
+            ((1, 1, 6, 6), (3, 1, 3, 3), (2,), 2, ops.ShapeMismatchError),  # bias mismatch
+            ((1, 6, 6), (1, 1, 3, 3), (1,), 1, ops.ShapeMismatchError),  # rank too low: no batch axis
             ((1, 1, 1, 6, 6), (1, 1, 3, 3), (1,), 1, ops.ShapeMismatchError),  # rank too high
-            ((1, 2, 6), (1, 1, 3, 3), (1,), 2, ops.ShapeMismatchError),  # smaller than kernel
+            ((1, 1, 2, 6), (1, 1, 3, 3), (1,), 2, ops.ShapeMismatchError),  # smaller than kernel
         ],
     )
     def test_conv2d_rejects(self, x_shape, w_shape, b_shape, stride, error):
@@ -369,7 +369,7 @@ class TestPointwise:
         assert np.allclose(y.var(axis=-1), 1.0, atol=1e-3)
 
     def test_global_avg_pool(self):
-        y, _ = ops.global_avg_pool_forward(np.array([[1.0, 3.0], [2.0, 2.0]]))
+        y, _ = ops.global_avg_pool_forward(np.array([[1.0, 3.0], [2.0, 2.0]]), n_spatial=1)
         assert np.array_equal(y, [2.0, 2.0])
 
 
@@ -458,7 +458,7 @@ class TestGradients:
         err = ops.grad_check(
             ops.conv1d_forward,
             ops.conv1d_backward,
-            [rng.standard_normal((2, 6)), rng.standard_normal((3, 2, 3)), rng.standard_normal(3)],
+            [rng.standard_normal((1, 2, 6)), rng.standard_normal((3, 2, 3)), rng.standard_normal(3)],
         )
         assert err < 1e-6
 
@@ -468,7 +468,7 @@ class TestGradients:
         err = ops.grad_check(
             lambda x, w, b: ops.conv2d_forward(x, w, b, stride=stride),
             ops.conv2d_backward,
-            [rng.standard_normal((2, 5, 5)), rng.standard_normal((2, 2, 3, 3)), rng.standard_normal(2)],
+            [rng.standard_normal((1, 2, 5, 5)), rng.standard_normal((2, 2, 3, 3)), rng.standard_normal(2)],
         )
         assert err < 1e-6
 
@@ -500,7 +500,8 @@ class TestGradients:
     def test_global_avg_pool(self):
         rng = rng_for(23)
         err = ops.grad_check(
-            ops.global_avg_pool_forward, ops.global_avg_pool_backward, [rng.standard_normal((3, 4, 4))]
+            lambda x: ops.global_avg_pool_forward(x, n_spatial=2), ops.global_avg_pool_backward,
+            [rng.standard_normal((3, 4, 4))],
         )
         assert err < 1e-6
 
@@ -544,10 +545,3 @@ class TestRngAndParams:
     def test_uniform_init_bounds(self):
         w = ops.uniform_init(ops.make_rng(0), (50, 50), fan_in=25)
         assert np.all(np.abs(w) <= 0.2)
-
-    def test_param_tensor_tracks_grad_shape(self):
-        p = ops.ParamTensor(np.zeros((2, 3)))
-        assert p.grad.shape == (2, 3)
-        p.grad += 1.0
-        p.zero_grad()
-        assert np.array_equal(p.grad, np.zeros((2, 3)))

@@ -103,9 +103,26 @@ class TestSchedule:
 
 
 def single_param_model():
-    cfg = tiny_config()
-    params = model.ModelParams(cfg, {"w": ops.ParamTensor(np.zeros(3))})
-    return params
+    return model.ModelParams({"w": (3,)}, np.zeros(3))
+
+
+def adam_reference(named_values, steps):
+    """Bias-corrected Adam as a loop over separate per-tensor arrays, in the
+    order of operations `optim.adam_step` keeps for the flat vector. `steps`
+    holds one (lr, {name: grad}) per step."""
+    values = {name: v.copy() for name, v in named_values}
+    m = {name: np.zeros_like(v) for name, v in values.items()}
+    v = {name: np.zeros_like(x) for name, x in values.items()}
+    for t, (lr, grads) in enumerate(steps, start=1):
+        bc1 = 1.0 - 0.9**t
+        bc2 = 1.0 - 0.999**t
+        for name, g in grads.items():
+            m[name] *= 0.9
+            m[name] += (1.0 - 0.9) * g
+            v[name] *= 0.999
+            v[name] += (1.0 - 0.999) * g * g
+            values[name] -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
+    return values, m, v
 
 
 class TestAdam:
@@ -153,8 +170,29 @@ class TestAdam:
         assert np.array_equal(runs[0], runs[1])
 
     def test_defaults(self):
+        assert optim.ADAM_BETA1 == 0.9 and optim.ADAM_BETA2 == 0.999 and optim.ADAM_EPS == 1e-8
         state = optim.AdamState(single_param_model())
-        assert state.beta1 == 0.9 and state.beta2 == 0.999 and state.eps == 1e-8
+        assert state.t == 0 and np.array_equal(state.m, np.zeros(3)) and np.array_equal(state.v, np.zeros(3))
+
+    def test_flat_step_matches_per_tensor_reference_bytes(self):
+        params = model.init_params(tiny_config(), ops.make_rng(5))
+        start = [(name, p.value.copy()) for name, p in params.items()]
+        rng = np.random.default_rng(6)
+        state = optim.AdamState(params)
+        steps = []
+        for step in range(25):
+            params.zero_grad()
+            # gradients over many scales, some exactly zero
+            n = params.grads.size
+            params.grads[...] = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3, n)
+            params.grads[rng.random(n) < 0.05] = 0.0
+            lr = optim.lr_schedule(step, optim.ScheduleConfig())
+            steps.append((lr, {name: p.grad.copy() for name, p in params.items()}))
+            optim.adam_step(params, state, lr)
+        values, m, v = adam_reference(start, steps)
+        assert params.values.tobytes() == b"".join(values[name].tobytes() for name, _ in start)
+        assert state.m.tobytes() == b"".join(m[name].tobytes() for name, _ in start)
+        assert state.v.tobytes() == b"".join(v[name].tobytes() for name, _ in start)
 
 
 class TestBatchOrder:
@@ -264,6 +302,18 @@ class TestTrainLoop:
         with pytest.raises(GafnetError, match="non-finite"):
             optim.train(cfg, segs, None, labels, self.make_train_cfg())
         assert seen and set(seen) == {np.dtype(model.COMPUTE_DTYPE)} and model.COMPUTE_DTYPE == np.float32
+
+    def test_non_finite_gradient_stops_training(self, monkeypatch):
+        real_backward = model.backward_cross_entropy
+
+        def nan_backward(trace, y, params, cfg, **kwargs):
+            real_backward(trace, y, params, cfg, **kwargs)
+            params["cls.b"].grad[0] = np.nan  # a finite loss, one non-finite gradient entry
+
+        monkeypatch.setattr(model, "backward_cross_entropy", nan_backward)
+        segs, _, labels = toy_training_data(np.random.default_rng(8))
+        with pytest.raises(GafnetError, match="epoch 1, step 1"):
+            optim.train(tiny_config("time_only"), segs, None, labels, self.make_train_cfg())
 
     def test_empty_dataset_rejected(self):
         cfg = tiny_config("time_only")
