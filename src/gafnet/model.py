@@ -453,9 +453,10 @@ def backward_cross_entropy(trace: ForwardTrace, labels_onehot, params: ModelPara
 # of `ops.WINDOW_BLOCK_BYTES`), and the first conv2d layer's output, 9.8 MB;
 # at 64 rows the output doubles and the copy is blocked. Fewer rows cost
 # more per row instead: the BiLSTM steps every time step once per chunk.
-# Predicting 600 rows of w=140 in a fresh process (float32, one BLAS
-# thread, three runs each) took 1.6-1.9 s at 16 rows, 1.3-2.5 s at 32 and
-# 1.6-1.8 s at 64: no size was clearly faster.
+# Predicting 600 rows of w=140 in a fresh process (paper-default model,
+# float32, one BLAS thread, six runs each) took 1.42-2.03 s at 16 rows,
+# 1.42-1.69 s at 32 and 1.44-1.63 s at 64, and a second pass in the same
+# process 1.38-1.71, 1.45-1.49 and 1.41-1.42 s: no size was clearly faster.
 PREDICT_ROWS = 32
 
 

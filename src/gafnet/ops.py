@@ -16,13 +16,14 @@ tape, and replays the tape in reverse.
 conv1d and conv2d share one N-d cross-correlation. The BiLSTM's reverse
 direction is the forward LSTM recurrence run over the flipped sequence; one
 loop steps both directions together over time-major buffers stacked by
-direction, (T, 2, B, ·), so each step works on contiguous slices.
+direction, (T, 2, B, ·), so each step works on contiguous slices. Its
+sigmoid gates are σ(z) = ½·tanh(½z) + ½, so one tanh pass activates all
+four gates of a step.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GafnetError, ShapeMismatchError
@@ -293,10 +294,17 @@ def _lstm_forward(x, w_x, w_h, b):
     """
     t_len, _, bsz, _ = x.shape
     h = w_h.shape[-1]
-    w_ht = np.swapaxes(w_h, 1, 2)
-    # x_t @ W_xᵀ of every step up front: still one (B, din) x (din, 4h) gemm per
-    # step and direction. Each step then turns its slice into the gates in place.
-    gates = np.matmul(x, np.swapaxes(w_x, 1, 2))
+    # contiguous transposes: matmul over a swapped view takes a slower path
+    w_ht = np.ascontiguousarray(np.swapaxes(w_h, 1, 2))
+    # x_t @ W_xᵀ + b of every step up front: still one (B, din) x (din, 4h) gemm
+    # per step and direction. Each step adds h_t @ W_hᵀ and turns its slice into
+    # the gates in place.
+    gates = np.matmul(x, np.ascontiguousarray(np.swapaxes(w_x, 1, 2)))
+    gates += b[:, None]
+    # One tanh pass activates all four gates: σ(z) = ½·tanh(½z) + ½ for i, f
+    # and o, and tanh(z) itself (scale 1, shift 0) for the candidate g.
+    scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=gates.dtype), h)
+    shift = np.repeat(np.array([0.5, 0.5, 0.0, 0.5], dtype=gates.dtype), h)
     # slot t + 1 holds the state after step t; slot 0 is the zero initial state
     cs = np.zeros((t_len + 1, 2, bsz, h), dtype=x.dtype)
     hs = np.zeros((t_len + 1, 2, bsz, h), dtype=x.dtype)
@@ -304,10 +312,10 @@ def _lstm_forward(x, w_x, w_h, b):
     for t in range(t_len):
         z = gates[t]
         z += np.matmul(hs[t], w_ht)
-        z += b[:, None]
-        expit(z[..., : 2 * h], out=z[..., : 2 * h])
-        np.tanh(z[..., 2 * h : 3 * h], out=z[..., 2 * h : 3 * h])
-        expit(z[..., 3 * h :], out=z[..., 3 * h :])
+        z *= scale
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
         i, f, g, o = z[..., :h], z[..., h : 2 * h], z[..., 2 * h : 3 * h], z[..., 3 * h :]
         c = np.multiply(f, cs[t], out=cs[t + 1])
         c += i * g

@@ -73,11 +73,18 @@ _CONV_LETTERS = {1: ("t", "k"), 2: ("hw", "kl")}
 _SAME_PRODUCTS = np.lib.NumpyVersion(np.__version__) >= "2.3.0"
 
 
+def rounding_tolerance(dtype):
+    """1e-12 in float64, and as many units of the dtype's epsilon in float32."""
+    return 1e-12 * np.finfo(dtype).eps / np.finfo(np.float64).eps
+
+
 def assert_same_result(got, want):
+    assert got.dtype == want.dtype
     if _SAME_PRODUCTS:
         assert np.array_equal(got, want)
     else:
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        tol = rounding_tolerance(got.dtype)
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
 
 
 def conv_forward_reference(x, w, b, stride):
@@ -103,20 +110,29 @@ def conv_backward_reference(gy, x, w, stride):
     return gx, gw, gb
 
 
+def sigmoid(z):
+    """σ(z) = ½·tanh(½z) + ½, the form `ops` evaluates the i, f and o gates in;
+    `TestLstmGates` checks it against `expit`."""
+    return 0.5 * np.tanh(0.5 * z) + 0.5
+
+
 def lstm_forward_reference(x, w_x, w_h, b):
-    """One direction over batch-major x (B, T, din), one step at a time."""
+    """One direction over batch-major x (B, T, din), one step at a time, in the
+    input's dtype. Each step is (x_t W_xᵀ + b) + h_t W_hᵀ over contiguous
+    transposes, as in `ops`."""
     bsz, t_len, _ = x.shape
     h = b.shape[0] // 4
-    gates = np.zeros((bsz, t_len, 4 * h))
-    cs = np.zeros((bsz, t_len + 1, h))
-    hs = np.zeros((bsz, t_len + 1, h))
+    w_xt, w_ht = np.ascontiguousarray(w_x.T), np.ascontiguousarray(w_h.T)
+    gates = np.zeros((bsz, t_len, 4 * h), dtype=x.dtype)
+    cs = np.zeros((bsz, t_len + 1, h), dtype=x.dtype)
+    hs = np.zeros((bsz, t_len + 1, h), dtype=x.dtype)
     h_t = c_t = hs[:, 0]
     for t in range(t_len):
-        z = x[:, t] @ w_x.T + h_t @ w_h.T + b
-        i = expit(z[:, :h])
-        f = expit(z[:, h : 2 * h])
+        z = (x[:, t] @ w_xt + b) + h_t @ w_ht
+        i = sigmoid(z[:, :h])
+        f = sigmoid(z[:, h : 2 * h])
         g = np.tanh(z[:, 2 * h : 3 * h])
-        o = expit(z[:, 3 * h :])
+        o = sigmoid(z[:, 3 * h :])
         np.concatenate([i, f, g, o], axis=1, out=gates[:, t])
         c_t = f * c_t + i * g
         h_t = o * np.tanh(c_t)
@@ -130,9 +146,9 @@ def lstm_backward_reference(gh, cache):
     bsz, t_len, _ = x.shape
     h = cs.shape[2]
     gx = np.zeros_like(x)
-    gw_x, gw_h, gb = np.zeros_like(w_x), np.zeros_like(w_h), np.zeros(4 * h)
-    dh_next = np.zeros((bsz, h))
-    dc_next = np.zeros((bsz, h))
+    gw_x, gw_h, gb = np.zeros_like(w_x), np.zeros_like(w_h), np.zeros(4 * h, dtype=x.dtype)
+    dh_next = np.zeros((bsz, h), dtype=x.dtype)
+    dc_next = np.zeros((bsz, h), dtype=x.dtype)
     for t in range(t_len - 1, -1, -1):
         i, f, g, o = gates[:, t].reshape(bsz, 4, h).swapaxes(0, 1)
         tc = np.tanh(cs[:, t + 1])
@@ -400,23 +416,69 @@ class TestBilstm:
         assert np.allclose(h_rev[:, :, 2:], h[:, ::-1, :2], atol=1e-12)
 
 
+class TestLstmGates:
+    """The gates `bilstm_forward` caches against scipy's `expit` and numpy's
+    `tanh` as the oracle. With w_h = 0 one step's pre-activations are
+    x W_xᵀ + b, the same in both directions."""
+
+    HIDDEN = 3
+    # how far σ(z) = ½·tanh(½z) + ½ may lie from the exact sigmoid
+    TOLERANCE = {np.float64: 4e-16, np.float32: 1.2e-7}
+
+    def gates_and_oracle(self, x, w_x, b):
+        h = self.HIDDEN
+        cell = ops.LstmCellParams(w_x, np.zeros((4 * h, h), dtype=x.dtype), b)
+        _, cache = ops.bilstm_forward(x[:, None], cell, cell)
+        gates = cache[3][0]  # (2, B, 4h) of the one step
+        z = (x @ np.ascontiguousarray(w_x.T) + b).astype(np.float64)
+        want = expit(z)
+        want[:, 2 * h : 3 * h] = np.tanh(z[:, 2 * h : 3 * h])
+        return gates, want
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_match_expit_and_tanh(self, dtype):
+        rng = rng_for(90)
+        h = self.HIDDEN
+        # every pre-activation in [-60, 60] in steps of 1/8, exactly, as one feature
+        sweep = np.arange(-480, 481, dtype=dtype)[:, None] / 8
+        random_x = rng.standard_normal((16, 5)).astype(dtype)
+        random_w = rng.uniform(-2, 2, (4 * h, 5)).astype(dtype)
+        cases = [
+            (sweep, np.ones((4 * h, 1), dtype=dtype), np.zeros(4 * h, dtype=dtype)),
+            (random_x, random_w, rng.uniform(-1, 1, 4 * h).astype(dtype)),
+        ]
+        for x, w_x, b in cases:
+            gates, want = self.gates_and_oracle(x, w_x, b)
+            assert gates.dtype == dtype
+            sigmoids = np.delete(gates, np.s_[2 * h : 3 * h], axis=-1)  # i, f and o
+            assert sigmoids.min() >= 0 and sigmoids.max() <= 1
+            assert np.abs(gates).max() <= 1
+            for direction in gates:
+                np.testing.assert_allclose(direction, want, rtol=0, atol=self.TOLERANCE[dtype])
+
+
 class TestLstmBytes:
     """The BiLSTM gives the same bytes as the per-direction recurrence kept
     above as the reference (on numpy >= 2.3), so a trained model file does not
-    depend on which of the two ran."""
+    depend on which of the two ran. float64 is the reference path that
+    `grad_check` runs; float32, with the weights cast as `model` casts them,
+    is the path that trains `model.bin`."""
 
     HIDDEN = 64  # the paper default: the gemm shapes decide the rounding
     BATCHES = list(range(1, 20)) + [32, 64]
 
-    def check(self, din, t_len, rng, exact_gw_x=True):
-        fwd, bwd = (ops.init_lstm_cell(rng, din, self.HIDDEN) for _direction in "fb")
+    def check(self, din, t_len, rng, exact_gw_x=True, dtype=np.float64):
+        fwd, bwd = (
+            ops.LstmCellParams(*(v.astype(dtype) for v in (cell.w_x, cell.w_h, cell.b)))
+            for cell in (ops.init_lstm_cell(rng, din, self.HIDDEN) for _direction in "fb")
+        )
         stage = model._bilstm_stage(din, self.HIDDEN)
         for bsz in self.BATCHES:
-            x = rng.standard_normal((bsz, t_len, din))
+            x = rng.standard_normal((bsz, t_len, din)).astype(dtype)
             want_h, want_backward = bilstm_reference(x, fwd, bwd)
             h, cache = ops.bilstm_forward(x, fwd, bwd)
             assert_same_result(h, want_h)
-            gh = rng.standard_normal(h.shape)
+            gh = rng.standard_normal(h.shape).astype(dtype)
             gx, grads_f, grads_b = ops.bilstm_backward(gh, cache)
             want_gx, want_grads = want_backward(gh)
             self.assert_same_grads((gx, *grads_f, *grads_b), (want_gx, *want_grads), exact_gw_x)
@@ -434,7 +496,8 @@ class TestLstmBytes:
             if exact_gw_x or k not in (1, 4):  # gw_x of each direction
                 assert_same_result(a, b)
             else:
-                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+                tol = rounding_tolerance(a.dtype)
+                np.testing.assert_allclose(a, b, rtol=tol, atol=tol)
 
     @pytest.mark.parametrize("t_len", [1, 2, 96, 140])
     @pytest.mark.parametrize("din", [2, 64])
@@ -447,6 +510,11 @@ class TestLstmBytes:
         the per-step dzᵀ @ x_t, a gemv whose rounding depends on the stride it
         reads x_t with, so gw_x is held to a float64 tolerance."""
         self.check(1, t_len, rng_for(70 + t_len), exact_gw_x=False)
+
+    @pytest.mark.parametrize("t_len", [1, 2, 96, 140])
+    @pytest.mark.parametrize("din", [1, 2, 64])
+    def test_float32_matches_per_direction_reference(self, din, t_len):
+        self.check(din, t_len, rng_for(80 + din + t_len), exact_gw_x=din > 1, dtype=np.float32)
 
 
 class TestGradients:
