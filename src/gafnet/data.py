@@ -70,7 +70,7 @@ def load_ucr(path, fs: float = 1.0, split_tag: str = "train") -> Dataset:
     """Parse a UCR-style text file; original labels are relabeled to contiguous
     0-based ids in ascending order."""
     raw_labels: List[float] = []
-    rows: List[List[float]] = []
+    rows: List[np.ndarray] = []
     line_nos: List[int] = []
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
@@ -81,12 +81,12 @@ def load_ucr(path, fs: float = 1.0, split_tag: str = "train") -> Dataset:
             if len(fields) < 2:
                 raise DataFormatError(f"{path}:{line_no}: row has no series values")
             try:
-                numbers = [float(v) for v in fields]
+                numbers = np.array(fields, dtype=np.float64)  # parses each field as float() does
             except ValueError as e:
                 raise DataFormatError(f"{path}:{line_no}: non-numeric field ({e})") from None
             if rows and len(numbers) - 1 != len(rows[0]):
                 raise DataFormatError(f"{path}:{line_no}: inconsistent series length")
-            label = numbers[0]
+            label = float(numbers[0])
             if not math.isfinite(label):
                 raise DataFormatError(f"{path}:{line_no}: non-finite class label {fields[0]}")
             if label != int(label):

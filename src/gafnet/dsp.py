@@ -15,23 +15,31 @@ DEGENERATE_STD = 1e-12
 
 @dataclass(frozen=True)
 class Signal:
-    """A 1-D sampled waveform with its sampling frequency in Hz."""
+    """Sampled waveforms with their sampling frequency in Hz.
+
+    `samples` holds one series of T samples, shape (T,), or a batch of
+    equal-length series along the last axis, shape (..., T); every function
+    below works on each series independently. It is stored as a
+    C-contiguous float64 copy when it is not one already, so each series'
+    reductions run in the same order whether it comes alone or in a batch.
+    `len()` is T.
+    """
 
     samples: np.ndarray
     fs: float
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
+        arr = np.asarray(self.samples, dtype=np.float64, order="C")
         object.__setattr__(self, "samples", arr)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("signal must be a nonempty 1-D array")
+        if arr.ndim == 0 or arr.size == 0:
+            raise ValueError("signal must be a nonempty array of series along the last axis")
         if not np.all(np.isfinite(arr)):
             raise ValueError("signal contains non-finite samples")
         if self.fs <= 0:
             raise ValueError("sampling frequency must be positive")
 
     def __len__(self):
-        return self.samples.size
+        return self.samples.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -91,8 +99,9 @@ def design_butterworth(order: int, f_l: float, f_h: float, fs: float) -> FilterC
 
     Bilinear transform with frequency pre-warping; `order` is the analog
     prototype order (the digital bandpass has twice as many poles). Each
-    parameter set is designed and checked once: `preprocess` designs the same
-    filter for every beat of a record, and every call gets the same object.
+    parameter set is designed and checked once: `preprocess` asks for the
+    same filter for every dataset of a run, and every call gets the same
+    object.
     """
     if not 1 <= order <= 8:
         raise ValueError("order must be in [1, 8]")
@@ -103,54 +112,55 @@ def design_butterworth(order: int, f_l: float, f_h: float, fs: float) -> FilterC
 
 
 def apply_filter(coeffs: FilterCoefficients, sig: Signal, mode: str = "single-pass") -> Signal:
-    """Run the biquad cascade over a signal.
+    """Run the biquad cascade over each series of a signal.
 
     single-pass: causal filtering from zero initial state.
     forward-backward: filter, reverse, filter, reverse -- zero phase with the
     squared magnitude response. Output length equals input length either way.
     """
     sos = np.array(coeffs.sos)  # scipy's sosfilt rejects a read-only array
-    y = sps.sosfilt(sos, sig.samples)
+    y = sps.sosfilt(sos, sig.samples, axis=-1)
     if mode == "forward-backward":
-        y = sps.sosfilt(sos, y[::-1])[::-1]
+        y = sps.sosfilt(sos, y[..., ::-1], axis=-1)[..., ::-1]
     elif mode != "single-pass":
         raise ValueError(f"unknown filter mode {mode!r}")
-    return Signal(samples=np.ascontiguousarray(y), fs=sig.fs)
+    return Signal(samples=y, fs=sig.fs)
 
 
 def normalize(sig: Signal) -> Signal:
-    """Map to zero mean and unit population standard deviation.
+    """Map each series to zero mean and unit population standard deviation.
 
-    A degenerate (constant) signal maps to all zeros instead of dividing by
+    A degenerate (constant) series maps to all zeros instead of dividing by
     a vanishing std.
     """
     x = sig.samples
-    if x.size < 2:
+    if len(sig) < 2:
         raise ValueError("normalize requires at least 2 samples")
-    centered = x - x.mean()
-    std = np.sqrt(np.mean(centered**2))
-    if std < DEGENERATE_STD:
-        return Signal(samples=np.zeros_like(x), fs=sig.fs)
-    return Signal(samples=centered / std, fs=sig.fs)
+    centered = x - x.mean(axis=-1, keepdims=True)
+    std = np.sqrt(np.mean(centered**2, axis=-1, keepdims=True))
+    out = np.divide(centered, std, out=np.zeros_like(x), where=std >= DEGENERATE_STD)
+    return Signal(samples=out, fs=sig.fs)
 
 
 def segment(sig: Signal, window: int, overlap: int) -> np.ndarray:
-    """Cut into fixed windows of size `window` with `overlap` shared samples.
+    """Cut each series into fixed windows of size `window` with `overlap`
+    shared samples.
 
-    Returns an (n, window) read-only view of the samples: row i covers
-    samples [i*(w-o), i*(w-o)+w); trailing samples that do not fill a
-    window are dropped.
+    Returns a (..., n, window) read-only view of the samples: window i of a
+    series covers its samples [i*(w-o), i*(w-o)+w); trailing samples that do
+    not fill a window are dropped. One series (T,) gives (n, window).
     """
     t = len(sig)
     if window > t:
         raise ValueError(f"window {window} longer than signal {t}")
     if not 0 <= overlap < window:
         raise ValueError("overlap must satisfy 0 <= o < w")
-    return sliding_window_view(sig.samples, window)[:: window - overlap]
+    return sliding_window_view(sig.samples, window, axis=-1)[..., :: window - overlap, :]
 
 
 def preprocess(raw: Signal, cfg: PreprocessConfig) -> np.ndarray:
-    """Filter (optional) -> normalize -> segment into an (n, w) array."""
+    """Filter (optional) -> normalize -> segment each series into a
+    (..., n, w) array."""
     sig = raw
     if cfg.enable_filter:
         coeffs = design_butterworth(cfg.order, cfg.f_l, cfg.f_h, sig.fs)

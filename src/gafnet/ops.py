@@ -71,12 +71,20 @@ def linear_backward(gy, cache):
 
 def relu_forward(x):
     x = as_float(x)
-    return np.maximum(x, 0.0), (x > 0,)  # NaN passes through, its gradient is 0
+    y = np.maximum(x, 0.0)  # NaN passes through, its gradient is 0
+    return y, (y,)
 
 
 def relu_backward(gy, cache):
-    (mask,) = cache
-    return (np.where(mask, gy, 0.0),)
+    """gy where the forward's output y > 0 (exactly where x > 0), else +0.0:
+    the bits and memory layout of np.where(y > 0, gy, 0.0), by a bit-and of
+    gy's integer view with an all-ones (y > 0) or all-zeros word per element.
+    The layout matters: conv backward's bytes depend on its gy's."""
+    (y,) = cache
+    gy = as_float(gy)
+    bits = np.dtype(f"i{gy.itemsize}")
+    keep = np.negative(y > 0, dtype=bits)  # -1 is all ones
+    return (np.bitwise_and(keep, gy.view(bits)).view(gy.dtype),)
 
 
 def softmax_forward(x, axis=-1):

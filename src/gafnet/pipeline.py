@@ -19,13 +19,15 @@ class ModelInputs:
 
 
 def prepare_inputs(ds: Dataset, pre_cfg: dsp.PreprocessConfig, need_images: bool = True) -> ModelInputs:
-    """Preprocess each series and encode its windows as GAF images.
+    """Preprocess all series in one batch and encode their windows as GAF
+    images.
 
-    Every window inherits its source series' label.
+    The windows of series i are rows i*n_win .. (i+1)*n_win - 1, and every
+    window inherits its source series' label.
     """
-    windows = [dsp.preprocess(dsp.Signal(samples=row, fs=ds.fs), pre_cfg) for row in ds.values]
-    segs = np.concatenate(windows)
-    labels = np.repeat(ds.labels, [len(w) for w in windows])
+    windows = dsp.preprocess(dsp.Signal(samples=ds.values, fs=ds.fs), pre_cfg)  # (N, n_win, w)
+    segs = np.array(windows).reshape(-1, windows.shape[-1])  # a writable copy of the read-only view
+    labels = np.repeat(ds.labels, windows.shape[1])
     imgs = None
     if need_images:
         imgs = gaf.gaf_images(segs)

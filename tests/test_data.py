@@ -98,6 +98,60 @@ class TestLoadUcr:
             data.load_ucr(path)
 
 
+UCR_FIELDS = ["1_0", "Infinity", " 3.5 ", "-.25", "+7e-3", "1e999", "nan", "foo", "0x10", "", "1__0", "3,5"]
+
+
+class TestLoadUcrParsing:
+    """Fields parse as Python's float() parses them: the same values and the
+    same error messages as a float() call per field."""
+
+    @pytest.mark.parametrize("sep, field", [(sep, f) for sep in "\t," for f in UCR_FIELDS if sep not in f])
+    def test_series_field_as_float_parses_it(self, tmp_path, sep, field):
+        path = write(tmp_path, "f.txt", sep.join(["1", field, "2.0"]) + "\n")  # inside the line, which is stripped
+        try:
+            want = float(field)
+        except ValueError as e:
+            with pytest.raises(DataFormatError) as info:
+                data.load_ucr(path)
+            assert str(info.value) == f"{path}:1: non-numeric field ({e})"
+            return
+        if not np.isfinite(want):
+            with pytest.raises(DataFormatError) as info:
+                data.load_ucr(path)
+            assert str(info.value) == f"{path}:1: non-finite series value {want} in field 2"
+            return
+        ds = data.load_ucr(path)
+        assert ds.values.dtype == np.float64
+        assert ds.values[0].tobytes() == np.array([want, 2.0]).tobytes()
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            (" 2 ", None),
+            ("1_0", None),
+            ("3.0", None),
+            ("2.5", "non-integer class label 2.5"),
+            ("Infinity", "non-finite class label Infinity"),
+            ("x1", "non-numeric field (could not convert string to float: 'x1')"),
+        ],
+    )
+    def test_label_field(self, tmp_path, label, message):
+        path = write(tmp_path, "l.tsv", f"0\t1.0\n{label}\t2.0\n")
+        if message is None:
+            ds = data.load_ucr(path)
+            assert ds.class_names == ["0", str(int(float(label)))] and ds.labels.tolist() == [0, 1]
+            return
+        with pytest.raises(DataFormatError) as info:
+            data.load_ucr(path)
+        assert str(info.value) == f"{path}:2: {message}"
+
+    def test_inconsistent_length_message(self, tmp_path):
+        path = write(tmp_path, "bad.tsv", "0\t1.0\t2.0\n\n1\t3.0\n")
+        with pytest.raises(DataFormatError) as info:
+            data.load_ucr(path)
+        assert str(info.value) == f"{path}:3: inconsistent series length"
+
+
 class TestWfdbHeader:
     def test_typical_record(self):
         h = data.parse_wfdb_header(HEADER_2CH)

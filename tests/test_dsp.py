@@ -233,3 +233,61 @@ class TestPreprocess:
         cfg = dsp.PreprocessConfig(enable_filter=True, window=64, overlap=16)
         segs = dsp.preprocess(raw, cfg)
         assert len(segs) == (400 - 64) // 48 + 1
+
+
+class TestBatched:
+    """A batch of series along the last axis gives, series by series, the
+    bytes that one call per series gives."""
+
+    @staticmethod
+    def assert_rows_match(values, cfg, fs=360.0):
+        batched = dsp.preprocess(dsp.Signal(samples=values, fs=fs), cfg)
+        assert batched.shape[0] == len(values)
+        for row, got in zip(values, batched):
+            want = dsp.preprocess(dsp.Signal(samples=row, fs=fs), cfg)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dsp.PreprocessConfig(),
+            dsp.PreprocessConfig(enable_filter=True),
+            dsp.PreprocessConfig(enable_filter=True, filter_mode="forward-backward"),
+            dsp.PreprocessConfig(window=40, overlap=15),
+            dsp.PreprocessConfig(enable_filter=True, filter_mode="forward-backward", window=64, overlap=63),
+        ],
+        ids=["plain", "single-pass", "forward-backward", "overlap", "filtered-overlap"],
+    )
+    def test_preprocess_matches_per_series_calls(self, cfg):
+        rng = np.random.default_rng(20)
+        values = rng.standard_normal((11, 200)) * rng.uniform(0.1, 50.0, size=(11, 1)) + 3.0
+        values[[2, 7]] = -4.25  # constant rows normalize to zeros, with no warning
+        self.assert_rows_match(values, cfg)
+
+    def test_non_contiguous_values(self):
+        rng = np.random.default_rng(21)
+        base = rng.standard_normal((300, 18))
+        cfg = dsp.PreprocessConfig(enable_filter=True, window=30, overlap=10)
+        for values in (base.T, base[::2, ::3].T, base.T[:, ::-1]):
+            assert not values.flags.c_contiguous
+            self.assert_rows_match(values, cfg)
+            self.assert_rows_match(np.ascontiguousarray(values), cfg)
+
+    def test_windows_of_each_series(self):
+        values = np.arange(30, dtype=float).reshape(3, 10)
+        segs = dsp.segment(dsp.Signal(samples=values, fs=1.0), 4, 1)
+        assert segs.shape == (3, 3, 4)
+        assert np.array_equal(segs[1], [[10, 11, 12, 13], [13, 14, 15, 16], [16, 17, 18, 19]])
+
+    def test_batch_signal_checks(self):
+        sig = dsp.Signal(samples=np.ones((4, 6)), fs=2.0)
+        assert len(sig) == 6 and sig.samples.shape == (4, 6)
+        assert np.array_equal(dsp.normalize(sig).samples, np.zeros((4, 6)))
+        with pytest.raises(ValueError):
+            dsp.Signal(samples=np.ones((3, 0)), fs=1.0)
+        with pytest.raises(ValueError):
+            dsp.Signal(samples=np.array(1.0), fs=1.0)
+        with pytest.raises(ValueError):
+            dsp.Signal(samples=[[1.0, 2.0], [np.nan, 1.0]], fs=1.0)
+        with pytest.raises(ValueError):
+            dsp.normalize(dsp.Signal(samples=np.ones((3, 1)), fs=1.0))

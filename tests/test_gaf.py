@@ -168,6 +168,37 @@ class TestGafImages:
             assert row.tobytes() == gaf.rescale(seg).tobytes()
 
 
+def outer_product_images(segs):
+    """The float32 images as two broadcast outer products and a subtract
+    that casts to float32 form them, block by block: gaf_images' earlier
+    form, kept as its byte reference."""
+    x = gaf.rescale(segs)
+    n, w = x.shape
+    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    out = np.empty((n, w, w), dtype=np.float32)
+    rows = max(1, gaf.IMAGE_BLOCK_BYTES // (8 * w * w))
+    for start in range(0, n, rows):
+        xb, sb = x[start:start + rows], s[start:start + rows]
+        np.subtract(xb[:, :, None] * xb[:, None, :], sb[:, :, None] * sb[:, None, :], out=out[start:start + len(xb)])
+    return out
+
+
+class TestGafImagesBytes:
+    @pytest.mark.parametrize("w", [24, 96, 128, 140, 360])
+    def test_equal_to_outer_products_across_blocks(self, w):
+        rows = gaf.IMAGE_BLOCK_BYTES // (8 * w * w)
+        rng = np.random.default_rng(w + 1)
+        segs = rng.standard_normal((2 * rows + 1, w)) * rng.uniform(0.1, 10.0, size=(2 * rows + 1, 1))
+        segs[rows] = 1.5  # a constant row
+        imgs = gaf.gaf_images(segs)
+        assert imgs.tobytes() == outer_product_images(segs).tobytes()
+        assert np.array_equal(imgs, np.swapaxes(imgs, 1, 2))
+
+    def test_empty_batch(self):
+        segs = np.empty((0, 96))
+        assert gaf.gaf_images(segs).tobytes() == outer_product_images(segs).tobytes() == b""
+
+
 class TestExport:
     def test_value_to_pixel_endpoints(self, tmp_path):
         path = tmp_path / "m.pgm"

@@ -359,6 +359,30 @@ class TestPointwise:
         (g,) = ops.relu_backward(np.ones(4), cache)
         assert np.array_equal(g, [0.0, 0.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_gradient_bits_equal_where(self, dtype):
+        rng = rng_for(31)
+        x = rng.standard_normal((6, 5, 7)).astype(dtype)
+        gy = rng.standard_normal(x.shape).astype(dtype)
+        x.flat[:6] = [np.nan, -0.0, 0.0, np.inf, -np.inf, -np.nan]
+        gy.flat[6:14] = [-0.0, np.nan, np.inf, -np.inf, -np.nan, -0.0, np.nan, np.inf]
+        x.flat[6:14] = [1.0, 2.0, 3.0, 4.0, 5.0, -1.0, -2.0, -0.0]  # gy's specials under both signs of x
+        nan_payload = np.array([0x7FC00123 if dtype == np.float32 else 0x7FF8000000000123], dtype=f"u{gy.itemsize}")
+        gy.flat[20] = nan_payload.view(dtype)[0]
+        x.flat[20] = 1.0
+        y, cache = ops.relu_forward(x)
+        (gx,) = ops.relu_backward(gy, cache)
+        want = np.where(x > 0, gy, 0.0)
+        assert gx.dtype == want.dtype == dtype and gx.shape == x.shape
+        assert gx.tobytes() == want.tobytes() and gx.strides == want.strides
+        # other layouts of y and gy, as the conv before and the stage after hand them over:
+        # the gradient's layout must be np.where's too, since conv backward's bytes depend on it
+        y_conv = np.ascontiguousarray(y.transpose(1, 0, 2)).transpose(1, 0, 2)
+        for y_in, gy_in in ((y, gy.T.copy().T), (y_conv, gy), (y_conv, np.broadcast_to(gy[:1], gy.shape))):
+            (got,) = ops.relu_backward(gy_in, (y_in,))
+            ref = np.where(y_in > 0, gy_in, 0.0)
+            assert got.tobytes() == ref.tobytes() and got.strides == ref.strides
+
     def test_softmax_uniform(self):
         y, _ = ops.softmax_forward([0.0, 0.0, 0.0])
         assert np.allclose(y, np.ones(3) / 3, atol=1e-15)
