@@ -6,7 +6,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import signal as sps
 
 from .errors import GafnetError
 
@@ -101,8 +100,11 @@ def design_butterworth(order: int, f_l: float, f_h: float, fs: float) -> FilterC
     prototype order (the digital bandpass has twice as many poles). Each
     parameter set is designed and checked once: `preprocess` asks for the
     same filter for every dataset of a run, and every call gets the same
-    object.
+    object. scipy is imported here and in `apply_filter`, not with the
+    module, so a run that never filters does not load `scipy.signal`.
     """
+    from scipy import signal as sps
+
     if not 1 <= order <= 8:
         raise ValueError("order must be in [1, 8]")
     if not (0 < f_l < f_h < fs / 2):
@@ -118,6 +120,8 @@ def apply_filter(coeffs: FilterCoefficients, sig: Signal, mode: str = "single-pa
     forward-backward: filter, reverse, filter, reverse -- zero phase with the
     squared magnitude response. Output length equals input length either way.
     """
+    from scipy import signal as sps
+
     sos = np.array(coeffs.sos)  # scipy's sosfilt rejects a read-only array
     y = sps.sosfilt(sos, sig.samples, axis=-1)
     if mode == "forward-backward":

@@ -4,7 +4,6 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 @dataclass
@@ -62,11 +61,23 @@ def macro_f1(preds, labels, num_classes: int) -> float:
     return float(np.mean(np.asarray(per_class_f1(preds, labels, num_classes))[present]))
 
 
+def _midranks(scores) -> np.ndarray:
+    """Ranks 1..N of a 1-D array, tied scores sharing the mean of their ranks
+    (scipy's `rankdata(method="average")`): a value's rank is the count of
+    values <= it, less half of the other values tied with it. A NaN score
+    makes every rank NaN."""
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    if np.isnan(scores).any():
+        ranks[:] = np.nan
+    return ranks
+
+
 def _binary_auc(scores, positive_mask) -> float:
     """Mann-Whitney statistic: P(score_pos > score_neg) + 0.5 P(tie), via midranks."""
     n_pos = int(positive_mask.sum())
     n_neg = positive_mask.size - n_pos
-    ranks = rankdata(scores, method="average")
+    ranks = _midranks(scores)
     return float((ranks[positive_mask].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -6,9 +6,11 @@ Each branch and the head is one ordered list of stages (`Stage`: a forward
 op, its hand-written backward op and the parameter names it owns). The head
 reads the concatenated branch features; in the variants with attention its
 first stage is the attention fusion. `VARIANTS` is the one table of what
-each variant uses, and `_layout` builds the lists from it. `init_params`
+each variant uses, and `_layout` builds the lists from it. `param_shapes`
+reads the parameter names and shapes the stages declare, and `init_params`
 walks the lists to draw the parameters; `forward` runs them and records each
-stage's backward and cache on a tape; `backward` replays the tapes in reverse.
+stage's backward and cache on a tape (or, for prediction, keeps none);
+`backward` replays the tapes in reverse.
 
 The layers compute in the dtype of their input; the parameters, their
 gradients and the model file stay float64. `optim.train` and
@@ -126,7 +128,7 @@ class ModelParams:
     payload. `params[name]` is that tensor's `Param`."""
 
     def __init__(self, shapes: Dict[str, Tuple[int, ...]], values):
-        self.shapes = {name: tuple(shape) for name, shape in shapes.items()}
+        self.shapes = {name: tuple(int(n) for n in shape) for name, shape in shapes.items()}
         self.values = np.array(values, dtype=np.float64)  # always a copy
         sizes = [math.prod(shape) for shape in self.shapes.values()]
         if self.values.shape != (sum(sizes),):
@@ -190,23 +192,26 @@ def _attention_backward(gout, cache):
 # A stage is one layer: `forward(x, *values) -> (y, cache)` takes the values
 # of the parameters `names` after its input, `backward(gy, cache)` returns the
 # input gradient and then one gradient per name (a parameter used more than
-# once inside the stage gets the sum of its uses), and `init(rng)` draws the
-# values of `names` in order. A stage that can be a branch's first with
-# parameters also takes `input_grad=False`, and then returns None for the
-# input gradient. The lists are built per call, so every `ops.*`
-# function is looked up through its module attribute when the model runs.
+# once inside the stage gets the sum of its uses), `shapes` holds the shape of
+# each name, and `init(rng)` draws the values of `names` in order, in those
+# shapes. A stage that can be a branch's first with parameters also takes
+# `input_grad=False`, and then returns None for the input gradient. The lists
+# are built per call, so every `ops.*` function is looked up through its
+# module attribute when the model runs.
 
 
 class Stage(NamedTuple):
     forward: Callable
     backward: Callable
     names: Tuple[str, ...] = ()
+    shapes: Tuple[Tuple[int, ...], ...] = ()
     init: Callable = lambda rng: ()
 
 
 def _affine(forward, backward, names, w_shape, fan_in, n_out):
     """A stage owning a weight drawn uniform(+-sqrt(1/fan_in)) and a zero bias."""
-    return Stage(forward, backward, names, lambda rng: (ops.uniform_init(rng, w_shape, fan_in), np.zeros(n_out)))
+    return Stage(forward, backward, names, (w_shape, (n_out,)),
+                 lambda rng: (ops.uniform_init(rng, w_shape, fan_in), np.zeros(n_out)))
 
 
 # adds the channel axis the first convolution of a branch reads
@@ -233,7 +238,8 @@ def _bilstm_stage(din, hidden):
         cells = [ops.init_lstm_cell(rng, din, hidden) for _direction in "fb"]
         return [value for cell in cells for value in (cell.w_x, cell.w_h, cell.b)]
 
-    return Stage(forward, backward, tuple(f"lstm.{d}.{p}" for d in "fb" for p in ("w_x", "w_h", "b")), init)
+    names = tuple(f"lstm.{d}.{p}" for d in "fb" for p in ("w_x", "w_h", "b"))
+    return Stage(forward, backward, names, ((4 * hidden, din), (4 * hidden, hidden), (4 * hidden,)) * 2, init)
 
 
 def _temporal_stages(cfg: ModelConfig) -> List[Stage]:
@@ -289,7 +295,8 @@ def _fusion_stage(cfg: ModelConfig) -> Stage:
              for q, kv in pairs]
     weights = [(f"attn.{m}.{p}", (dims[m] // cfg.groups, cfg.d_attn)) for m in "ts" for p in ("wq", "wk", "wv")]
     weights += [(wo, (cfg.groups * cfg.d_attn, dims[q])) for q, _kv, _qkv, wo in paths]
-    names = tuple([name for name, _ in weights] + [f"ln.{m}.{p}" for m in "ts" for p in ("gain", "bias")])
+    norms = [(f"ln.{m}.{p}", (dims[m],)) for m in "ts" for p in ("gain", "bias")]
+    names, shapes = zip(*weights, *norms)
 
     def modalities(x):
         return {"t": x[:, : cfg.d_t], "s": x[:, cfg.d_t :]}
@@ -330,7 +337,7 @@ def _fusion_stage(cfg: ModelConfig) -> Stage:
         drawn = [ops.uniform_init(rng, shape, shape[0]) for _, shape in weights]
         return drawn + [make(dims[m]) for m in "ts" for make in (np.ones, np.zeros)]
 
-    return Stage(forward, backward, names, init)
+    return Stage(forward, backward, names, shapes, init)
 
 
 # ---------------------------------------------------------------------------
@@ -351,24 +358,36 @@ def _layout(cfg: ModelConfig):
     return branches, ([_fusion_stage(cfg)] if cfg.uses_attention else []) + _head_stages(cfg)
 
 
+def _stages(cfg: ModelConfig) -> List[Stage]:
+    """Every stage of the variant, branches first, in `_layout` order."""
+    branches, head = _layout(cfg)
+    return [stage for _kind, _width, branch in branches for stage in branch] + head
+
+
+def param_shapes(cfg: ModelConfig) -> Dict[str, Tuple[int, ...]]:
+    """Name -> shape of every parameter of the variant, in `_layout` order:
+    the order of the draws, of `ModelParams.values` and of the model file's
+    tensors. Read from the stages, with no draw."""
+    return {name: shape for stage in _stages(cfg) for name, shape in zip(stage.names, stage.shapes)}
+
+
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
     """Seed-deterministic initialization: weights uniform(+-sqrt(1/fan_in)),
     biases zero (LSTM forget gate 1.0), layer-norm gain 1 / bias 0. Draws
     follow `_layout` order, which is also the tensor order of the model file."""
-    branches, head = _layout(cfg)
-    stages = [stage for _kind, _width, branch in branches for stage in branch] + head
-    drawn = {name: value for stage in stages for name, value in zip(stage.names, stage.init(rng))}
-    shapes = {name: np.shape(value) for name, value in drawn.items()}
-    return ModelParams(shapes, np.concatenate([np.ravel(value) for value in drawn.values()]))
+    drawn = [np.ravel(value) for stage in _stages(cfg) for value in stage.init(rng)]
+    return ModelParams(param_shapes(cfg), np.concatenate(drawn))
 
 
-def _run(stages: List[Stage], x, params: ModelParams, tape: list):
+def _run(stages: List[Stage], x, params: ModelParams, tape: Optional[list]):
     """Run stages forward, recording (backward, cache, names) of each on `tape`.
+    Without a tape (None) a stage's cache is freed once the next stage has run.
     Each stage gets its weights cast to the dtype of its input."""
     x = ops.as_float(x)
     for stage in stages:
         x, cache = stage.forward(x, *(params[name].value.astype(x.dtype, copy=False) for name in stage.names))
-        tape.append((stage.backward, cache, stage.names))
+        if tape is not None:
+            tape.append((stage.backward, cache, stage.names))
     return x
 
 
@@ -403,24 +422,27 @@ def _rows(segs, imgs, cfg: ModelConfig) -> int:
 class ForwardTrace:
     probs: np.ndarray  # (B, C)
     logits: np.ndarray
-    tapes: List[list]  # one per branch in use, then the head's
+    tapes: Optional[List[list]]  # one per branch in use, then the head's; None if not recorded
 
 
-def forward(segs, imgs, params: ModelParams, cfg: ModelConfig) -> ForwardTrace:
+def forward(segs, imgs, params: ModelParams, cfg: ModelConfig, record: bool = True) -> ForwardTrace:
     """Run the variant's full pipeline on a batch.
 
     segs: (B, w) raw segments; imgs: (B, w, w) GAF images. An input the
-    variant does not read may be None.
+    variant does not read may be None. With `record=False` no tape is kept
+    (`tapes` is None, and `backward` rejects the trace): each stage's
+    intermediates are freed as the forward goes, and the logits and
+    probabilities are the same bytes.
     """
     _rows(segs, imgs, cfg)
     branches, head = _layout(cfg)
     inputs = {"segment": segs, "image": imgs}
-    tapes = [[] for _ in range(len(branches) + 1)]
+    tapes = [[] if record else None for _ in range(len(branches) + 1)]
     feats = [_run(stages, inputs[kind], params, tape) for (kind, _width, stages), tape in zip(branches, tapes)]
     logits = _run(head, np.concatenate(feats, axis=-1), params, tapes[-1])
     # float64 probabilities: the loss takes log(p + 1e-12), which float32 cannot resolve near 1
     probs, _ = ops.softmax_forward(logits.astype(np.float64, copy=False), axis=-1)
-    return ForwardTrace(probs=probs, logits=logits, tapes=tapes)
+    return ForwardTrace(probs=probs, logits=logits, tapes=tapes if record else None)
 
 
 def backward(trace: ForwardTrace, grad_logits, params: ModelParams, cfg: ModelConfig, input_grads: bool = True):
@@ -431,6 +453,8 @@ def backward(trace: ForwardTrace, grad_logits, params: ModelParams, cfg: ModelCo
     branch's backward stops at its first layer with parameters, which skips
     that layer's input gradient; the parameter gradients are the same bytes.
     """
+    if trace.tapes is None:
+        raise ValueError("backward needs a trace recorded by forward(..., record=True)")
     branches, _head = _layout(cfg)
     gz = _replay(trace.tapes[-1], np.asarray(grad_logits, dtype=trace.logits.dtype), params)
     gfeats = np.split(gz, np.cumsum([width for _kind, width, _stages in branches])[:-1], axis=-1)
@@ -446,9 +470,13 @@ def backward_cross_entropy(trace: ForwardTrace, labels_onehot, params: ModelPara
     return backward(trace, (trace.probs - y) * (1.0 / y.shape[0]), params, cfg, input_grads=input_grads)
 
 
-# Rows per `forward` call in `predict_probs`. A chunk's layer outputs grow
-# with the rows; an array above glibc's 32 MB mmap threshold is mapped and
-# page-faulted anew on every call. At 32 float32 rows of w=140 the largest
+# Rows per `forward` call in `predict_probs`. A chunk keeps no tape, so it
+# holds the arrays of the stage running and of the one before it, not of
+# every stage: on the paper-default model at 32 float32 rows of w=140 the
+# peak memory numpy allocates in one call is 34 MB, against 54 MB with the
+# tape (tracemalloc, numpy 2.4). A chunk's layer outputs grow with the rows;
+# an array above glibc's 32 MB mmap threshold is mapped and page-faulted
+# anew on every call. At 32 float32 rows of w=140 the largest
 # are the second conv2d layer's window copy, 21.3 MB (one block: under two
 # of `ops.WINDOW_BLOCK_BYTES`), and the first conv2d layer's output, 9.8 MB;
 # at 64 rows the output doubles and the copy is blocked. Fewer rows cost
@@ -462,19 +490,22 @@ PREDICT_ROWS = 32
 
 def predict_probs(params: ModelParams, cfg: ModelConfig, segs, imgs) -> np.ndarray:
     """Inference over a whole dataset, `PREDICT_ROWS` rows per `forward` call,
-    each chunk cast to `COMPUTE_DTYPE`."""
+    each chunk cast to `COMPUTE_DTYPE` and run with `record=False`. The call
+    goes through the module attribute `forward`, so a wrapper installed there
+    sees every chunk."""
     n = _rows(segs, imgs, cfg)
     if n == 0:
         return np.empty((0, cfg.num_classes))
     out = []
     for start in range(0, n, PREDICT_ROWS):
         sl = slice(start, start + PREDICT_ROWS)
-        # keep only the probabilities: the tape of one chunk is freed before the next runs
+        # no tape: nothing runs backward, so each stage's arrays are freed as the forward goes on
         out.append(forward(
             np.asarray(segs[sl], dtype=COMPUTE_DTYPE) if segs is not None else None,
             np.asarray(imgs[sl], dtype=COMPUTE_DTYPE) if imgs is not None else None,
             params,
             cfg,
+            record=False,
         ).probs)
     return np.concatenate(out, axis=0)
 
@@ -555,11 +586,12 @@ def load_model(path) -> Tuple[ModelConfig, StoredInputs, ModelParams]:
             raise ValueError("input_len must be a positive integer")
         if len(stored.class_names) != cfg.num_classes or not all(isinstance(n, str) for n in stored.class_names):
             raise ValueError(f"class_names must be {cfg.num_classes} strings")
-        template = init_params(cfg, ops.make_rng(0))
-        if header["tensors"] != [[name, list(shape)] for name, shape in template.shapes.items()]:
+        shapes = param_shapes(cfg)
+        if header["tensors"] != [[name, list(shape)] for name, shape in shapes.items()]:
             raise ValueError("tensor table does not match the model config")
     except (ValueError, TypeError, KeyError) as e:  # json.JSONDecodeError is a ValueError
         raise DataFormatError(f"bad model header: {e}") from e
-    if len(data) - start != template.values.nbytes:
-        raise DataFormatError(f"model payload is {len(data) - start} bytes, expected {template.values.nbytes}")
-    return cfg, stored, ModelParams(template.shapes, np.frombuffer(data, dtype="<f8", offset=start))
+    expected = 8 * sum(math.prod(shape) for shape in shapes.values())  # float64
+    if len(data) - start != expected:
+        raise DataFormatError(f"model payload is {len(data) - start} bytes, expected {expected}")
+    return cfg, stored, ModelParams(shapes, np.frombuffer(data, dtype="<f8", offset=start))

@@ -151,9 +151,10 @@ def train(
     A cosine schedule with `total_steps` 0 anneals over all the steps of this
     run. A non-finite batch loss or gradient stops training with `GafnetError`.
 
-    The steps compute in `model.COMPUTE_DTYPE` (the inputs are cast once,
-    after the validation slice is carved); the parameters, their gradients
-    and the Adam moments stay float64.
+    The steps compute in `model.COMPUTE_DTYPE`: each step gathers its batch's
+    rows from `segs` and `imgs` and casts them, so no copy of the training
+    rows is kept; the parameters, their gradients and the Adam moments stay
+    float64.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.size
@@ -172,9 +173,8 @@ def train(
     def subset(arr, idx, dtype=None):
         return None if arr is None else np.asarray(arr[idx], dtype=dtype)
 
-    # the rows every training step reads, cast to the compute dtype once
     dtype = model_mod.COMPUTE_DTYPE
-    tr_segs, tr_imgs, tr_labels = subset(segs, tr_idx, dtype), subset(imgs, tr_idx, dtype), labels[tr_idx]
+    tr_labels = labels[tr_idx]
     val_segs, val_imgs, val_labels = subset(segs, val_idx), subset(imgs, val_idx), labels[val_idx]
     tr_onehot = one_hot(tr_labels, cfg.num_classes)
     val_onehot = one_hot(val_labels, cfg.num_classes)
@@ -197,7 +197,8 @@ def train(
         loss_sum = 0.0
         for batch in batch_order(tr_labels.size, train_cfg.batch_size, train_cfg.seed, epoch):
             params.zero_grad()
-            trace = model_mod.forward(subset(tr_segs, batch), subset(tr_imgs, batch), params, cfg)
+            rows = tr_idx[batch]
+            trace = model_mod.forward(subset(segs, rows, dtype), subset(imgs, rows, dtype), params, cfg)
             y = tr_onehot[batch]
             loss = cross_entropy(trace.probs, y)
             loss_sum += loss * batch.size

@@ -119,6 +119,25 @@ class TestAuc:
         mapped = metrics.macro_auc(np.exp(5 * scores), labels, 3)
         assert abs(base - mapped) < 1e-12
 
+    @pytest.mark.parametrize("scores", [
+        np.random.default_rng(4).random(60),  # no ties
+        np.random.default_rng(5).integers(0, 4, 60).astype(float),  # runs of ties
+        np.array([0.5, -0.0, 0.0, np.inf, -np.inf, 0.5, 0.5]),  # signed zeros tie
+        np.array([3.0]),
+        np.array([0.2, np.nan, 0.1, 0.2]),
+    ])
+    def test_midranks_match_scipy_rankdata(self, scores):
+        stats = pytest.importorskip("scipy.stats")
+        ranks = metrics._midranks(scores)
+        assert ranks.dtype == np.float64
+        assert np.array_equal(ranks, stats.rankdata(scores, method="average"), equal_nan=True)
+
+    def test_nan_score_gives_nan_auc(self):
+        # a NaN probability makes its class's AUC, and the macro mean, NaN
+        scores = np.array([[0.3, 0.7], [np.nan, 0.5], [0.1, 0.9], [0.3, 0.7]])
+        assert np.isnan(metrics._binary_auc(scores[:, 0], np.array([True, False, True, False])))
+        assert np.isnan(metrics.macro_auc(scores, [0, 1, 0, 1], 2))
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             metrics.macro_auc(np.random.default_rng(3).random((4, 2)), [1, 1, 1, 1], 2)

@@ -5,6 +5,7 @@ on a tiny model."""
 import hashlib
 import json
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -329,9 +330,9 @@ class TestPredict:
         seen = []
         real_forward = model.forward
 
-        def recording_forward(s, i, p, c):
+        def recording_forward(s, i, p, c, **kwargs):
             seen.append((s, i))
-            return real_forward(s, i, p, c)
+            return real_forward(s, i, p, c, **kwargs)
 
         monkeypatch.setattr(model, "forward", recording_forward)
         return segs, imgs, whole, model.predict_probs(params, cfg, segs, imgs), seen
@@ -376,6 +377,50 @@ class TestPredict:
             model.predict_probs(params, cfg, segs, imgs[:3])
         with pytest.raises(ShapeMismatchError):
             model.forward(segs[:3], imgs, params, cfg)
+
+
+class TestUnrecordedForward:
+    """`forward(record=False)` keeps no tape and computes the same bytes."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    def test_same_logits_and_probs(self, variant, dtype):
+        cfg = tiny_config(variant, num_classes=3)
+        params = model.init_params(cfg, ops.make_rng(16))
+        segs, imgs = (a.astype(dtype) for a in tiny_inputs(np.random.default_rng(25), n=5))
+        recorded = model.forward(segs, imgs, params, cfg)
+        bare = model.forward(segs, imgs, params, cfg, record=False)
+        assert bare.tapes is None and recorded.tapes is not None
+        assert bare.logits.dtype == recorded.logits.dtype == dtype
+        assert np.array_equal(bare.logits, recorded.logits)
+        assert np.array_equal(bare.probs, recorded.probs)
+
+    def test_backward_rejects_unrecorded_trace(self):
+        cfg = tiny_config()
+        params = model.init_params(cfg, ops.make_rng(17))
+        segs, imgs = tiny_inputs(np.random.default_rng(26), n=2)
+        trace = model.forward(segs, imgs, params, cfg, record=False)
+        with pytest.raises(ValueError, match="record=True"):
+            model.backward_cross_entropy(trace, optim.one_hot([0, 1], 2), params, cfg)
+
+    def test_predict_peak_memory(self):
+        # one 32-row chunk of w=140 on the paper-default model: numpy's peak
+        # allocation was 54 MB with every stage's cache on a tape and is 34 MB
+        # without (numpy 2.4)
+        cfg = model.ModelConfig(num_classes=5)
+        params = model.init_params(cfg, ops.make_rng(18))
+        segs = np.random.default_rng(27).standard_normal((model.PREDICT_ROWS, 140))
+        imgs = np.random.default_rng(28).standard_normal((model.PREDICT_ROWS, 140, 140)).astype(np.float32)
+        first = model.predict_probs(params, cfg, segs, imgs)
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            probs = model.predict_probs(params, cfg, segs, imgs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(probs, first)
+        assert peak < 44 * 2**20, peak / 2**20
 
 
 def floating_dtypes(obj):
@@ -766,6 +811,32 @@ class TestLayout:
         assert hashlib.sha256(blob).hexdigest() == digest
         payload = blob[len(blob) - sum(p.value.nbytes for _, p in params.items()) :]
         assert hashlib.sha256(payload).hexdigest() == payload_digest
+
+
+class TestParamShapes:
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    def test_every_draw_has_its_declared_shape(self, variant):
+        cfg = tiny_config(variant, num_classes=3)
+        rng = ops.make_rng(0)
+        for stage in model._stages(cfg):
+            assert [np.shape(value) for value in stage.init(rng)] == list(stage.shapes), stage.names
+        assert model.param_shapes(cfg) == model.init_params(cfg, ops.make_rng(0)).shapes
+
+    def test_load_model_draws_nothing(self, tmp_path, monkeypatch):
+        cfg = model.ModelConfig(num_classes=5)  # numpy integers in the layer tuples too
+        cfg = replace(cfg, cnn2d_layers=tuple(tuple(np.int64(v) for v in l) for l in cfg.cnn2d_layers))
+        params = model.init_params(cfg, ops.make_rng(3))
+        path = tmp_path / "m.bin"
+        model.save_model(path, cfg, 140, params)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_model drew random values")
+
+        monkeypatch.setattr(model, "init_params", no_draw)
+        monkeypatch.setattr(ops, "uniform_init", no_draw)
+        _cfg, _stored, loaded = model.load_model(path)
+        assert loaded.shapes == params.shapes and np.array_equal(loaded.values, params.values)
+        assert all(type(n) is int for shape in loaded.shapes.values() for n in shape)
 
 
 class TestFlatParams:
