@@ -3,13 +3,13 @@ GAF image, dual-layer cross-channel split attention fusion, MLP head, softmax
 classifier.
 
 Each branch and the head is one ordered list of stages (`Stage`: a forward
-op, its hand-written backward op and the parameter names it owns). The head
-reads the concatenated branch features; in the variants with attention its
-first stage is the attention fusion. `VARIANTS` is the one table of what
-each variant uses, and `_layout` builds the lists from it. `param_shapes`
-reads the parameter names and shapes the stages declare, and `init_params`
-walks the lists to draw the parameters; `forward` runs them and records each
-stage's backward and cache on a tape (or, for prediction, keeps none);
+op, its hand-written backward op and one (name, shape, init) row per
+parameter it owns). The head reads the concatenated branch features; in the
+variants with attention its first stage is the attention fusion. `VARIANTS`
+is the one table of what each variant uses, and `_layout` builds the lists
+from it. `param_shapes` and `init_params` both read the stages' rows, so a
+parameter is declared in one place; `forward` runs the stages and records
+each stage's backward and cache on a tape (or, for prediction, keeps none);
 `backward` replays the tapes in reverse.
 
 The layers compute in the dtype of their input; the parameters, their
@@ -189,29 +189,31 @@ def _attention_backward(gout, cache):
 # ---------------------------------------------------------------------------
 # stage lists
 #
-# A stage is one layer: `forward(x, *values) -> (y, cache)` takes the values
-# of the parameters `names` after its input, `backward(gy, cache)` returns the
-# input gradient and then one gradient per name (a parameter used more than
-# once inside the stage gets the sum of its uses), `shapes` holds the shape of
-# each name, and `init(rng)` draws the values of `names` in order, in those
-# shapes. A stage that can be a branch's first with parameters also takes
-# `input_grad=False`, and then returns None for the input gradient. The lists
-# are built per call, so every `ops.*` function is looked up through its
-# module attribute when the model runs.
+# A stage is one layer: `forward(x, *values) -> (y, cache)` takes its
+# parameters' values after its input, and `backward(gy, cache)` returns the
+# input gradient, then one gradient per parameter (a parameter used more than
+# once inside the stage gets the sum of its uses). `params` declares each
+# parameter once, as a (name, shape, init) row: an integer init is the fan-in
+# of a uniform(+-sqrt(1/fan_in)) draw, any other init the constant the tensor
+# starts at, which draws nothing. A stage that can be a branch's first with
+# parameters also takes `input_grad=False`, and then returns None for the
+# input gradient. The lists are built per call, so every `ops.*` function is
+# looked up through its module attribute when the model runs.
 
 
 class Stage(NamedTuple):
     forward: Callable
     backward: Callable
-    names: Tuple[str, ...] = ()
-    shapes: Tuple[Tuple[int, ...], ...] = ()
-    init: Callable = lambda rng: ()
+    params: Tuple[Tuple[str, Tuple[int, ...], object], ...] = ()
+
+    @property
+    def names(self) -> Tuple[str, ...]:
+        return tuple(name for name, _shape, _init in self.params)
 
 
 def _affine(forward, backward, names, w_shape, fan_in, n_out):
     """A stage owning a weight drawn uniform(+-sqrt(1/fan_in)) and a zero bias."""
-    return Stage(forward, backward, names, (w_shape, (n_out,)),
-                 lambda rng: (ops.uniform_init(rng, w_shape, fan_in), np.zeros(n_out)))
+    return Stage(forward, backward, ((names[0], w_shape, fan_in), (names[1], (n_out,), 0.0)))
 
 
 # adds the channel axis the first convolution of a branch reads
@@ -219,27 +221,26 @@ _CHANNEL = Stage(lambda x: (x[:, None], None), lambda g, _cache: (g[:, 0],))
 
 
 def _bilstm_stage(din, hidden):
-    """BiLSTM over channels-first (B, din, T) -> (B, 2h, T). `ops` copies the
-    input into its own time-major buffers, so the (B, T, din) view is enough.
-    The output is a swapped view of the C-order (B, T, 2h) result, so the
-    pool after it sums over time one step after another; over a contiguous
-    (B, 2h, T) copy it would sum pairwise, with other bytes."""
+    """BiLSTM over channels-first (B, din, T) -> (B, 2h, T). Each direction
+    owns its w_x, w_h and b (gates in input, forget, candidate, output order;
+    the forget gate's bias starts at 1), stacked by direction for `ops`.
+    `ops` copies the input into its own time-major buffers, so the (B, T, din)
+    view is enough. The output is a swapped view of the C-order (B, T, 2h)
+    result, so the pool after it sums over time one step after another; over
+    a contiguous (B, 2h, T) copy it would sum pairwise, with other bytes."""
 
-    def forward(x, *values):
-        cells = ops.LstmCellParams(*values[:3]), ops.LstmCellParams(*values[3:])
-        h, cache = ops.bilstm_forward(np.swapaxes(x, 1, 2), *cells)
+    def forward(x, *values):  # f's w_x, w_h, b, then b's
+        h, cache = ops.bilstm_forward(np.swapaxes(x, 1, 2), *(np.stack(values[i::3]) for i in range(3)))
         return np.swapaxes(h, 1, 2), cache
 
     def backward(g, cache, input_grad=True):
-        gx, grads_f, grads_b = ops.bilstm_backward(np.swapaxes(g, 1, 2), cache)
-        return (np.ascontiguousarray(np.swapaxes(gx, 1, 2)) if input_grad else None, *grads_f, *grads_b)
+        gx, *grads = ops.bilstm_backward(np.swapaxes(g, 1, 2), cache)
+        gx = np.ascontiguousarray(np.swapaxes(gx, 1, 2)) if input_grad else None
+        return (gx, *(grad[d] for d in range(2) for grad in grads))
 
-    def init(rng):
-        cells = [ops.init_lstm_cell(rng, din, hidden) for _direction in "fb"]
-        return [value for cell in cells for value in (cell.w_x, cell.w_h, cell.b)]
-
-    names = tuple(f"lstm.{d}.{p}" for d in "fb" for p in ("w_x", "w_h", "b"))
-    return Stage(forward, backward, names, ((4 * hidden, din), (4 * hidden, hidden), (4 * hidden,)) * 2, init)
+    cell = (("w_x", (4 * hidden, din), din), ("w_h", (4 * hidden, hidden), hidden),
+            ("b", (4 * hidden,), np.repeat([0.0, 1.0, 0.0, 0.0], hidden)))
+    return Stage(forward, backward, tuple((f"lstm.{d}.{p}", shape, init) for d in "fb" for p, shape, init in cell))
 
 
 def _temporal_stages(cfg: ModelConfig) -> List[Stage]:
@@ -293,10 +294,12 @@ def _fusion_stage(cfg: ModelConfig) -> Stage:
     pairs = [("t", "t"), ("s", "s")] + ([("t", "s"), ("s", "t")] if cfg.uses_cross else [])
     paths = [(q, kv, (f"attn.{q}.wq", f"attn.{kv}.wk", f"attn.{kv}.wv"), f"attn.{q}.wo_{'intra' if q == kv else 'cross'}")
              for q, kv in pairs]
+    # every attention weight has fan-in shape[0]; layer norm starts at gain 1, bias 0
     weights = [(f"attn.{m}.{p}", (dims[m] // cfg.groups, cfg.d_attn)) for m in "ts" for p in ("wq", "wk", "wv")]
     weights += [(wo, (cfg.groups * cfg.d_attn, dims[q])) for q, _kv, _qkv, wo in paths]
-    norms = [(f"ln.{m}.{p}", (dims[m],)) for m in "ts" for p in ("gain", "bias")]
-    names, shapes = zip(*weights, *norms)
+    rows = [(name, shape, shape[0]) for name, shape in weights]
+    rows += [(f"ln.{m}.{p}", (dims[m],), start) for m in "ts" for p, start in (("gain", 1.0), ("bias", 0.0))]
+    names = [name for name, _shape, _init in rows]
 
     def modalities(x):
         return {"t": x[:, : cfg.d_t], "s": x[:, cfg.d_t :]}
@@ -333,11 +336,7 @@ def _fusion_stage(cfg: ModelConfig) -> Stage:
         gx = np.concatenate([gpre[m] + g_tokens[m].reshape(len(gy), dims[m]) for m in "ts"], axis=-1)
         return (gx, *(sum(grads[name]) for name in names))
 
-    def init(rng):  # every attention weight has fan-in shape[0]
-        drawn = [ops.uniform_init(rng, shape, shape[0]) for _, shape in weights]
-        return drawn + [make(dims[m]) for m in "ts" for make in (np.ones, np.zeros)]
-
-    return Stage(forward, backward, names, shapes, init)
+    return Stage(forward, backward, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +367,22 @@ def param_shapes(cfg: ModelConfig) -> Dict[str, Tuple[int, ...]]:
     """Name -> shape of every parameter of the variant, in `_layout` order:
     the order of the draws, of `ModelParams.values` and of the model file's
     tensors. Read from the stages, with no draw."""
-    return {name: shape for stage in _stages(cfg) for name, shape in zip(stage.names, stage.shapes)}
+    return {name: shape for stage in _stages(cfg) for name, shape, _init in stage.params}
+
+
+def _initial_value(rng: np.random.Generator, shape, init) -> np.ndarray:
+    """A stage row's starting tensor; a fan-in may be a numpy integer too."""
+    if isinstance(init, (int, np.integer)):
+        return ops.uniform_init(rng, shape, init)
+    return np.broadcast_to(init, shape)
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
-    """Seed-deterministic initialization: weights uniform(+-sqrt(1/fan_in)),
-    biases zero (LSTM forget gate 1.0), layer-norm gain 1 / bias 0. Draws
-    follow `_layout` order, which is also the tensor order of the model file."""
-    drawn = [np.ravel(value) for stage in _stages(cfg) for value in stage.init(rng)]
+    """Seed-deterministic initialization from the stages' rows: weights
+    uniform(+-sqrt(1/fan_in)), biases zero (LSTM forget gate 1.0), layer-norm
+    gain 1 / bias 0. Draws follow `_layout` order, which is also the tensor
+    order of the model file."""
+    drawn = [np.ravel(_initial_value(rng, shape, init)) for stage in _stages(cfg) for _name, shape, init in stage.params]
     return ModelParams(param_shapes(cfg), np.concatenate(drawn))
 
 
@@ -488,25 +495,30 @@ def backward_cross_entropy(trace: ForwardTrace, labels_onehot, params: ModelPara
 PREDICT_ROWS = 32
 
 
-def predict_probs(params: ModelParams, cfg: ModelConfig, segs, imgs) -> np.ndarray:
-    """Inference over a whole dataset, `PREDICT_ROWS` rows per `forward` call,
-    each chunk cast to `COMPUTE_DTYPE` and run with `record=False`. The call
-    goes through the module attribute `forward`, so a wrapper installed there
-    sees every chunk."""
+def gather(segs, imgs, rows):
+    """The inputs' `rows` (a slice or an index array) cast to `COMPUTE_DTYPE`,
+    as a training step and a prediction chunk feed them to `forward`; an
+    absent input stays None. A slice of an input already in that dtype is a
+    view, not a copy."""
+    return tuple(None if x is None else np.asarray(x[rows], dtype=COMPUTE_DTYPE) for x in (segs, imgs))
+
+
+def predict_probs(params: ModelParams, cfg: ModelConfig, segs, imgs, rows=None) -> np.ndarray:
+    """Inference over every row of the inputs, or over the index array `rows`
+    of them in its order, `PREDICT_ROWS` rows per `forward` call, each chunk
+    taken by `gather` and run with `record=False`. The call goes through the
+    module attribute `forward`, so a wrapper installed there sees every
+    chunk."""
     n = _rows(segs, imgs, cfg)
+    if rows is not None:
+        n = len(rows)
     if n == 0:
         return np.empty((0, cfg.num_classes))
     out = []
     for start in range(0, n, PREDICT_ROWS):
-        sl = slice(start, start + PREDICT_ROWS)
+        chunk = slice(start, start + PREDICT_ROWS)
         # no tape: nothing runs backward, so each stage's arrays are freed as the forward goes on
-        out.append(forward(
-            np.asarray(segs[sl], dtype=COMPUTE_DTYPE) if segs is not None else None,
-            np.asarray(imgs[sl], dtype=COMPUTE_DTYPE) if imgs is not None else None,
-            params,
-            cfg,
-            record=False,
-        ).probs)
+        out.append(forward(*gather(segs, imgs, chunk if rows is None else rows[chunk]), params, cfg, record=False).probs)
     return np.concatenate(out, axis=0)
 
 

@@ -16,12 +16,13 @@ tape, and replays the tape in reverse.
 conv1d and conv2d share one N-d cross-correlation. The BiLSTM's reverse
 direction is the forward LSTM recurrence run over the flipped sequence; one
 loop steps both directions together over time-major buffers stacked by
-direction, (T, 2, B, ·), so each step works on contiguous slices. Its
+direction, (T, 2, B, ·), so each step works on contiguous slices.
+`bilstm_forward` takes its weights stacked by direction too, forward
+direction first (w_x (2, 4h, din), w_h (2, 4h, h), b (2, 4h)), and
+`bilstm_backward` returns their gradients stacked the same way. The LSTM's
 sigmoid gates are σ(z) = ½·tanh(½z) + ½, so one tanh pass activates all
 four gates of a step.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -270,27 +271,6 @@ conv1d_backward = conv2d_backward = _conv_backward
 # ---------------------------------------------------------------------------
 # LSTM
 
-FORGET_BIAS_INIT = 1.0
-
-
-@dataclass
-class LstmCellParams:
-    """One LSTM cell: stacked gate weights in (input, forget, candidate, output) order."""
-
-    w_x: np.ndarray  # (4h, din)
-    w_h: np.ndarray  # (4h, h)
-    b: np.ndarray  # (4h,)
-
-
-def init_lstm_cell(rng: np.random.Generator, din: int, hidden: int) -> LstmCellParams:
-    b = np.zeros(4 * hidden)
-    b[hidden : 2 * hidden] = FORGET_BIAS_INIT
-    return LstmCellParams(
-        w_x=uniform_init(rng, (4 * hidden, din), din),
-        w_h=uniform_init(rng, (4 * hidden, hidden), hidden),
-        b=b,
-    )
-
 
 def _lstm_forward(x, w_x, w_h, b):
     """Both LSTM directions stepped together from zero initial state.
@@ -364,23 +344,24 @@ def _lstm_backward(gh, cache):
     return np.matmul(dzs, w_x), gw_x, gw_h, gb
 
 
-def bilstm_forward(x, fwd: LstmCellParams, bwd: LstmCellParams):
+def bilstm_forward(x, w_x, w_h, b):
     """Forward and backward LSTM over the sequence, concatenated per timestep.
 
     The backward direction is the same recurrence run over the time-reversed
     sequence, its outputs flipped back into time order; both directions step
-    together in `_lstm_forward`. x: (B, T, din) -> (B, T, 2h), C order.
+    together in `_lstm_forward`. x: (B, T, din) -> (B, T, 2h), C order. The
+    weights are stacked by direction (forward, then backward) in
+    (input, forget, candidate, output) gate order: w_x (2, 4h, din),
+    w_h (2, 4h, h), b (2, 4h).
     """
     x = as_float(x)
     bsz, t_len, din = x.shape
-    h4, h = fwd.b.shape[0], fwd.w_h.shape[1]
-    for cell in (fwd, bwd):
-        if cell.w_x.shape != (h4, din) or cell.w_h.shape != (h4, h) or cell.b.shape != (h4,):
-            raise ShapeMismatchError(f"lstm: x {x.shape}, w_x {cell.w_x.shape}, w_h {cell.w_h.shape}")
+    h = w_h.shape[-1]
+    if w_x.shape != (2, 4 * h, din) or w_h.shape != (2, 4 * h, h) or b.shape != (2, 4 * h):
+        raise ShapeMismatchError(f"lstm: x {x.shape}, w_x {w_x.shape}, w_h {w_h.shape}, b {b.shape}")
     xs = np.empty((t_len, 2, bsz, din), dtype=x.dtype)
     xs[:, 0] = np.swapaxes(x, 0, 1)
     xs[:, 1] = np.swapaxes(x[:, ::-1], 0, 1)
-    w_x, w_h, b = np.stack([fwd.w_x, bwd.w_x]), np.stack([fwd.w_h, bwd.w_h]), np.stack([fwd.b, bwd.b])
     hs, cache = _lstm_forward(xs, w_x, w_h, b)
     out = np.empty((bsz, t_len, 2 * h), dtype=hs.dtype)
     out[..., :h] = np.swapaxes(hs[:, 0], 0, 1)
@@ -389,7 +370,8 @@ def bilstm_forward(x, fwd: LstmCellParams, bwd: LstmCellParams):
 
 
 def bilstm_backward(gh, cache):
-    """Returns (gx, (gw_x_f, gw_h_f, gb_f), (gw_x_b, gw_h_b, gb_b)); gx in C order."""
+    """Returns (gx, gw_x, gw_h, gb), the weight gradients stacked by direction
+    as `bilstm_forward` takes the weights; gx in C order."""
     xs, _w_x, w_h, *_ = cache
     t_len, _, bsz, din = xs.shape
     h = w_h.shape[-1]
@@ -399,7 +381,7 @@ def bilstm_backward(gh, cache):
     gxs, gw_x, gw_h, gb = _lstm_backward(ghs, cache)
     gx = np.empty((bsz, t_len, din), dtype=gxs.dtype)
     np.add(np.swapaxes(gxs[:, 0], 0, 1), np.swapaxes(gxs[::-1, 1], 0, 1), out=gx)
-    return gx, (gw_x[0], gw_h[0], gb[0]), (gw_x[1], gw_h[1], gb[1])
+    return gx, gw_x, gw_h, gb
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ class ScheduleConfig:
             raise ValueError("decay factor must be >= 0")
         if self.kind not in ("inverse_sqrt", "cosine"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if self.total_steps < 0:
+            raise ValueError("total_steps must be >= 0 (0: every step of the run)")
 
 
 @dataclass
@@ -44,6 +46,8 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.checkpoint_policy not in ("best_validation", "last"):
             raise ValueError(f"unknown checkpoint policy {self.checkpoint_policy!r}")
+        if not 0.0 <= self.val_fraction < 1.0:  # NaN fails too
+            raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
 
 
 def cross_entropy(probs, labels_onehot) -> float:
@@ -152,9 +156,10 @@ def train(
     run. A non-finite batch loss or gradient stops training with `GafnetError`.
 
     The steps compute in `model.COMPUTE_DTYPE`: each step gathers its batch's
-    rows from `segs` and `imgs` and casts them, so no copy of the training
-    rows is kept; the parameters, their gradients and the Adam moments stay
-    float64.
+    rows from `segs` and `imgs` and casts them (`model.gather`), and the
+    validation predicts its rows 32 at a time the same way, so no copy of the
+    training or validation rows is kept; the parameters, their gradients and
+    the Adam moments stay float64.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.size
@@ -162,7 +167,7 @@ def train(
         raise ValueError("empty dataset")
     params = model_mod.init_params(cfg, make_rng(train_cfg.seed))
 
-    if 0.0 < train_cfg.val_fraction < 1.0 and n >= 4:
+    if train_cfg.val_fraction > 0.0 and n >= 4:
         split_rng = make_rng(train_cfg.seed ^ 0x5EED)
         tr_idx, val_idx = data.stratified_indices(labels, 1.0 - train_cfg.val_fraction, split_rng)
         if val_idx.size == 0:
@@ -170,12 +175,7 @@ def train(
     else:
         tr_idx = val_idx = np.arange(n)
 
-    def subset(arr, idx, dtype=None):
-        return None if arr is None else np.asarray(arr[idx], dtype=dtype)
-
-    dtype = model_mod.COMPUTE_DTYPE
-    tr_labels = labels[tr_idx]
-    val_segs, val_imgs, val_labels = subset(segs, val_idx), subset(imgs, val_idx), labels[val_idx]
+    tr_labels, val_labels = labels[tr_idx], labels[val_idx]
     tr_onehot = one_hot(tr_labels, cfg.num_classes)
     val_onehot = one_hot(val_labels, cfg.num_classes)
 
@@ -197,8 +197,7 @@ def train(
         loss_sum = 0.0
         for batch in batch_order(tr_labels.size, train_cfg.batch_size, train_cfg.seed, epoch):
             params.zero_grad()
-            rows = tr_idx[batch]
-            trace = model_mod.forward(subset(segs, rows, dtype), subset(imgs, rows, dtype), params, cfg)
+            trace = model_mod.forward(*model_mod.gather(segs, imgs, tr_idx[batch]), params, cfg)
             y = tr_onehot[batch]
             loss = cross_entropy(trace.probs, y)
             loss_sum += loss * batch.size
@@ -213,7 +212,7 @@ def train(
             global_step += 1
         train_loss = loss_sum / tr_labels.size
 
-        val_probs = model_mod.predict_probs(params, cfg, val_segs, val_imgs)
+        val_probs = model_mod.predict_probs(params, cfg, segs, imgs, val_idx)
         val_acc = metrics.accuracy(val_probs.argmax(axis=1), val_labels)
         val_loss = cross_entropy(val_probs, val_onehot)
         history.append(EpochRecord(epoch=epoch, train_loss=train_loss, val_accuracy=val_acc, lr=lr))

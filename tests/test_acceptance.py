@@ -172,18 +172,10 @@ def test_criterion_2_gradient_suite():
                                         [rng.standard_normal((3, 4, 4))]))
 
     def bilstm_case(rng):
-        cf = ops.init_lstm_cell(rng, 2, 3)
-        cb = ops.init_lstm_cell(rng, 2, 3)
-
-        def fwd(x, wxf, whf, bf, wxb, whb, bb):
-            return ops.bilstm_forward(x, ops.LstmCellParams(wxf, whf, bf),
-                                      ops.LstmCellParams(wxb, whb, bb))
-
-        def bwd(g, cache):
-            gx, gf, gb = ops.bilstm_backward(g, cache)
-            return (gx, *gf, *gb)
-
-        return fwd, bwd, [rng.standard_normal((2, 4, 2)), cf.w_x, cf.w_h, cf.b, cb.w_x, cb.w_h, cb.b]
+        # direction-stacked w_x, w_h and b, drawn as `init_params` draws the BiLSTM stage's rows
+        values = [model._initial_value(rng, shape, init) for _name, shape, init in model._bilstm_stage(2, 3).params]
+        weights = [np.stack(values[i::3]) for i in range(3)]
+        return ops.bilstm_forward, ops.bilstm_backward, [rng.standard_normal((2, 4, 2)), *weights]
 
     run("bilstm", bilstm_case)
     run("attention", lambda rng: (model._attention_forward, model._attention_backward,

@@ -101,6 +101,14 @@ class TestConfigText:
         with pytest.raises(ValueError):
             config.parse_config_text("train.epochs = 0\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("train.val_fraction", "1.0"), ("train.val_fraction", "1.5"), ("train.val_fraction", "-0.2"),
+        ("train.val_fraction", "nan"), ("schedule.total_steps", "-5"),
+    ])
+    def test_out_of_range_training_setting_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key.split(".")[1]):
+            config.parse_config_text(f"{key} = {value}\n")
+
     def test_none_window(self):
         cfg = config.parse_config_text("preprocess.window = 32\npreprocess.window = none\n")
         assert cfg.preprocess.window is None
@@ -211,6 +219,16 @@ class TestCliTrainEval:
         ]) == 0
         loaded_cfg, _, _ = model.load_model(out / "model.bin")
         assert loaded_cfg.variant == "time_only"
+
+    def test_out_of_range_config_value_is_data_error(self, workspace):
+        tmp_path, train, test, cfg = workspace
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(cfg.read_text() + "train.val_fraction = 1.0\n")
+        assert cli.main([
+            "train", "--dataset", "ucr", "--train", str(train), "--test", str(test),
+            "--config", str(bad), "--out", str(tmp_path / "x"),
+        ]) == 2
+        assert not (tmp_path / "x").exists()
 
     def test_train_without_test_split_is_data_error(self, workspace):
         _, train, _, cfg = workspace

@@ -357,6 +357,31 @@ class TestPredict:
         assert probs.dtype == np.float64
         assert np.array_equal(probs.argmax(axis=1), whole.argmax(axis=1))
 
+    def test_float32_chunks_are_views_of_the_rows(self, monkeypatch):
+        # over all rows, inputs already in COMPUTE_DTYPE are read in place, not copied
+        cfg = tiny_config()
+        params = model.init_params(cfg, ops.make_rng(13))
+        segs, imgs = (x.astype(np.float32) for x in tiny_inputs(np.random.default_rng(22), n=model.PREDICT_ROWS + 5))
+        seen = []
+        real_forward = model.forward
+
+        def recording_forward(s, i, p, c, **kwargs):
+            seen.append(np.shares_memory(s, segs) and np.shares_memory(i, imgs))
+            return real_forward(s, i, p, c, **kwargs)
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        model.predict_probs(params, cfg, segs, imgs)
+        assert seen == [True, True]
+
+    def test_row_index_predicts_those_rows(self):
+        cfg = tiny_config()
+        params = model.init_params(cfg, ops.make_rng(16))
+        segs, imgs = tiny_inputs(np.random.default_rng(25), n=2 * model.PREDICT_ROWS + 5)
+        rows = np.random.default_rng(26).permutation(len(segs))[: model.PREDICT_ROWS + 3]
+        probs = model.predict_probs(params, cfg, segs, imgs, rows)
+        assert probs.tobytes() == model.predict_probs(params, cfg, segs[rows], imgs[rows]).tobytes()
+        assert model.predict_probs(params, cfg, segs, imgs, rows[:0]).shape == (0, 2)
+
     @pytest.mark.parametrize("variant", model.VARIANTS)
     def test_zero_rows_give_empty_probs(self, variant):
         cfg = tiny_config(variant, num_classes=3)
@@ -817,10 +842,18 @@ class TestParamShapes:
     @pytest.mark.parametrize("variant", model.VARIANTS)
     def test_every_draw_has_its_declared_shape(self, variant):
         cfg = tiny_config(variant, num_classes=3)
-        rng = ops.make_rng(0)
-        for stage in model._stages(cfg):
-            assert [np.shape(value) for value in stage.init(rng)] == list(stage.shapes), stage.names
         assert model.param_shapes(cfg) == model.init_params(cfg, ops.make_rng(0)).shapes
+
+    def test_numpy_integer_layers_draw_the_same_values(self):
+        # a fan-in computed from numpy integers is still a draw, not a constant
+        cfg = model.ModelConfig(num_classes=3, cnn1d_layers=((4, 3), (6, 5)), lstm_hidden=3,
+                                cnn2d_layers=((4, 3, 2), (8, 3, 1)), groups=2, d_attn=4, mlp_hidden=8)
+        numpy_cfg = replace(cfg, **{key: tuple(tuple(np.int64(v) for v in layer) for layer in getattr(cfg, key))
+                                    for key in ("cnn1d_layers", "cnn2d_layers")})
+        want = model.init_params(cfg, ops.make_rng(4))
+        got = model.init_params(numpy_cfg, ops.make_rng(4))
+        assert got.shapes == want.shapes
+        assert got.values.tobytes() == want.values.tobytes()
 
     def test_load_model_draws_nothing(self, tmp_path, monkeypatch):
         cfg = model.ModelConfig(num_classes=5)  # numpy integers in the layer tuples too

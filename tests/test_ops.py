@@ -170,17 +170,25 @@ def lstm_backward_reference(gh, cache):
     return gx, gw_x, gw_h, gb
 
 
-def bilstm_reference(x, fwd, bwd):
-    """BiLSTM output (B, T, 2h) and a backward giving (gx, six parameter
-    gradients), each direction run on its own over batch-major buffers."""
-    hf, cache_f = lstm_forward_reference(x, fwd.w_x, fwd.w_h, fwd.b)
-    hb, cache_b = lstm_forward_reference(np.ascontiguousarray(x[:, ::-1]), bwd.w_x, bwd.w_h, bwd.b)
+def lstm_weights(rng, din, h):
+    """Direction-stacked BiLSTM weights (w_x, w_h, b), drawn from the model's
+    BiLSTM stage rows in the order `init_params` draws them."""
+    values = [model._initial_value(rng, shape, init) for _name, shape, init in model._bilstm_stage(din, h).params]
+    return tuple(np.stack(values[i::3]) for i in range(3))
+
+
+def bilstm_reference(x, w_x, w_h, b):
+    """BiLSTM output (B, T, 2h) and a backward giving (gx, gw_x, gw_h, gb),
+    the weight gradients stacked by direction, each direction run on its own
+    over batch-major buffers."""
+    hf, cache_f = lstm_forward_reference(x, w_x[0], w_h[0], b[0])
+    hb, cache_b = lstm_forward_reference(np.ascontiguousarray(x[:, ::-1]), w_x[1], w_h[1], b[1])
     hid = hf.shape[-1]
 
     def backward(gh):
         gx_f, *grads_f = lstm_backward_reference(gh[..., :hid], cache_f)
         gx_b, *grads_b = lstm_backward_reference(gh[:, ::-1, hid:], cache_b)
-        return gx_f + gx_b[:, ::-1], (*grads_f, *grads_b)
+        return gx_f + gx_b[:, ::-1], tuple(np.stack(pair) for pair in zip(grads_f, grads_b))
 
     return np.concatenate([hf, hb[:, ::-1]], axis=-1), backward
 
@@ -414,28 +422,32 @@ class TestPointwise:
 
 
 class TestBilstm:
-    def make_cells(self, rng, din, h):
-        return ops.init_lstm_cell(rng, din, h), ops.init_lstm_cell(rng, din, h)
-
     def test_output_shape(self):
         rng = rng_for(13)
-        fwd, bwd = self.make_cells(rng, 3, 4)
+        weights = lstm_weights(rng, 3, 4)
         x = rng.standard_normal((2, 7, 3))
-        h, _ = ops.bilstm_forward(x, fwd, bwd)
+        h, _ = ops.bilstm_forward(x, *weights)
         assert h.shape == (2, 7, 8)
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_weight_shapes_checked(self, bad):
+        # w_x (2, 4h, din), w_h (2, 4h, h), b (2, 4h), one of them with a single direction
+        weights = [np.zeros((2, 8, 3)), np.zeros((2, 8, 2)), np.zeros((2, 8))]
+        weights[bad] = weights[bad][:1]
+        with pytest.raises(ops.ShapeMismatchError, match="lstm"):
+            ops.bilstm_forward(np.zeros((1, 5, 3)), *weights)
 
     def test_all_zero_parameters_give_zero_output(self):
         x = rng_for(14).standard_normal((1, 5, 2))
-        zero = ops.LstmCellParams(np.zeros((8, 2)), np.zeros((8, 2)), np.zeros(8))
-        h, _ = ops.bilstm_forward(x, zero, zero)
+        h, _ = ops.bilstm_forward(x, np.zeros((2, 8, 2)), np.zeros((2, 8, 2)), np.zeros((2, 8)))
         assert np.array_equal(h, np.zeros((1, 5, 4)))
 
     def test_time_reversal_swaps_direction_blocks(self):
         rng = rng_for(15)
-        cell = ops.init_lstm_cell(rng, 3, 2)
+        w_x, w_h, b = (np.stack([w[0], w[0]]) for w in lstm_weights(rng, 3, 2))  # one cell both ways
         x = rng.standard_normal((1, 3, 3))
-        h, _ = ops.bilstm_forward(x, cell, cell)
-        h_rev, _ = ops.bilstm_forward(x[:, ::-1], cell, cell)
+        h, _ = ops.bilstm_forward(x, w_x, w_h, b)
+        h_rev, _ = ops.bilstm_forward(x[:, ::-1], w_x, w_h, b)
         assert np.allclose(h_rev[:, :, :2], h[:, ::-1, 2:], atol=1e-12)
         assert np.allclose(h_rev[:, :, 2:], h[:, ::-1, :2], atol=1e-12)
 
@@ -451,8 +463,8 @@ class TestLstmGates:
 
     def gates_and_oracle(self, x, w_x, b):
         h = self.HIDDEN
-        cell = ops.LstmCellParams(w_x, np.zeros((4 * h, h), dtype=x.dtype), b)
-        _, cache = ops.bilstm_forward(x[:, None], cell, cell)
+        _, cache = ops.bilstm_forward(x[:, None], np.stack([w_x, w_x]), np.zeros((2, 4 * h, h), dtype=x.dtype),
+                                      np.stack([b, b]))
         gates = cache[3][0]  # (2, B, 4h) of the one step
         z = (x @ np.ascontiguousarray(w_x.T) + b).astype(np.float64)
         want = expit(z)
@@ -492,24 +504,22 @@ class TestLstmBytes:
     BATCHES = list(range(1, 20)) + [32, 64]
 
     def check(self, din, t_len, rng, exact_gw_x=True, dtype=np.float64):
-        fwd, bwd = (
-            ops.LstmCellParams(*(v.astype(dtype) for v in (cell.w_x, cell.w_h, cell.b)))
-            for cell in (ops.init_lstm_cell(rng, din, self.HIDDEN) for _direction in "fb")
-        )
+        weights = tuple(w.astype(dtype) for w in lstm_weights(rng, din, self.HIDDEN))
         stage = model._bilstm_stage(din, self.HIDDEN)
         for bsz in self.BATCHES:
             x = rng.standard_normal((bsz, t_len, din)).astype(dtype)
-            want_h, want_backward = bilstm_reference(x, fwd, bwd)
-            h, cache = ops.bilstm_forward(x, fwd, bwd)
+            want_h, want_backward = bilstm_reference(x, *weights)
+            h, cache = ops.bilstm_forward(x, *weights)
             assert_same_result(h, want_h)
             gh = rng.standard_normal(h.shape).astype(dtype)
-            gx, grads_f, grads_b = ops.bilstm_backward(gh, cache)
+            grads = ops.bilstm_backward(gh, cache)
             want_gx, want_grads = want_backward(gh)
-            self.assert_same_grads((gx, *grads_f, *grads_b), (want_gx, *want_grads), exact_gw_x)
-            # the model's stage over channels-first input: the time pool after it
-            # sums in the layout the stage returns, so its features check that layout
+            self.assert_same_grads(grads, (want_gx, *want_grads), exact_gw_x)
+            # the model's stage over channels-first input, on each direction's
+            # w_x, w_h and b: the time pool after it sums in the layout the stage
+            # returns, so its features check that layout
             xc = np.ascontiguousarray(np.swapaxes(x, 1, 2))
-            y, _ = stage.forward(xc, fwd.w_x, fwd.w_h, fwd.b, bwd.w_x, bwd.w_h, bwd.b)
+            y, _ = stage.forward(xc, *(w[d] for d in range(2) for w in weights))
             feats, _ = ops.global_avg_pool_forward(y, n_spatial=1)
             want_feats, _ = ops.global_avg_pool_forward(np.swapaxes(want_h, 1, 2), n_spatial=1)
             assert_same_result(feats, want_feats)
@@ -517,7 +527,7 @@ class TestLstmBytes:
     @staticmethod
     def assert_same_grads(got, want, exact_gw_x):
         for k, (a, b) in enumerate(zip(got, want)):
-            if exact_gw_x or k not in (1, 4):  # gw_x of each direction
+            if exact_gw_x or k != 1:  # gw_x, stacked by direction
                 assert_same_result(a, b)
             else:
                 tol = rounding_tolerance(a.dtype)
@@ -608,23 +618,8 @@ class TestGradients:
 
     def test_bilstm(self):
         rng = rng_for(25)
-        cell_f = ops.init_lstm_cell(rng, 2, 3)
-        cell_b = ops.init_lstm_cell(rng, 2, 3)
-
-        def fwd(x, wxf, whf, bf, wxb, whb, bb):
-            return ops.bilstm_forward(
-                x, ops.LstmCellParams(wxf, whf, bf), ops.LstmCellParams(wxb, whb, bb)
-            )
-
-        def bwd(g, cache):
-            gx, gf, gb = ops.bilstm_backward(g, cache)
-            return (gx, *gf, *gb)
-
-        err = ops.grad_check(
-            fwd,
-            bwd,
-            [rng.standard_normal((2, 4, 2)), cell_f.w_x, cell_f.w_h, cell_f.b, cell_b.w_x, cell_b.w_h, cell_b.b],
-        )
+        weights = lstm_weights(rng, 2, 3)
+        err = ops.grad_check(ops.bilstm_forward, ops.bilstm_backward, [rng.standard_normal((2, 4, 2)), *weights])
         assert err < 1e-5
 
 

@@ -235,22 +235,31 @@ class TestTrainLoop:
         result = optim.train(cfg, segs, imgs, labels, self.make_train_cfg(epochs=6))
         assert result.history[-1].train_loss < result.history[0].train_loss
 
-    def test_holds_no_copy_of_the_training_rows(self):
-        # A copy of the training rows would be 0.9 of the images (6.6 MB). What
-        # stays is the validation slice's copy, 0.1 of them, and about 2 MB that
-        # do not grow with the rows: one step and one 32-row prediction chunk.
-        n, w = 800, 48
-        _segs, imgs, labels = toy_training_data(np.random.default_rng(12), n=n, w=w)
+    def peak_share_of_images(self, val_fraction):
+        """tracemalloc's peak over one epoch of `gaf_only` training at batch 8
+        on 800 float32 images of w=48, as a share of the images' bytes."""
+        _segs, imgs, labels = toy_training_data(np.random.default_rng(12), n=800, w=48)
         imgs = imgs.astype(np.float32)
-        train_cfg = self.make_train_cfg(epochs=1, batch_size=8)
+        train_cfg = self.make_train_cfg(epochs=1, batch_size=8, val_fraction=val_fraction)
         tracemalloc.start()  # numpy reports its array buffers to tracemalloc
         try:
             before = tracemalloc.get_traced_memory()[0]
             optim.train(tiny_config("gaf_only"), None, imgs, labels, train_cfg)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            return (tracemalloc.get_traced_memory()[1] - before) / imgs.nbytes
         finally:
             tracemalloc.stop()
-        assert peak < 0.6 * imgs.nbytes, peak / imgs.nbytes
+
+    def test_holds_no_copy_of_the_training_rows(self):
+        # A copy of the training rows would be 0.9 of the images (6.6 MB). What
+        # stays is about 2 MB that do not grow with the rows: one step and one
+        # 32-row prediction chunk.
+        share = self.peak_share_of_images(0.1)
+        assert share < 0.6, share
+
+    def test_holds_no_copy_of_the_validation_rows(self):
+        # Half the rows validate: a copy of them would be 0.5 of the images.
+        share = self.peak_share_of_images(0.5)
+        assert share < 0.4, share
 
     def test_history_schema(self):
         cfg = tiny_config()
@@ -346,6 +355,15 @@ class TestTrainLoop:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,val_accuracy,lr"
         assert lines[1] == "1,0.5,0.75,0.001"
+
+    @pytest.mark.parametrize("fraction", [1.0, 1.5, -0.2, float("nan")])
+    def test_val_fraction_out_of_range_rejected(self, fraction):
+        with pytest.raises(ValueError, match="val_fraction"):
+            optim.TrainConfig(val_fraction=fraction)
+
+    def test_negative_total_steps_rejected(self):
+        with pytest.raises(ValueError, match="total_steps"):
+            optim.ScheduleConfig(kind="cosine", total_steps=-5)
 
     def test_defaults(self):
         cfg = optim.TrainConfig()
