@@ -26,13 +26,20 @@ from .model import VARIANTS
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_RUNTIME = 0, 1, 2, 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+    def error(self, message):  # so that `main` returns EXIT_USAGE instead of exiting
+        raise argparse.ArgumentError(None, message)
+
+
+def _seed_list(text: str) -> List[int]:
+    """The `--seeds` value: a non-empty comma-separated list of integers."""
+    try:
+        seeds = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of integer seeds, got {text!r}")
+    return seeds
 
 
 def _build_parser() -> _Parser:
@@ -43,6 +50,7 @@ def _build_parser() -> _Parser:
     p_gaf.add_argument("--input", required=True, help="UCR text file")
     p_gaf.add_argument("--out-dir", required=True)
     p_gaf.add_argument("--limit", type=int, default=None, help="export at most N series")
+    p_gaf.set_defaults(run=cmd_gaf, config=None)  # gaf reads no config file
 
     def add_dataset_args(p, need_train=True):
         p.add_argument("--dataset", choices=("ucr", "wfdb"), required=True)
@@ -56,21 +64,18 @@ def _build_parser() -> _Parser:
     p_train.add_argument("--seed", type=int, default=None, help="overrides train.seed")
     p_train.add_argument("--out", required=True, help="run directory for model/history/report/config")
     p_train.add_argument("--variant", choices=VARIANTS, default="full")
+    p_train.set_defaults(run=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a saved model")
     p_eval.add_argument("--model", required=True)
     add_dataset_args(p_eval, need_train=False)
+    p_eval.set_defaults(run=cmd_eval)
 
     p_abl = sub.add_parser("ablate", help="train all variants over several seeds")
     add_dataset_args(p_abl)
-    p_abl.add_argument("--seeds", required=True, help="comma-separated seed list")
+    p_abl.add_argument("--seeds", type=_seed_list, required=True, help="comma-separated seed list")
+    p_abl.set_defaults(run=cmd_ablate)
     return parser
-
-
-def _load_run_config(path: Optional[str]) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    return load_config_file(path)
 
 
 def _on_vocabulary(ds: data.Dataset, class_names: List[str]) -> data.Dataset:
@@ -84,63 +89,55 @@ def _on_vocabulary(ds: data.Dataset, class_names: List[str]) -> data.Dataset:
     return replace(ds, labels=ids[ds.labels], class_names=class_names)
 
 
-def _load_datasets(args, cfg: RunConfig, train_path: Optional[str]):
-    """Returns (train_ds, test_ds); train_ds is None when train_path is None."""
+def _load(args, cfg: RunConfig, spec: str, split_tag: str = "train") -> data.Dataset:
+    """One split: a UCR file, or the pooled beats of comma-separated WFDB records."""
     if args.dataset == "ucr":
-        train_ds = data.load_ucr(train_path, fs=cfg.fs) if train_path else None
-        test_ds = data.load_ucr(args.test, fs=cfg.fs, split_tag="test") if args.test else None
-        if train_ds is not None and test_ds is not None:
-            test_ds = _on_vocabulary(test_ds, train_ds.class_names)
-        return train_ds, test_ds
-    # wfdb: comma-separated record prefixes; beats pooled, then split if no --test
+        return data.load_ucr(spec, fs=cfg.fs, split_tag=split_tag)
     window = cfg.preprocess.window or 360  # one second at 360 Hz
-
-    def load_records(spec):
-        records = [data.load_wfdb_record(p.strip(), window=window) for p in spec.split(",") if p.strip()]
-        return data.concat_datasets(records)
-
-    if train_path is None:
-        return None, (load_records(args.test) if args.test else None)
-    pooled = load_records(train_path)
-    if args.test:
-        return pooled, load_records(args.test)
-    return data.stratified_split(pooled, 0.8, cfg.train.seed)
+    return data.concat_datasets([data.load_wfdb_record(p.strip(), window=window) for p in spec.split(",") if p.strip()])
 
 
 def _effective_preprocess(args, cfg: RunConfig):
-    # UCR series are curated (no filtering, whole-series windows by default);
-    # WFDB records get the bandpass filter and already arrive pre-windowed
-    # from beat extraction.
-    pre = cfg.preprocess
+    # UCR series are curated: no filter, whole-series windows unless the
+    # config sets one. WFDB beats arrive pre-windowed from beat extraction,
+    # and each is filtered and normalized as its own signal.
     if args.dataset == "wfdb":
-        # beats arrive pre-windowed from extraction; each beat is filtered
-        # and normalized as its own signal
-        pre = replace(pre, enable_filter=True, window=None, overlap=0)
-    return pre
+        return replace(cfg.preprocess, enable_filter=True, window=None, overlap=0)
+    return cfg.preprocess
 
 
-def cmd_gaf(args) -> int:
+def _train_and_test(args, cfg: RunConfig):
+    """Returns the train and test splits of a train or ablate run, the test
+    split on the training class names, and the preprocessing they get."""
+    train_ds = _load(args, cfg, args.train)
+    if args.test:
+        test_ds = _on_vocabulary(_load(args, cfg, args.test, "test"), train_ds.class_names)
+    elif args.dataset == "wfdb":
+        train_ds, test_ds = data.stratified_split(train_ds, 0.8, cfg.train.seed)
+    else:
+        raise DataFormatError(f"{args.command} requires a test split (--test, or wfdb records to split)")
+    return train_ds, test_ds, _effective_preprocess(args, cfg)
+
+
+def cmd_gaf(args, cfg: RunConfig) -> int:
     if not os.path.exists(args.input):
         raise DataFormatError(f"input file not found: {args.input}")
     ds = data.load_ucr(args.input)
     os.makedirs(args.out_dir, exist_ok=True)
     limit = len(ds) if args.limit is None else max(0, args.limit)
     for row in range(min(limit, len(ds))):
-        matrix = gaf.gaf_transform(ds.values[row])
+        # the image the model reads, made a row at a time so memory stays bounded
+        matrix = gaf.gaf_images(ds.values[row:row + 1])[0]
         label = ds.class_names[ds.labels[row]]
         gaf.export_image(matrix, os.path.join(args.out_dir, f"{row}_{label}.pgm"))
     print(f"exported {min(limit, len(ds))} images to {args.out_dir}")
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = _load_run_config(args.config)
+def cmd_train(args, cfg: RunConfig) -> int:
     if args.seed is not None:
         cfg.train.seed = args.seed
-    train_ds, test_ds = _load_datasets(args, cfg, args.train)
-    if test_ds is None:
-        raise DataFormatError("train requires a test split (--test, or wfdb records to split)")
-    pre = _effective_preprocess(args, cfg)
+    train_ds, test_ds, pre = _train_and_test(args, cfg)
 
     model_cfg = cfg.model.to_model_config(train_ds.num_classes, variant=args.variant)
     train_inputs = pipeline.prepare_inputs(train_ds, pre, need_images=model_cfg.uses_spatial)
@@ -149,9 +146,8 @@ def cmd_train(args) -> int:
     result, report = pipeline.train_and_evaluate(model_cfg, train_inputs, test_inputs, cfg.train)
 
     os.makedirs(args.out, exist_ok=True)
-    input_len = train_inputs.segs.shape[1]
-    model_mod.save_model(os.path.join(args.out, "model.bin"), model_cfg, input_len, result.params,
-                         train_ds.class_names)
+    model_mod.save_model(os.path.join(args.out, "model.bin"), model_cfg, train_inputs.segs.shape[1],
+                         result.params, train_ds.class_names)
     optim.write_history_csv(os.path.join(args.out, "history.csv"), result.history)
     report_text = metrics.format_report(report)
     with open(os.path.join(args.out, "report.txt"), "w") as f:
@@ -162,15 +158,12 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, cfg: RunConfig) -> int:
     model_cfg, stored, params = model_mod.load_model(args.model)
-    cfg = _load_run_config(args.config)
     if args.test is None:
         raise DataFormatError("eval requires --test")
-    _, test_ds = _load_datasets(args, cfg, None)
-    test_ds = _on_vocabulary(test_ds, stored.class_names)
-    pre = _effective_preprocess(args, cfg)
-    test_inputs = pipeline.prepare_inputs(test_ds, pre, need_images=model_cfg.uses_spatial)
+    test_ds = _on_vocabulary(_load(args, cfg, args.test, "test"), stored.class_names)
+    test_inputs = pipeline.prepare_inputs(test_ds, _effective_preprocess(args, cfg), need_images=model_cfg.uses_spatial)
     if test_inputs.segs.shape[1] != stored.input_len:
         raise DataFormatError(
             f"model expects segments of length {stored.input_len}, test data has {test_inputs.segs.shape[1]}"
@@ -182,56 +175,30 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(args) -> int:
-    cfg = _load_run_config(args.config)
-    try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    except ValueError:
-        raise _UsageError(f"bad --seeds value: {args.seeds!r}")
-    if not seeds:
-        raise _UsageError("--seeds must list at least one seed")
-    train_ds, test_ds = _load_datasets(args, cfg, args.train)
-    if test_ds is None:
-        raise DataFormatError("ablate requires a test split")
-    pre = _effective_preprocess(args, cfg)
+def cmd_ablate(args, cfg: RunConfig) -> int:
+    train_ds, test_ds, pre = _train_and_test(args, cfg)
     train_inputs = pipeline.prepare_inputs(train_ds, pre)
     test_inputs = pipeline.prepare_inputs(test_ds, pre)
 
     print("variant,acc_mean,acc_std,f1_mean,f1_std,auc_mean,auc_std")
     for variant in VARIANTS:
         model_cfg = cfg.model.to_model_config(train_ds.num_classes, variant=variant)
-        accs, f1s, aucs = [], [], []
-        for seed in seeds:
-            train_cfg = replace(cfg.train, seed=seed)
-            _, report = pipeline.train_and_evaluate(model_cfg, train_inputs, test_inputs, train_cfg)
-            accs.append(report.accuracy)
-            f1s.append(report.macro_f1)
-            aucs.append(report.macro_auc)
-        print(
-            f"{variant},{np.mean(accs):.4f},{np.std(accs):.4f},"
-            f"{np.mean(f1s):.4f},{np.std(f1s):.4f},{np.mean(aucs):.4f},{np.std(aucs):.4f}"
-        )
+        reports = [pipeline.train_and_evaluate(model_cfg, train_inputs, test_inputs, replace(cfg.train, seed=seed))[1]
+                   for seed in args.seeds]
+        cells = [variant]
+        for name in ("accuracy", "macro_f1", "macro_auc"):
+            values = [getattr(report, name) for report in reports]
+            cells += [f"{np.mean(values):.4f}", f"{np.std(values):.4f}"]
+        print(",".join(cells))
     return EXIT_OK
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.command == "gaf":
-            return cmd_gaf(args)
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "ablate":
-            return cmd_ablate(args)
-        raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as e:
+        args = _build_parser().parse_args(argv)
+        cfg = RunConfig() if args.config is None else load_config_file(args.config)
+        return args.run(args, cfg)
+    except argparse.ArgumentError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (DataFormatError, FileNotFoundError, ValueError) as e:

@@ -1,13 +1,13 @@
 """Run configuration: dotted-key `key = value` text files with `#` comments.
 
 Sections map onto the component configs: `preprocess.*`, `model.*`,
-`train.*`, `schedule.*`, plus `data.fs`. Unknown keys are rejected. Layer
-lists use colon syntax: `model.cnn1d_layers = 32:7,64:5` (channels:kernel)
-and `model.cnn2d_layers = 16:3:2,...` (channels:kernel:stride).
+`train.*`, `schedule.*`, plus `data.fs`; their keys are the fields that do not
+hold a nested config. Unknown keys are rejected. A value parses as the kind of
+its field's default: `none` only where that is None (`preprocess.window`), and
+layer lists as colon tuples, `model.cnn1d_layers = 32:7,64:5`.
 """
 
-from dataclasses import dataclass, field, fields, make_dataclass
-from typing import Optional
+from dataclasses import dataclass, field, fields, is_dataclass, make_dataclass
 
 from .dsp import PreprocessConfig
 from .model import ModelConfig
@@ -40,40 +40,25 @@ class RunConfig:
     fs: float = 1.0  # sampling frequency assumed for UCR series
 
 
-def _format_value(name: str, value) -> str:
-    if name == "cnn1d_layers":
-        return ",".join(f"{c}:{k}" for c, k in value)
-    if name == "cnn2d_layers":
-        return ",".join(f"{c}:{k}:{s}" for c, k, s in value)
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
+def _format_value(value) -> str:
+    if isinstance(value, tuple):  # a layer list
+        return ",".join(":".join(map(str, layer)) for layer in value)
+    if value is None or isinstance(value, bool):
+        return str(value).lower()  # none, true, false
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _parse_value(name: str, raw: str, current):
-    raw = raw.strip()
-    if name == "cnn1d_layers":
+def _parse_value(raw: str, default):
+    """Parse `raw` as a value of the kind of the field's `default`."""
+    if default is None:  # optional int (preprocess.window)
+        return None if raw.lower() == "none" else int(raw)
+    if isinstance(default, tuple):  # a layer list
         return tuple(tuple(int(p) for p in item.split(":")) for item in raw.split(",") if item)
-    if name == "cnn2d_layers":
-        layers = tuple(tuple(int(p) for p in item.split(":")) for item in raw.split(",") if item)
-        if any(len(l) != 3 for l in layers):
-            raise ValueError(f"{name}: expected channels:kernel:stride items")
-        return layers
-    if raw.lower() == "none":
-        return None
-    if isinstance(current, bool):
+    if isinstance(default, bool):
         if raw.lower() not in ("true", "false"):
-            raise ValueError(f"{name}: expected true/false, got {raw!r}")
+            raise ValueError(f"expected true/false, got {raw!r}")
         return raw.lower() == "true"
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    if current is None:  # optional int (preprocess.window)
-        return int(raw)
-    return raw
+    return type(default)(raw)  # int, float or str
 
 
 def _sections(cfg: RunConfig):
@@ -86,19 +71,15 @@ def _sections(cfg: RunConfig):
     }
 
 
-_DATA_KEYS = ("fs",)
-_SKIP_FIELDS = {("train", "schedule")}
+def _keys(obj):
+    """A section's keys: the fields of its object that do not hold a nested
+    config, by name."""
+    return {f.name: f for f in fields(obj) if not is_dataclass(getattr(obj, f.name))}
 
 
-def _section_fields(section_name: str, obj):
-    if section_name == "data":
-        return list(_DATA_KEYS)
-    return [f.name for f in fields(obj) if (section_name, f.name) not in _SKIP_FIELDS]
-
-
-def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:
+def parse_config_text(text: str) -> RunConfig:
     """Apply `key = value` lines on top of defaults; unknown keys are errors."""
-    cfg = base or RunConfig()
+    cfg = RunConfig()
     sections = _sections(cfg)
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -111,25 +92,24 @@ def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:
             raise ValueError(f"config line {line_no}: key must be dotted, got {key!r}")
         section_name, field_name = key.split(".", 1)
         obj = sections.get(section_name)
-        if obj is None or field_name not in _section_fields(section_name, obj):
+        keys = _keys(obj) if obj is not None else {}
+        if field_name not in keys:
             raise ValueError(f"config line {line_no}: unknown key {key!r}")
-        current = getattr(obj, field_name)
-        setattr(obj, field_name, _parse_value(field_name, raw, current))
-    # re-run invariant checks
-    cfg.preprocess.__post_init__()
-    cfg.train.__post_init__()
-    cfg.train.schedule.__post_init__()
+        try:
+            setattr(obj, field_name, _parse_value(raw, keys[field_name].default))
+        except ValueError as e:
+            raise ValueError(f"config line {line_no}: {key}: {e}") from None
+    for obj in sections.values():  # re-run the invariant checks
+        if hasattr(obj, "__post_init__"):
+            obj.__post_init__()
     return cfg
 
 
 def config_to_text(cfg: RunConfig) -> str:
-    lines = []
-    for section_name, obj in _sections(cfg).items():
-        for name in _section_fields(section_name, obj):
-            lines.append(f"{section_name}.{name} = {_format_value(name, getattr(obj, name))}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{section_name}.{name} = {_format_value(getattr(obj, name))}\n"
+                   for section_name, obj in _sections(cfg).items() for name in _keys(obj))
 
 
-def load_config_file(path, base: Optional[RunConfig] = None) -> RunConfig:
+def load_config_file(path) -> RunConfig:
     with open(path) as f:
-        return parse_config_text(f.read(), base=base)
+        return parse_config_text(f.read())

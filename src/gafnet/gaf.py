@@ -25,7 +25,9 @@ def rescale(values) -> np.ndarray:
 def gaf_transform(values) -> np.ndarray:
     """GAF[j, k] = cos(phi_j + phi_k), phi = arccos of the rescaled segment:
     a symmetric float64 matrix with entries in [-1, 1]. The clip only guards
-    arccos, since `rescale` already maps finite input into [-1, 1]."""
+    arccos, since `rescale` already maps finite input into [-1, 1]. This is
+    the float64 reference that the tests and the benchmark's self-check hold
+    `gaf_images` to; the model and `gafnet gaf` read `gaf_images`."""
     p = np.arccos(np.clip(rescale(values), -1.0, 1.0))
     return np.cos(p[:, None] + p[None, :])
 

@@ -5,12 +5,13 @@ import os
 import pkgutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import gafnet
-from gafnet import cli, config, model
+from gafnet import cli, config, dsp, gaf, model, optim
 
 
 TINY_MODEL_CONFIG = """\
@@ -119,6 +120,69 @@ class TestConfigText:
         assert config.load_config_file(path).train.seed == 11
 
 
+# a value other than the default for every key, in config_to_text's order
+EVERY_KEY_CONFIG = """\
+preprocess.f_l = 0.7
+preprocess.f_h = 35.5
+preprocess.order = 3
+preprocess.window = 48
+preprocess.overlap = 8
+preprocess.filter_mode = forward-backward
+preprocess.enable_filter = true
+model.cnn1d_layers = 8:5,16:3
+model.lstm_hidden = 12
+model.cnn2d_layers = 4:3:1,8:5:2
+model.groups = 4
+model.d_attn = 6
+model.mlp_hidden = 32
+train.epochs = 7
+train.batch_size = 9
+train.seed = 5
+train.checkpoint_policy = last
+train.val_fraction = 0.25
+schedule.kind = cosine
+schedule.eta0 = 0.01
+schedule.decay = 0.5
+schedule.total_steps = 100
+data.fs = 180.0
+"""
+
+
+class TestConfigKeys:
+    def test_keys_are_the_fields_that_hold_no_nested_config(self):
+        written = [line.split(" = ")[0] for line in config.config_to_text(config.RunConfig()).splitlines()]
+        expected = (
+            [f"preprocess.{f.name}" for f in fields(dsp.PreprocessConfig)]
+            + [f"model.{f.name}" for f in fields(config.ModelSettings)]
+            + [f"train.{f.name}" for f in fields(optim.TrainConfig) if f.name != "schedule"]
+            + [f"schedule.{f.name}" for f in fields(optim.ScheduleConfig)]
+            + ["data.fs"]
+        )
+        assert sorted(written) == sorted(expected)
+
+    def test_every_key_set_round_trips_byte_identical(self):
+        defaults = config.config_to_text(config.RunConfig()).splitlines()
+        lines = EVERY_KEY_CONFIG.splitlines()
+        assert [line.split(" = ")[0] for line in lines] == [line.split(" = ")[0] for line in defaults]
+        assert not set(lines) & set(defaults)  # no key keeps its default
+        assert config.config_to_text(config.parse_config_text(EVERY_KEY_CONFIG)) == EVERY_KEY_CONFIG
+
+    @pytest.mark.parametrize("key", [
+        "train.epochs", "schedule.eta0", "model.lstm_hidden", "model.cnn1d_layers", "preprocess.enable_filter",
+    ])
+    def test_none_is_rejected_where_the_default_is_not_none(self, key):
+        with pytest.raises(ValueError, match=rf"^config line 2: {key}: "):
+            config.parse_config_text(f"train.seed = 1\n{key} = none\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("train.batch_size", "8.5"), ("schedule.decay", "fast"), ("model.cnn2d_layers", "4:x:2"),
+        ("preprocess.window", "wide"),
+    ])
+    def test_value_errors_name_the_line_and_key(self, key, value):
+        with pytest.raises(ValueError, match=rf"^config line 1: {key}: "):
+            config.parse_config_text(f"{key} = {value}\n")
+
+
 class TestCliGaf:
     def test_export(self, tmp_path):
         src = write_ucr(tmp_path / "d.tsv", 3, 12, seed=2)
@@ -150,6 +214,19 @@ class TestCliGaf:
         assert cli.main(["gaf", "--input", str(src), "--out-dir", str(out)]) == 2
         assert "d.tsv:2: non-finite series value" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_exports_the_image_the_model_reads(self, tmp_path):
+        # at w=140 this seed includes a series whose pixels from the float64
+        # arccos form differ from the model's image (numpy 2.4, OpenBLAS)
+        src = write_ucr(tmp_path / "d.tsv", 8, 140, seed=21)
+        out = tmp_path / "imgs"
+        assert cli.main(["gaf", "--input", str(src), "--out-dir", str(out)]) == 0
+        values = np.array([[float(v) for v in line.split("\t")[1:]] for line in src.read_text().splitlines()])
+        paths = sorted(out.iterdir(), key=lambda p: int(p.name.split("_")[0]))
+        assert len(paths) == len(values)
+        for row, path in enumerate(paths):
+            gaf.export_image(gaf.gaf_images(values[row:row + 1])[0], tmp_path / "expected.pgm")
+            assert path.read_bytes() == (tmp_path / "expected.pgm").read_bytes(), path.name
 
 
 class TestCliTrainEval:
@@ -325,6 +402,13 @@ class TestCliAblate:
             "--config", str(cfg), "--seeds", "a,b",
         ]) == 1
 
+    def test_empty_seed_list_is_usage_error(self, workspace):
+        _, train, test, cfg = workspace
+        assert cli.main([
+            "ablate", "--dataset", "ucr", "--train", str(train), "--test", str(test),
+            "--config", str(cfg), "--seeds", ",",
+        ]) == 1
+
 
 class TestCliUsage:
     def test_no_arguments(self):
@@ -354,6 +438,17 @@ class TestCliUsage:
             "--config", str(bad), "--out", str(tmp_path / "y"),
         ]) == 2
         assert "cnn2d_layers" in capsys.readouterr().err
+
+    def test_none_for_a_value_that_is_not_optional_is_data_error(self, workspace, capsys):
+        tmp_path, train, test, cfg = workspace
+        bad = tmp_path / "none.cfg"
+        bad.write_text(TINY_MODEL_CONFIG + "train.epochs = none\n")
+        assert cli.main([
+            "train", "--dataset", "ucr", "--train", str(train), "--test", str(test),
+            "--config", str(bad), "--out", str(tmp_path / "y"),
+        ]) == 2
+        assert "config line 10: train.epochs:" in capsys.readouterr().err
+        assert not (tmp_path / "y").exists()
 
 
 def test_importing_the_package_loads_no_scipy_signal_or_stats():
