@@ -10,8 +10,18 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 runtime error.
 Diagnostics go to stderr; stdout stays machine-parseable.
 """
 
-import argparse
 import os
+
+# One BLAS thread unless the user set another count, before numpy loads: a
+# trained model.bin's bytes depend on the thread count, and a second thread
+# did not speed up training on a 2-CPU machine. Only the command line does
+# this; importing the library modules leaves the environment alone, and a
+# process that loaded numpy before this module keeps the count numpy started
+# with.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse
 import sys
 from dataclasses import replace
 from typing import List, Optional

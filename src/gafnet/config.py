@@ -7,6 +7,7 @@ its field's default: `none` only where that is None (`preprocess.window`), and
 layer lists as colon tuples, `model.cnn1d_layers = 32:7,64:5`.
 """
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, make_dataclass
 
 from .dsp import PreprocessConfig
@@ -39,6 +40,10 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     fs: float = 1.0  # sampling frequency assumed for UCR series
 
+    def __post_init__(self):
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise ValueError(f"sampling frequency must be finite and > 0, got {self.fs!r}")
+
 
 def _format_value(value) -> str:
     if isinstance(value, tuple):  # a layer list
@@ -58,7 +63,10 @@ def _parse_value(raw: str, default):
         if raw.lower() not in ("true", "false"):
             raise ValueError(f"expected true/false, got {raw!r}")
         return raw.lower() == "true"
-    return type(default)(raw)  # int, float or str
+    value = type(default)(raw)  # int, float or str
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _sections(cfg: RunConfig):
@@ -78,9 +86,12 @@ def _keys(obj):
 
 
 def parse_config_text(text: str) -> RunConfig:
-    """Apply `key = value` lines on top of defaults; unknown keys are errors."""
+    """Apply `key = value` lines on top of defaults; unknown keys are errors.
+    A value that breaks its section's invariants is reported with the lines
+    that set keys of that section (the defaults hold them all)."""
     cfg = RunConfig()
     sections = _sections(cfg)
+    set_by = {name: {} for name in sections}  # section -> key -> line that last set it
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -99,9 +110,15 @@ def parse_config_text(text: str) -> RunConfig:
             setattr(obj, field_name, _parse_value(raw, keys[field_name].default))
         except ValueError as e:
             raise ValueError(f"config line {line_no}: {key}: {e}") from None
-    for obj in sections.values():  # re-run the invariant checks
-        if hasattr(obj, "__post_init__"):
-            obj.__post_init__()
+        set_by[section_name][key] = line_no
+    for section_name, obj in sections.items():  # re-run the invariant checks
+        try:
+            if hasattr(obj, "__post_init__"):
+                obj.__post_init__()
+        except ValueError as e:
+            keys = sorted(set_by[section_name], key=set_by[section_name].get)
+            lines = ", ".join(str(set_by[section_name][key]) for key in keys)
+            raise ValueError(f"config line{'s' * (len(keys) > 1)} {lines}: {', '.join(keys)}: {e}") from None
     return cfg
 
 

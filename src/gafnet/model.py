@@ -343,24 +343,45 @@ def _fusion_stage(cfg: ModelConfig) -> Stage:
 # full model
 
 
+class Branch(NamedTuple):
+    input: str  # "segment" or "image"
+    width: int  # of its features
+    stages: List[Stage]
+    # Rows per block when the branch runs without a tape (prediction); None
+    # runs it over the whole `forward` call.
+    rows: Optional[int]
+
+
+# The spatial branch's block in prediction. Its conv2d layers' working set
+# grows with the rows: at w=140 a block of 8 stays near a 4 MB L2 cache, and
+# timeit over 600 rows gave 892 µs a row at 8-row blocks against 1175 at 32.
+# A block only splits the columns of each conv GEMM, and at a multiple of 8
+# rows every block's columns start where a column tile of the one GEMM over
+# all rows would, so the bytes are those of one pass over all rows (1-, 2-
+# and 4-row blocks kept them at w=96-140 but not at w=32). The temporal
+# branch runs over the whole call: its BiLSTM steps every time step once per
+# call, which costs less a row the more rows share it (810 µs a row at 64
+# rows, 1023 at 32).
+SPATIAL_ROWS = 8
+
+
 def _layout(cfg: ModelConfig):
     """The one place where the layers of a variant are put together:
-    (branches, head). `branches` holds (input name, feature width, stage list)
-    for each branch in use, in input order; `head` is the stage list over
-    their concatenated features, led by the attention fusion when the variant
-    uses it."""
+    (branches, head). `branches` holds a `Branch` for each branch in use, in
+    input order; `head` is the stage list over their concatenated features,
+    led by the attention fusion when the variant uses it."""
     branches = []
     if cfg.uses_temporal:
-        branches.append(("segment", cfg.d_t, _temporal_stages(cfg)))
+        branches.append(Branch("segment", cfg.d_t, _temporal_stages(cfg), None))
     if cfg.uses_spatial:
-        branches.append(("image", cfg.d_s, _spatial_stages(cfg)))
+        branches.append(Branch("image", cfg.d_s, _spatial_stages(cfg), SPATIAL_ROWS))
     return branches, ([_fusion_stage(cfg)] if cfg.uses_attention else []) + _head_stages(cfg)
 
 
 def _stages(cfg: ModelConfig) -> List[Stage]:
     """Every stage of the variant, branches first, in `_layout` order."""
     branches, head = _layout(cfg)
-    return [stage for _kind, _width, branch in branches for stage in branch] + head
+    return [stage for branch in branches for stage in branch.stages] + head
 
 
 def param_shapes(cfg: ModelConfig) -> Dict[str, Tuple[int, ...]]:
@@ -396,6 +417,13 @@ def _run(stages: List[Stage], x, params: ModelParams, tape: Optional[list]):
         if tape is not None:
             tape.append((stage.backward, cache, stage.names))
     return x
+
+
+def _run_blocks(branch: Branch, x, params: ModelParams):
+    """A branch run without a tape over the `ops.row_blocks` of its `rows`
+    (all rows at once if None), the blocks' features concatenated."""
+    blocks = ops.row_blocks(len(x), branch.rows or max(len(x), 1))
+    return np.concatenate([_run(branch.stages, x[start:end], params, None) for start, end in blocks])
 
 
 def _replay(tape: list, g, params: ModelParams, input_grad: bool = True):
@@ -438,14 +466,19 @@ def forward(segs, imgs, params: ModelParams, cfg: ModelConfig, record: bool = Tr
     segs: (B, w) raw segments; imgs: (B, w, w) GAF images. An input the
     variant does not read may be None. With `record=False` no tape is kept
     (`tapes` is None, and `backward` rejects the trace): each stage's
-    intermediates are freed as the forward goes, and the logits and
-    probabilities are the same bytes.
+    intermediates are freed as the forward goes, each branch runs over
+    blocks of its `Branch.rows`, and the logits and probabilities are the
+    same bytes.
     """
     _rows(segs, imgs, cfg)
     branches, head = _layout(cfg)
     inputs = {"segment": segs, "image": imgs}
-    tapes = [[] if record else None for _ in range(len(branches) + 1)]
-    feats = [_run(stages, inputs[kind], params, tape) for (kind, _width, stages), tape in zip(branches, tapes)]
+    if record:
+        tapes = [[] for _ in range(len(branches) + 1)]
+        feats = [_run(branch.stages, inputs[branch.input], params, tape) for branch, tape in zip(branches, tapes)]
+    else:
+        tapes = [None] * (len(branches) + 1)
+        feats = [_run_blocks(branch, inputs[branch.input], params) for branch in branches]
     logits = _run(head, np.concatenate(feats, axis=-1), params, tapes[-1])
     # float64 probabilities: the loss takes log(p + 1e-12), which float32 cannot resolve near 1
     probs, _ = ops.softmax_forward(logits.astype(np.float64, copy=False), axis=-1)
@@ -464,9 +497,9 @@ def backward(trace: ForwardTrace, grad_logits, params: ModelParams, cfg: ModelCo
         raise ValueError("backward needs a trace recorded by forward(..., record=True)")
     branches, _head = _layout(cfg)
     gz = _replay(trace.tapes[-1], np.asarray(grad_logits, dtype=trace.logits.dtype), params)
-    gfeats = np.split(gz, np.cumsum([width for _kind, width, _stages in branches])[:-1], axis=-1)
-    grads = {kind: _replay(tape, g, params, input_grads)
-             for (kind, _w, _s), tape, g in zip(branches, trace.tapes, gfeats)}
+    gfeats = np.split(gz, np.cumsum([branch.width for branch in branches])[:-1], axis=-1)
+    grads = {branch.input: _replay(tape, g, params, input_grads)
+             for branch, tape, g in zip(branches, trace.tapes, gfeats)}
     return grads.get("segment"), grads.get("image")
 
 
@@ -492,7 +525,7 @@ def backward_cross_entropy(trace: ForwardTrace, labels_onehot, params: ModelPara
 # float32, one BLAS thread, six runs each) took 1.42-2.03 s at 16 rows,
 # 1.42-1.69 s at 32 and 1.44-1.63 s at 64, and a second pass in the same
 # process 1.38-1.71, 1.45-1.49 and 1.41-1.42 s: no size was clearly faster.
-PREDICT_ROWS = 32
+PREDICT_ROWS = 64
 
 
 def gather(segs, imgs, rows):
@@ -505,18 +538,21 @@ def gather(segs, imgs, rows):
 
 def predict_probs(params: ModelParams, cfg: ModelConfig, segs, imgs, rows=None) -> np.ndarray:
     """Inference over every row of the inputs, or over the index array `rows`
-    of them in its order, `PREDICT_ROWS` rows per `forward` call, each chunk
-    taken by `gather` and run with `record=False`. The call goes through the
-    module attribute `forward`, so a wrapper installed there sees every
-    chunk."""
+    of them in its order, one `forward` call per chunk, each chunk taken by
+    `gather` and run with `record=False`. A chunk starts every
+    `PREDICT_ROWS` rows and the last one takes the remainder
+    (`ops.row_blocks`), so no row is predicted alone unless there is only
+    one, and the probabilities are the bytes of one `forward` over all the
+    rows. The call goes through the module attribute `forward`, so a wrapper
+    installed there sees every chunk."""
     n = _rows(segs, imgs, cfg)
     if rows is not None:
         n = len(rows)
     if n == 0:
         return np.empty((0, cfg.num_classes))
     out = []
-    for start in range(0, n, PREDICT_ROWS):
-        chunk = slice(start, start + PREDICT_ROWS)
+    for start, end in ops.row_blocks(n, PREDICT_ROWS):
+        chunk = slice(start, end)
         # no tape: nothing runs backward, so each stage's arrays are freed as the forward goes on
         out.append(forward(*gather(segs, imgs, chunk if rows is None else rows[chunk]), params, cfg, record=False).probs)
     return np.concatenate(out, axis=0)

@@ -24,6 +24,8 @@ sigmoid gates are σ(z) = ½·tanh(½z) + ½, so one tanh pass activates all
 four gates of a step.
 """
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -160,35 +162,50 @@ def _channel_axis(w):
     return ("c", slice(None)) if w.shape[1] > 1 else ("", 0)
 
 
-# Bytes of the contiguous window copy that the forward einsum makes per
-# block of samples. Above glibc's 32 MB mmap threshold every call would map
-# and page-fault its copy anew (the second conv2d layer's windows of w=140
-# take 21.3 MB per 32 rows in float32, 42.6 MB in float64). On the float32
-# path 8 MiB predicted no faster than 16 MiB.
+# Bytes of the column buffer the forward copies the windows into per block
+# of samples. Above glibc's 32 MB mmap threshold every call would map and
+# page-fault its copy anew (the second conv2d layer's columns of w=140 take
+# 21.3 MB per 32 rows in float32, 42.6 MB in float64). On the float32 path
+# 8 MiB predicted no faster than 16 MiB.
 WINDOW_BLOCK_BYTES = 16 * 2**20
 
 
-def _window_product(spec, win, w):
-    """`np.einsum(spec, win, w)` over blocks of samples whose window copy
-    stays under `WINDOW_BLOCK_BYTES` (a block of 8 samples at least).
+def row_blocks(n, rows):
+    """(start, end) of blocks over `n` rows: a block starts every `rows`
+    rows and the last one also takes the remainder, so no block is a short
+    tail (a lone row would be multiplied as a matrix-vector product, which
+    rounds differently), and no block holds twice `rows` or more."""
+    if n < 2 * rows:
+        return [(0, n)]
+    starts = list(range(0, n - rows + 1, rows))
+    return list(zip(starts, starts[1:] + [n]))
 
-    Blocks start every `rows` samples, a multiple of 8, and the last block
-    also takes the remainder, so its copy stays under twice a block's. Both
-    rules keep the single einsum's bytes: other block sizes, or a separate
-    short tail block, round the last sample of a block differently. The
-    output keeps the single einsum's strides."""
-    bsz = win.shape[0]
-    row_bytes = win[:1].size * win.itemsize  # 0 for an empty batch
-    rows = max(8, WINDOW_BLOCK_BYTES // max(row_bytes, 1) // 8 * 8)
-    if bsz < 2 * rows:
-        return np.einsum(spec, win, w, optimize=True)
-    ends = list(range(rows, bsz - rows + 1, rows)) + [bsz]
-    first = np.einsum(spec, win[:rows], w, optimize=True)
-    y = np.empty_like(first, shape=(bsz,) + first.shape[1:])
-    y[:rows] = first
-    for start, end in zip(ends, ends[1:]):
-        y[start:end] = np.einsum(spec, win[start:end], w, optimize=True)
-    return y
+
+def _window_product(win, w):
+    """Cross-correlation of the window view win (B, cin, *spatial, k, ..., k)
+    with w (cout, cin, k, ..., k) as one GEMM: W (cout, cin·kⁿ) @ columns
+    (cin·kⁿ, B·spatial). The columns are the windows copied channel first,
+    one `row_blocks` block of samples at a time, 8 samples or a multiple of
+    8 whose copy stays under `WINDOW_BLOCK_BYTES`; each block fills its
+    own columns of the (cout, B, *spatial) product, which is returned viewed
+    as (B, cout, *spatial). That is the product, and the layout, of the
+    window einsum `bc…,oc…->bo…`, so the bytes are the einsum's; splitting the
+    GEMM by columns does not change them."""
+    bsz, cin = win.shape[:2]
+    nd = w.ndim - 2
+    spatial, taps = win.shape[2 : 2 + nd], win.shape[2 + nd :]
+    # (cin, k, ..., k, B, *spatial): the axis order of the columns
+    order = (1, *range(2 + nd, 2 + 2 * nd), 0, *range(2, 2 + nd))
+    y = np.empty((w.shape[0], bsz) + spatial, dtype=win.dtype)
+    y_cols = y.reshape(w.shape[0], -1)
+    w_rows = w.reshape(w.shape[0], -1)
+    per_sample = math.prod(spatial)
+    row_bytes = max(win[:1].size * win.itemsize, 1)  # 0 for an empty batch
+    for start, end in row_blocks(bsz, max(8, WINDOW_BLOCK_BYTES // row_bytes // 8 * 8)):
+        cols = np.empty((cin, *taps, end - start, *spatial), dtype=win.dtype)
+        np.copyto(cols, win[start:end].transpose(order))
+        np.matmul(w_rows, cols.reshape(w_rows.shape[1], -1), out=y_cols[:, start * per_sample : end * per_sample])
+    return np.moveaxis(y, 0, 1)
 
 
 def _conv_forward(x, kernels, bias, stride, nd):
@@ -212,9 +229,7 @@ def _conv_forward(x, kernels, bias, stride, nd):
         raise ShapeMismatchError(f"conv{nd}d input smaller than kernel")
     win = sliding_window_view(xp, (k,) * nd, axis=tuple(range(-nd, 0)))
     win = win[(slice(None), slice(None)) + (slice(None, None, stride),) * nd]
-    s, kk = _CONV_AXES[nd]
-    c, ci = _channel_axis(w)
-    y = _window_product(f"b{c}{s}{kk},o{c}{kk}->bo{s}", win[:, ci], w[:, ci])
+    y = _window_product(win, w)
     y += b.reshape((-1,) + (1,) * nd)
     return y, (win, w, xb.shape, pad, stride)
 
@@ -282,17 +297,19 @@ def _lstm_forward(x, w_x, w_h, b):
     """
     t_len, _, bsz, _ = x.shape
     h = w_h.shape[-1]
+    # One tanh pass activates all four gates: σ(z) = ½·tanh(½z) + ½ for i, f
+    # and o, and tanh(z) itself (scale 1, shift 0) for the candidate g. The
+    # inner ½ is folded into copies of the weights and bias: a power-of-two
+    # scale is exact, so ½z has the bytes it had when z was scaled per step.
+    scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=x.dtype), h)
+    shift = np.repeat(np.array([0.5, 0.5, 0.0, 0.5], dtype=x.dtype), h)
     # contiguous transposes: matmul over a swapped view takes a slower path
-    w_ht = np.ascontiguousarray(np.swapaxes(w_h, 1, 2))
+    w_ht = np.ascontiguousarray(np.swapaxes(w_h, 1, 2)) * scale
     # x_t @ W_xᵀ + b of every step up front: still one (B, din) x (din, 4h) gemm
     # per step and direction. Each step adds h_t @ W_hᵀ and turns its slice into
     # the gates in place.
-    gates = np.matmul(x, np.ascontiguousarray(np.swapaxes(w_x, 1, 2)))
-    gates += b[:, None]
-    # One tanh pass activates all four gates: σ(z) = ½·tanh(½z) + ½ for i, f
-    # and o, and tanh(z) itself (scale 1, shift 0) for the candidate g.
-    scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=gates.dtype), h)
-    shift = np.repeat(np.array([0.5, 0.5, 0.0, 0.5], dtype=gates.dtype), h)
+    gates = np.matmul(x, np.ascontiguousarray(np.swapaxes(w_x, 1, 2)) * scale)
+    gates += (b * scale)[:, None]
     # slot t + 1 holds the state after step t; slot 0 is the zero initial state
     cs = np.zeros((t_len + 1, 2, bsz, h), dtype=x.dtype)
     hs = np.zeros((t_len + 1, 2, bsz, h), dtype=x.dtype)
@@ -300,7 +317,6 @@ def _lstm_forward(x, w_x, w_h, b):
     for t in range(t_len):
         z = gates[t]
         z += np.matmul(hs[t], w_ht)
-        z *= scale
         np.tanh(z, out=z)
         z *= scale
         z += shift

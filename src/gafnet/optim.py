@@ -22,9 +22,10 @@ class ScheduleConfig:
     total_steps: int = 0  # cosine horizon
 
     def __post_init__(self):
-        if self.eta0 <= 0:
+        # written so that NaN fails too
+        if not self.eta0 > 0:
             raise ValueError("initial learning rate must be positive")
-        if self.decay < 0:
+        if not self.decay >= 0:
             raise ValueError("decay factor must be >= 0")
         if self.kind not in ("inverse_sqrt", "cosine"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")

@@ -183,6 +183,47 @@ class TestConfigKeys:
             config.parse_config_text(f"{key} = {value}\n")
 
 
+class TestFiniteValues:
+    """A learning rate, decay or sampling frequency that is NaN, infinite or
+    out of range is a config error: from the constructors, from config text
+    (naming the line and key) and from the command line (exit 2)."""
+
+    @pytest.mark.parametrize("kwargs", [{"eta0": float("nan")}, {"decay": float("nan")}, {"eta0": 0.0},
+                                        {"decay": -1.0}])
+    def test_schedule_constructor_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            optim.ScheduleConfig(**kwargs)
+
+    @pytest.mark.parametrize("fs", [float("nan"), float("inf"), 0.0, -360.0])
+    def test_run_config_constructor_rejects_fs(self, fs):
+        with pytest.raises(ValueError, match="sampling frequency"):
+            config.RunConfig(fs=fs)
+
+    @pytest.mark.parametrize("key, value", [
+        ("schedule.eta0", "nan"), ("schedule.decay", "nan"), ("schedule.eta0", "-inf"), ("data.fs", "nan"),
+        ("data.fs", "inf"), ("data.fs", "0"), ("data.fs", "-360"),
+    ])
+    def test_config_text_names_the_line_and_key(self, key, value):
+        with pytest.raises(ValueError, match=rf"^config line 2: {key}: "):
+            config.parse_config_text(f"train.seed = 1\n{key} = {value}\n")
+
+    def test_invariant_error_names_every_line_of_the_section(self):
+        with pytest.raises(ValueError, match=r"^config lines 1, 3: train\.epochs, train\.seed: epochs"):
+            config.parse_config_text("train.epochs = 0\ndata.fs = 2.0\ntrain.seed = 4\n")
+
+    @pytest.mark.parametrize("key", ["data.fs", "schedule.eta0"])
+    def test_cli_exits_with_data_error(self, workspace, capsys, key):
+        tmp_path, train, test, _ = workspace
+        bad = tmp_path / "nan.cfg"
+        bad.write_text(TINY_MODEL_CONFIG + f"{key} = nan\n")
+        assert cli.main([
+            "train", "--dataset", "ucr", "--train", str(train), "--test", str(test),
+            "--config", str(bad), "--out", str(tmp_path / "y"),
+        ]) == 2
+        assert f"config line 10: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "y").exists()
+
+
 class TestCliGaf:
     def test_export(self, tmp_path):
         src = write_ucr(tmp_path / "d.tsv", 3, 12, seed=2)
@@ -462,3 +503,59 @@ def test_importing_the_package_loads_no_scipy_signal_or_stats():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     loaded = run.stdout.split()
     assert not {"scipy.signal", "scipy.stats"} & set(loaded), loaded
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Runs a statement and prints the BLAS thread variables as they were when
+# numpy started to load, then as they are after the statement.
+_NUMPY_SPY = """\
+import os, sys
+names = {names!r}
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append([os.environ.get(v) for v in names])
+sys.meta_path.insert(0, Spy())
+try:
+    {statement}
+except SystemExit:
+    pass
+print(*seen[0])
+print(*[os.environ.get(v) for v in names])
+"""
+
+
+def blas_threads(statement, **env_vars):
+    """(at numpy's import, after the statement) in a fresh interpreter whose
+    environment holds only the given BLAS variables."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(env_vars, PYTHONPATH=os.path.dirname(os.path.dirname(gafnet.__file__)))
+    code = _NUMPY_SPY.format(names=BLAS_VARS, statement=statement)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    at_import, after = run.stdout.splitlines()
+    return at_import.split(), after.split()
+
+
+class TestBlasThreads:
+    """The command line runs BLAS at one thread unless the user chose a
+    count; the library leaves the environment alone."""
+
+    # the `gafnet` script imports gafnet.cli; `python -m gafnet.cli` runs it as __main__
+    ENTRY_POINTS = ["import gafnet.cli",
+                    "import runpy; sys.argv = ['gafnet']; runpy.run_module('gafnet.cli', run_name='__main__')"]
+
+    @pytest.mark.parametrize("statement", ENTRY_POINTS, ids=["script", "module"])
+    def test_default_is_one_thread(self, statement):
+        assert blas_threads(statement) == (["1", "1", "1"], ["1", "1", "1"])
+
+    @pytest.mark.parametrize("statement", ENTRY_POINTS, ids=["script", "module"])
+    def test_user_setting_is_kept(self, statement):
+        got = blas_threads(statement, OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="3")
+        assert got == (["2", "1", "3"], ["2", "1", "3"])
+
+    def test_library_modules_leave_the_environment_alone(self):
+        modules = ["gafnet." + m.name for m in pkgutil.iter_modules(gafnet.__path__) if m.name != "cli"]
+        unset = ["None"] * len(BLAS_VARS)
+        assert blas_threads(f"import {', '.join(modules)}") == (unset, unset)

@@ -341,8 +341,8 @@ class TestPredict:
         # on the float64 path, where a chunk is the very rows it was given
         monkeypatch.setattr(model, "COMPUTE_DTYPE", np.float64)
         segs, imgs, whole, probs, seen = self.predict_in_chunks(monkeypatch)
-        assert all(len(s) <= model.PREDICT_ROWS for s, _i in seen)
-        assert sum(len(s) for s, _i in seen) == len(segs)
+        # a chunk starts every PREDICT_ROWS rows and the last takes the remainder
+        assert [len(s) for s, _i in seen] == [model.PREDICT_ROWS, model.PREDICT_ROWS + 5]
         assert np.array_equal(np.concatenate([s for s, _i in seen]), segs)
         assert np.array_equal(np.concatenate([i for _s, i in seen]), imgs)
         # a row's probabilities can move in the last bit with the batch size
@@ -351,7 +351,7 @@ class TestPredict:
 
     def test_float32_chunks_cover_rows_in_order(self, monkeypatch):
         segs, imgs, whole, probs, seen = self.predict_in_chunks(monkeypatch)
-        assert all(len(s) <= model.PREDICT_ROWS and s.dtype == i.dtype == np.float32 for s, i in seen)
+        assert all(len(s) < 2 * model.PREDICT_ROWS and s.dtype == i.dtype == np.float32 for s, i in seen)
         assert np.array_equal(np.concatenate([s for s, _i in seen]), segs.astype(np.float32))
         assert np.array_equal(np.concatenate([i for _s, i in seen]), imgs.astype(np.float32))
         assert probs.dtype == np.float64
@@ -361,7 +361,7 @@ class TestPredict:
         # over all rows, inputs already in COMPUTE_DTYPE are read in place, not copied
         cfg = tiny_config()
         params = model.init_params(cfg, ops.make_rng(13))
-        segs, imgs = (x.astype(np.float32) for x in tiny_inputs(np.random.default_rng(22), n=model.PREDICT_ROWS + 5))
+        segs, imgs = (x.astype(np.float32) for x in tiny_inputs(np.random.default_rng(22), n=2 * model.PREDICT_ROWS + 5))
         seen = []
         real_forward = model.forward
 
@@ -402,6 +402,39 @@ class TestPredict:
             model.predict_probs(params, cfg, segs, imgs[:3])
         with pytest.raises(ShapeMismatchError):
             model.forward(segs[:3], imgs, params, cfg)
+
+
+class TestPredictBytes:
+    """`predict_probs` gives the bytes of one `forward` over all the rows,
+    whatever the chunk and spatial block sizes: a chunk starts every
+    `PREDICT_ROWS` rows and the last takes the remainder, so no row is run
+    alone (a one-row matrix is multiplied as a matrix-vector product, which
+    rounds differently), and a spatial block only splits the columns of the
+    conv GEMMs. On the paper-default layer sizes, in float32, as prediction
+    runs them."""
+
+    ROWS = (1, 7, 8, 9, 33, 65, 100, 130)
+
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    def test_same_bytes_as_one_forward(self, monkeypatch, variant):
+        cfg = model.ModelConfig(num_classes=3, variant=variant)
+        params = model.init_params(cfg, ops.make_rng(19))
+        rng = np.random.default_rng(29)
+        segs = rng.standard_normal((max(self.ROWS), 32)).astype(np.float32)
+        imgs = rng.standard_normal((max(self.ROWS), 32, 32)).astype(np.float32)
+        order = rng.permutation(len(segs))
+        for n in self.ROWS:
+            rows = order[:n]
+            whole = model.forward(segs[:n], imgs[:n], params, cfg).probs
+            picked = model.forward(segs[rows], imgs[rows], params, cfg).probs
+            assert np.array_equal(model.forward(segs[:n], imgs[:n], params, cfg, record=False).probs, whole)
+            for name, value in (("SPATIAL_ROWS", 16), ("PREDICT_ROWS", 32), ("PREDICT_ROWS", 128),
+                                (None, None)):
+                with monkeypatch.context() as m:
+                    if name:
+                        m.setattr(model, name, value)
+                    assert np.array_equal(model.predict_probs(params, cfg, segs[:n], imgs[:n]), whole), (n, name)
+                    assert np.array_equal(model.predict_probs(params, cfg, segs, imgs, rows), picked), (n, name)
 
 
 class TestUnrecordedForward:
@@ -478,7 +511,8 @@ class TestComputeDtype:
 
         def recording_layout(cfg):
             branches, head = real_layout(cfg)
-            return [(k, w, [recording(st) for st in sts]) for k, w, sts in branches], [recording(st) for st in head]
+            return ([b._replace(stages=[recording(st) for st in b.stages]) for b in branches],
+                    [recording(st) for st in head])
 
         monkeypatch.setattr(model, "_layout", recording_layout)
         cfg = tiny_config(variant, num_classes=3)

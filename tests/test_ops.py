@@ -282,26 +282,30 @@ class TestConvBytes:
         rng = rng_for(60 + cin)
         w = rng.standard_normal((cout, cin, 3, 3))
         b = rng.standard_normal(cout)
-        real_einsum = np.einsum
+        per_sample = ((size[0] - 3) // 2 + 1) * ((size[1] - 3) // 2 + 1)
+        real_matmul = np.matmul
         blocks = []
 
-        def recording_einsum(spec, *operands, **kwargs):
-            blocks.append(len(operands[0]))
-            return real_einsum(spec, *operands, **kwargs)
+        def recording_matmul(a, cols, **kwargs):
+            blocks.append(cols.shape[1] // per_sample)
+            return real_matmul(a, cols, **kwargs)
 
         for bsz in (1, 7, 8, 9, 16, 17, 33, 40):
             x = rng.standard_normal((bsz, cin) + size)
             whole, _ = ops.conv2d_forward(x, w, b, stride=2)  # one block at the default budget
-            # every block's window copy is over a budget of 1 byte: 8-sample blocks
+            # every block's column copy is over a budget of 1 byte: 8-sample blocks
             with monkeypatch.context() as m:
                 m.setattr(ops, "WINDOW_BLOCK_BYTES", 1)
-                m.setattr(np, "einsum", recording_einsum)
+                m.setattr(np, "matmul", recording_matmul)
                 blocks.clear()
                 y, cache = ops.conv2d_forward(x, w, b, stride=2)
-            # blocks start every 8 samples and the last one takes the remainder
+            # one GEMM per block of columns; blocks start every 8 samples and
+            # the last one takes the remainder
             assert blocks == ([8] * (bsz // 8 - 1) + [8 + bsz % 8] if bsz >= 16 else [bsz])
-            assert_same_result(y, whole)
+            # splitting the GEMM by columns keeps its bytes and the output layout
+            assert np.array_equal(y, whole)
             assert y.strides == whole.strides
+            assert_same_result(y, conv_forward_reference(x, w, b, 2))
             gy = rng.standard_normal(y.shape)
             for got, ref in zip(ops.conv2d_backward(gy, cache), conv_backward_reference(gy, x, w, 2)):
                 assert_same_result(got, ref)
