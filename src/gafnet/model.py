@@ -355,13 +355,12 @@ class Branch(NamedTuple):
 # The spatial branch's block in prediction. Its conv2d layers' working set
 # grows with the rows: at w=140 a block of 8 stays near a 4 MB L2 cache, and
 # timeit over 600 rows gave 892 µs a row at 8-row blocks against 1175 at 32.
-# A block only splits the columns of each conv GEMM, and at a multiple of 8
-# rows every block's columns start where a column tile of the one GEMM over
-# all rows would, so the bytes are those of one pass over all rows (1-, 2-
-# and 4-row blocks kept them at w=96-140 but not at w=32). The temporal
-# branch runs over the whole call: its BiLSTM steps every time step once per
-# call, which costs less a row the more rows share it (810 µs a row at 64
-# rows, 1023 at 32).
+# A block only splits the columns of each conv GEMM, which at a multiple of
+# 8 rows keeps the bytes of one pass over all rows (`ops._window_product`;
+# 1-, 2- and 4-row blocks kept them at w=96-140 but not at w=32). The
+# temporal branch runs over the whole call: its BiLSTM steps every time step
+# once per call, which costs less a row the more rows share it (810 µs a row
+# at 64 rows, 1023 at 32).
 SPATIAL_ROWS = 8
 
 
@@ -510,21 +509,19 @@ def backward_cross_entropy(trace: ForwardTrace, labels_onehot, params: ModelPara
     return backward(trace, (trace.probs - y) * (1.0 / y.shape[0]), params, cfg, input_grads=input_grads)
 
 
-# Rows per `forward` call in `predict_probs`. A chunk keeps no tape, so it
-# holds the arrays of the stage running and of the one before it, not of
-# every stage: on the paper-default model at 32 float32 rows of w=140 the
-# peak memory numpy allocates in one call is 34 MB, against 54 MB with the
-# tape (tracemalloc, numpy 2.4). A chunk's layer outputs grow with the rows;
-# an array above glibc's 32 MB mmap threshold is mapped and page-faulted
-# anew on every call. At 32 float32 rows of w=140 the largest
-# are the second conv2d layer's window copy, 21.3 MB (one block: under two
-# of `ops.WINDOW_BLOCK_BYTES`), and the first conv2d layer's output, 9.8 MB;
-# at 64 rows the output doubles and the copy is blocked. Fewer rows cost
-# more per row instead: the BiLSTM steps every time step once per chunk.
-# Predicting 600 rows of w=140 in a fresh process (paper-default model,
-# float32, one BLAS thread, six runs each) took 1.42-2.03 s at 16 rows,
-# 1.42-1.69 s at 32 and 1.44-1.63 s at 64, and a second pass in the same
-# process 1.38-1.71, 1.45-1.49 and 1.41-1.42 s: no size was clearly faster.
+# Rows per `forward` call in `predict_probs`: a chunk starts every
+# PREDICT_ROWS rows and the last one takes the remainder, so it holds fewer
+# than twice as many. A chunk keeps no tape, so it holds the arrays of the
+# stage running and of the one before it, not of every stage. The temporal
+# branch runs over the whole chunk and the spatial branch in `SPATIAL_ROWS`
+# blocks, so only the BiLSTM's buffers grow with the chunk: at 64 float32
+# rows of w=140 its gate buffer is 18.4 MB and its state buffers 4.6 MB
+# each. numpy's peak allocation for one such chunk is 42 MB, against 62 MB
+# when the spatial branch ran over the whole chunk too (tracemalloc, numpy
+# 2.4; 21 against 34 MB at 32 rows). Predicting 600 rows of w=140 in a fresh
+# process (paper-default model, one BLAS thread, three runs each) took
+# 1.08-1.18 s in 64-row chunks against 1.52-1.67 s for 32-row chunks with
+# the whole chunk through both branches.
 PREDICT_ROWS = 64
 
 

@@ -13,15 +13,17 @@ the float64 reference, which `grad_check` runs. There is no autograd graph: `mod
 each layer as stages, records every forward's backward op and cache on a
 tape, and replays the tape in reverse.
 
-conv1d and conv2d share one N-d cross-correlation. The BiLSTM's reverse
-direction is the forward LSTM recurrence run over the flipped sequence; one
-loop steps both directions together over time-major buffers stacked by
-direction, (T, 2, B, ·), so each step works on contiguous slices.
+conv1d and conv2d share one N-d cross-correlation: its forward copies the
+input's windows into a channel-first column buffer (cin·kⁿ, B·spatial) and
+runs one GEMM with the kernels as a (cout, cin·kⁿ) matrix. The BiLSTM's
+reverse direction is the forward LSTM recurrence run over the flipped
+sequence; one loop steps both directions together over time-major buffers
+stacked by direction, (T, 2, B, ·), so each step works on contiguous slices.
 `bilstm_forward` takes its weights stacked by direction too, forward
 direction first (w_x (2, 4h, din), w_h (2, 4h, h), b (2, 4h)), and
 `bilstm_backward` returns their gradients stacked the same way. The LSTM's
 sigmoid gates are σ(z) = ½·tanh(½z) + ½, so one tanh pass activates all
-four gates of a step.
+four gates of a step; the inner ½ is folded into the weights.
 """
 
 import math
@@ -184,13 +186,16 @@ def row_blocks(n, rows):
 def _window_product(win, w):
     """Cross-correlation of the window view win (B, cin, *spatial, k, ..., k)
     with w (cout, cin, k, ..., k) as one GEMM: W (cout, cin·kⁿ) @ columns
-    (cin·kⁿ, B·spatial). The columns are the windows copied channel first,
-    one `row_blocks` block of samples at a time, 8 samples or a multiple of
-    8 whose copy stays under `WINDOW_BLOCK_BYTES`; each block fills its
-    own columns of the (cout, B, *spatial) product, which is returned viewed
-    as (B, cout, *spatial). That is the product, and the layout, of the
-    window einsum `bc…,oc…->bo…`, so the bytes are the einsum's; splitting the
-    GEMM by columns does not change them."""
+    (cin·kⁿ, B·spatial), returned as a (B, cout, *spatial) view of the
+    (cout, B, *spatial) product. That is the product and the layout of the
+    window einsum `bc…,oc…->bo…`, so the bytes are the einsum's.
+
+    The windows are copied into the columns one `row_blocks` block of
+    samples at a time, 8 samples or the largest multiple of 8 whose copy
+    stays under `WINDOW_BLOCK_BYTES`, and each block's GEMM fills its own
+    columns of the product. Split so, at multiples of 8 samples, the GEMM
+    kept the single GEMM's bytes in every case measured; split at single
+    samples it did not always (OpenBLAS 0.3.31, 49 or 9 columns a sample)."""
     bsz, cin = win.shape[:2]
     nd = w.ndim - 2
     spatial, taps = win.shape[2 : 2 + nd], win.shape[2 + nd :]
@@ -205,6 +210,7 @@ def _window_product(win, w):
         cols = np.empty((cin, *taps, end - start, *spatial), dtype=win.dtype)
         np.copyto(cols, win[start:end].transpose(order))
         np.matmul(w_rows, cols.reshape(w_rows.shape[1], -1), out=y_cols[:, start * per_sample : end * per_sample])
+        del cols  # before the next block's columns are allocated
     return np.moveaxis(y, 0, 1)
 
 

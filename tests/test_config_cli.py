@@ -186,7 +186,8 @@ class TestConfigKeys:
 class TestFiniteValues:
     """A learning rate, decay or sampling frequency that is NaN, infinite or
     out of range is a config error: from the constructors, from config text
-    (naming the line and key) and from the command line (exit 2)."""
+    (naming the line and key, as for a non-finite value of any float key)
+    and from the command line (exit 2)."""
 
     @pytest.mark.parametrize("kwargs", [{"eta0": float("nan")}, {"decay": float("nan")}, {"eta0": 0.0},
                                         {"decay": -1.0}])
@@ -201,7 +202,7 @@ class TestFiniteValues:
 
     @pytest.mark.parametrize("key, value", [
         ("schedule.eta0", "nan"), ("schedule.decay", "nan"), ("schedule.eta0", "-inf"), ("data.fs", "nan"),
-        ("data.fs", "inf"), ("data.fs", "0"), ("data.fs", "-360"),
+        ("data.fs", "inf"), ("data.fs", "0"), ("data.fs", "-360"), ("preprocess.f_h", "nan"),
     ])
     def test_config_text_names_the_line_and_key(self, key, value):
         with pytest.raises(ValueError, match=rf"^config line 2: {key}: "):

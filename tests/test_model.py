@@ -462,9 +462,10 @@ class TestUnrecordedForward:
             model.backward_cross_entropy(trace, optim.one_hot([0, 1], 2), params, cfg)
 
     def test_predict_peak_memory(self):
-        # one 32-row chunk of w=140 on the paper-default model: numpy's peak
-        # allocation was 54 MB with every stage's cache on a tape and is 34 MB
-        # without (numpy 2.4)
+        # one 64-row chunk of w=140 on the paper-default model: numpy's peak
+        # allocation is 42 MB without a tape, with the spatial branch in
+        # 8-row blocks (numpy 2.4); a 32-row chunk took 54 MB with every
+        # stage's cache on a tape
         cfg = model.ModelConfig(num_classes=5)
         params = model.init_params(cfg, ops.make_rng(18))
         segs = np.random.default_rng(27).standard_normal((model.PREDICT_ROWS, 140))

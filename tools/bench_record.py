@@ -8,14 +8,17 @@ untraced, one process at a time, from that checkout's root and for the
 `run_seconds` of its BENCHMARK.json, as `perfbench/spread.py` does. The
 checkouts take turns in alternating order (A B, then B A for the next
 seed), so each seed is one pair of runs under the same machine drift. Then
-every checkout runs one traced run of the workload on the first seed.
+the checkouts take turns the same way at traced runs (`--trace 1`) on the
+first `TRACED_SEEDS` seeds.
 
 Written per checkout and workload: every run's metrics and model.bin
 sha256; the median and quartiles (`statistics.quantiles(values, n=4)`) of
-each end-to-end metric; the traced run's per-layer metrics; the distinct
-model.bin digests. With two or more checkouts, each later one is compared
-with the first: per metric, how many seed pairs it won, and the medians
-against the first's quartile spread. The file also records the Python,
+each end-to-end metric; the traced runs' per-layer metrics and their
+medians; the distinct model.bin digests, traced and untraced. With two or
+more checkouts, each later one is compared with the first: per end-to-end
+metric, how many seed pairs it won, and the medians against the first's
+quartile spread; per layer, the change in median seconds. The file also
+records the Python,
 numpy, BLAS and CPU it ran on. An existing file is updated: a
 (checkout, workload) pair recorded again replaces the old one, so several
 calls can add workloads on their own seed sets. Exits 1 if a run fails.
@@ -31,6 +34,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACED_SEEDS = 3  # a single traced run drifts by about as much as a layer's change
 
 
 def run_once(checkout, workload, seed, seconds, trace):
@@ -60,10 +64,12 @@ def summarize(runs, benchmark):
 
 
 def compare(base, other, benchmark):
-    """Per metric: seed pairs `other` won against `base`, and its median's
-    distance from base's median against base's quartile spread."""
+    """Per end-to-end metric: seed pairs `other` won against `base`, and its
+    median's distance from base's median against base's quartile spread.
+    Per layer: `other`'s traced median minus base's, in seconds."""
     by_seed = {r["seed"]: r for r in base["runs"]}
-    out = {}
+    out = {"per_layer_s": {name: round(other["traced_median"][name] - value, 4)
+                           for name, value in base["traced_median"].items() if name.endswith("_s")}}
     for m in benchmark["end_to_end"]:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
         pairs = [(by_seed[r["seed"]]["metrics"][name], r["metrics"][name]) for r in other["runs"] if r["seed"] in by_seed]
@@ -124,25 +130,28 @@ def main():
 
     for workload in args.workload:
         runs = {name: [] for name in checkouts}
-        for i, seed in enumerate(args.seeds):
+        traced = {name: [] for name in checkouts}
+        plan = [(seed, 0) for seed in args.seeds] + [(seed, 1) for seed in args.seeds[:TRACED_SEEDS]]
+        for i, (seed, trace) in enumerate(plan):
             for name in (list(checkouts) if i % 2 == 0 else list(checkouts)[::-1]):
-                run = run_once(checkouts[name], workload, seed, seconds[name], trace=0)
-                runs[name].append(run)
-                vals = " ".join(f"{k}={v:.5g}" for k, v in run["metrics"].items())
-                print(f"{workload} seed {seed} {name}: correct={run['correct']} {vals}", flush=True)
-        for name, checkout in checkouts.items():
-            traced = run_once(checkout, workload, args.seeds[0], seconds[name], trace=1)
+                run = run_once(checkouts[name], workload, seed, seconds[name], trace)
+                (traced if trace else runs)[name].append(run)
+                vals = " ".join(f"{k}={v:.5g}" for k, v in run["metrics"].items() if not trace)
+                print(f"{workload} seed {seed} trace {trace} {name}: correct={run['correct']} {vals}", flush=True)
+        for name in checkouts:
             entry = {
                 "seeds": args.seeds,
                 "runs": runs[name],
                 "summary": summarize(runs[name], benchmark),
-                "model_sha256": sorted({r["model_sha256"] for r in runs[name] + [traced]}),
-                "failed_share": max(r["failed"] / r["attempted"] for r in runs[name]),
-                "all_correct": all(r["correct"] for r in runs[name] + [traced]),
-                "traced": traced,
+                "model_sha256": sorted({r["model_sha256"] for r in runs[name] + traced[name]}),
+                "failed_share": max(r["failed"] / r["attempted"] for r in runs[name] + traced[name]),
+                "all_correct": all(r["correct"] for r in runs[name] + traced[name]),
+                "traced": traced[name],
+                "traced_median": {k: statistics.median(r["metrics"][k] for r in traced[name])
+                                  for k in traced[name][0]["metrics"]},
             }
             rec = record["records"].setdefault(name, {"workloads": {}})
-            rec["rev"] = git_rev(checkout)
+            rec["rev"] = git_rev(checkouts[name])
             rec["workloads"][workload] = entry
         base, *others = checkouts
         for name in others:
@@ -151,8 +160,11 @@ def main():
                 record["records"][base]["workloads"][workload], record["records"][name]["workloads"][workload],
                 benchmark)
             for metric, c in record["comparisons"][key][workload].items():
-                print(f"{workload} {key} {metric}: won {c['won']}/{c['pairs']}, median change "
-                      f"{c['median_change']}, beyond base quartiles: {c['beyond_base_quartiles']}")
+                if metric == "per_layer_s":
+                    print(f"{workload} {key} per-layer seconds: {c}")
+                else:
+                    print(f"{workload} {key} {metric}: won {c['won']}/{c['pairs']}, median change "
+                          f"{c['median_change']}, beyond base quartiles: {c['beyond_base_quartiles']}")
     record["updated"] = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     with open(path, "w") as f:
         json.dump(record, f, indent=1, sort_keys=True)
