@@ -353,14 +353,15 @@ class Branch(NamedTuple):
 
 
 # The spatial branch's block in prediction. Its conv2d layers' working set
-# grows with the rows: at w=140 a block of 8 stays near a 4 MB L2 cache, and
-# timeit over 600 rows gave 892 µs a row at 8-row blocks against 1175 at 32.
-# A block only splits the columns of each conv GEMM, which at a multiple of
-# 8 rows keeps the bytes of one pass over all rows (`ops._window_product`;
-# 1-, 2- and 4-row blocks kept them at w=96-140 but not at w=32). The
-# temporal branch runs over the whole call: its BiLSTM steps every time step
-# once per call, which costs less a row the more rows share it (810 µs a row
-# at 64 rows, 1023 at 32).
+# grows with the rows: at w=140 a block of 8 stays near a 4 MB L2 cache.
+# Predicting 600 rows of w=140 with the gaf_only variant (best of three, one
+# BLAS thread) took 772 µs a row in 8-row blocks, against 980 with the
+# branch over whole 32-row chunks and 1433 over 64-row chunks. A block only
+# splits the columns of each conv GEMM, which at a multiple of 8 rows keeps
+# the bytes of one pass over all rows (`ops._window_product`; 1-, 2- and
+# 4-row blocks kept them at w=96-140 but not at w=32). The temporal branch
+# runs over the whole call: its BiLSTM steps every time step once per call,
+# so every row of the call shares each step's fixed cost.
 SPATIAL_ROWS = 8
 
 

@@ -193,9 +193,9 @@ def _window_product(win, w):
     The windows are copied into the columns one `row_blocks` block of
     samples at a time, 8 samples or the largest multiple of 8 whose copy
     stays under `WINDOW_BLOCK_BYTES`, and each block's GEMM fills its own
-    columns of the product. Split so, at multiples of 8 samples, the GEMM
-    kept the single GEMM's bytes in every case measured; split at single
-    samples it did not always (OpenBLAS 0.3.31, 49 or 9 columns a sample)."""
+    columns of the product. Blocks that start at multiples of 8 samples kept
+    the single GEMM's bytes in every case measured; single-sample blocks did
+    not always (OpenBLAS 0.3.31, at 49 or 9 columns a sample)."""
     bsz, cin = win.shape[:2]
     nd = w.ndim - 2
     spatial, taps = win.shape[2 : 2 + nd], win.shape[2 + nd :]

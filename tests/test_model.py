@@ -406,12 +406,13 @@ class TestPredict:
 
 class TestPredictBytes:
     """`predict_probs` gives the bytes of one `forward` over all the rows,
-    whatever the chunk and spatial block sizes: a chunk starts every
-    `PREDICT_ROWS` rows and the last takes the remainder, so no row is run
-    alone (a one-row matrix is multiplied as a matrix-vector product, which
-    rounds differently), and a spatial block only splits the columns of the
-    conv GEMMs. On the paper-default layer sizes, in float32, as prediction
-    runs them."""
+    whatever the chunk size: a chunk starts every `PREDICT_ROWS` rows and
+    the last takes the remainder, so no row is run alone (a one-row matrix
+    is multiplied as a matrix-vector product, which rounds differently). A
+    spatial block of a multiple of 8 rows only splits the columns of the
+    conv GEMMs where they keep their bytes; single-row blocks changed them
+    at this width. On the paper-default layer sizes, in float32, as
+    prediction runs them."""
 
     ROWS = (1, 7, 8, 9, 33, 65, 100, 130)
 

@@ -1,6 +1,6 @@
 """Record the benchmark of one or more checkouts into a BENCH_<pr>.json file.
 
-    python3 tools/bench_record.py --pr 21 --checkout parent=../parent --checkout change=. \
+    python3 tools/bench_record.py --pr N --checkout parent=../parent --checkout change=. \
         --workload ecg5000_eval --seeds 2101-2110
 
 For each workload and seed it runs every checkout's `perfbench/run.py` once,
