@@ -86,12 +86,9 @@ def _keys(obj):
 
 
 def parse_config_text(text: str) -> RunConfig:
-    """Apply `key = value` lines on top of defaults; unknown keys are errors.
-    A value that breaks its section's invariants is reported with the lines
-    that set keys of that section (the defaults hold them all)."""
+    """Apply `key = value` lines on top of defaults; unknown keys are errors."""
     cfg = RunConfig()
     sections = _sections(cfg)
-    set_by = {name: {} for name in sections}  # section -> key -> line that last set it
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -108,17 +105,13 @@ def parse_config_text(text: str) -> RunConfig:
             raise ValueError(f"config line {line_no}: unknown key {key!r}")
         try:
             setattr(obj, field_name, _parse_value(raw, keys[field_name].default))
+            if obj is cfg:  # data.fs, the one key of its section, is all its invariant reads
+                cfg.__post_init__()
         except ValueError as e:
             raise ValueError(f"config line {line_no}: {key}: {e}") from None
-        set_by[section_name][key] = line_no
-    for section_name, obj in sections.items():  # re-run the invariant checks
-        try:
-            if hasattr(obj, "__post_init__"):
-                obj.__post_init__()
-        except ValueError as e:
-            keys = sorted(set_by[section_name], key=set_by[section_name].get)
-            lines = ", ".join(str(set_by[section_name][key]) for key in keys)
-            raise ValueError(f"config line{'s' * (len(keys) > 1)} {lines}: {', '.join(keys)}: {e}") from None
+    for obj in sections.values():  # re-run the invariant checks
+        if hasattr(obj, "__post_init__"):
+            obj.__post_init__()
     return cfg
 
 

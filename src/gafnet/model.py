@@ -511,19 +511,19 @@ def backward_cross_entropy(trace: ForwardTrace, labels_onehot, params: ModelPara
 
 
 # Rows per `forward` call in `predict_probs`: a chunk starts every
-# PREDICT_ROWS rows and the last one takes the remainder, so it holds fewer
-# than twice as many. A chunk keeps no tape, so it holds the arrays of the
-# stage running and of the one before it, not of every stage. The temporal
-# branch runs over the whole chunk and the spatial branch in `SPATIAL_ROWS`
-# blocks, so only the BiLSTM's buffers grow with the chunk: at 64 float32
-# rows of w=140 its gate buffer is 18.4 MB and its state buffers 4.6 MB
-# each. numpy's peak allocation for one such chunk is 42 MB, against 62 MB
-# when the spatial branch ran over the whole chunk too (tracemalloc, numpy
-# 2.4; 21 against 34 MB at 32 rows). Predicting 600 rows of w=140 in a fresh
-# process (paper-default model, one BLAS thread, three runs each) took
-# 1.08-1.18 s in 64-row chunks against 1.52-1.67 s for 32-row chunks with
-# the whole chunk through both branches.
-PREDICT_ROWS = 64
+# PREDICT_ROWS rows and the last one takes the remainder, so a chunk holds
+# 32 to 63 rows. A chunk keeps no tape, so it holds the arrays of the stage
+# running and of the one before it, not of every stage. The temporal branch
+# runs over the whole chunk and the spatial branch in `SPATIAL_ROWS` blocks,
+# so only the BiLSTM's buffers grow with the chunk: at the largest chunk, 63
+# float32 rows of w=140, its gate buffer is 18.1 MB, under glibc's 32 MB
+# mmap threshold, and numpy's peak allocation for the chunk is 42 MB
+# (tracemalloc, numpy 2.4). At 64 rows a chunk could hold 127, whose gate
+# buffer of 36 MB is mapped afresh each time and whose peak is 83 MB.
+# Predicting 600 rows of w=140 (paper-default model, one BLAS thread, ten
+# alternating passes) took a median 0.90 s in chunks from every 32 rows
+# against 0.89 s from every 64.
+PREDICT_ROWS = 32
 
 
 def gather(segs, imgs, rows):

@@ -208,10 +208,6 @@ class TestFiniteValues:
         with pytest.raises(ValueError, match=rf"^config line 2: {key}: "):
             config.parse_config_text(f"train.seed = 1\n{key} = {value}\n")
 
-    def test_invariant_error_names_every_line_of_the_section(self):
-        with pytest.raises(ValueError, match=r"^config lines 1, 3: train\.epochs, train\.seed: epochs"):
-            config.parse_config_text("train.epochs = 0\ndata.fs = 2.0\ntrain.seed = 4\n")
-
     @pytest.mark.parametrize("key", ["data.fs", "schedule.eta0"])
     def test_cli_exits_with_data_error(self, workspace, capsys, key):
         tmp_path, train, test, _ = workspace

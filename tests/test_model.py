@@ -429,7 +429,7 @@ class TestPredictBytes:
             whole = model.forward(segs[:n], imgs[:n], params, cfg).probs
             picked = model.forward(segs[rows], imgs[rows], params, cfg).probs
             assert np.array_equal(model.forward(segs[:n], imgs[:n], params, cfg, record=False).probs, whole)
-            for name, value in (("SPATIAL_ROWS", 16), ("PREDICT_ROWS", 32), ("PREDICT_ROWS", 128),
+            for name, value in (("SPATIAL_ROWS", 16), ("PREDICT_ROWS", 64), ("PREDICT_ROWS", 128),
                                 (None, None)):
                 with monkeypatch.context() as m:
                     if name:
@@ -463,14 +463,16 @@ class TestUnrecordedForward:
             model.backward_cross_entropy(trace, optim.one_hot([0, 1], 2), params, cfg)
 
     def test_predict_peak_memory(self):
-        # one 64-row chunk of w=140 on the paper-default model: numpy's peak
-        # allocation is 42 MB without a tape, with the spatial branch in
-        # 8-row blocks (numpy 2.4); a 32-row chunk took 54 MB with every
-        # stage's cache on a tape
+        # the largest chunk predict_probs makes, 2·PREDICT_ROWS − 1 = 63 rows
+        # of w=140, on the paper-default model: numpy's peak allocation is
+        # 42 MB without a tape, with the spatial branch in 8-row blocks
+        # (numpy 2.4); a 32-row chunk took 54 MB with every stage's cache on
+        # a tape
         cfg = model.ModelConfig(num_classes=5)
         params = model.init_params(cfg, ops.make_rng(18))
-        segs = np.random.default_rng(27).standard_normal((model.PREDICT_ROWS, 140))
-        imgs = np.random.default_rng(28).standard_normal((model.PREDICT_ROWS, 140, 140)).astype(np.float32)
+        n = 2 * model.PREDICT_ROWS - 1
+        segs = np.random.default_rng(27).standard_normal((n, 140))
+        imgs = np.random.default_rng(28).standard_normal((n, 140, 140)).astype(np.float32)
         first = model.predict_probs(params, cfg, segs, imgs)
         tracemalloc.start()  # numpy reports its array buffers to tracemalloc
         try:

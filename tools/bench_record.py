@@ -112,7 +112,6 @@ def main():
                         help="a checkout to run, by name; repeat it to compare against the first")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1-5"), help="first-last, as 1-5")
-    parser.add_argument("--seconds", type=float, help="seconds per run (default: the checkout's run_seconds)")
     args = parser.parse_args()
     checkouts = dict(c.split("=", 1) for c in args.checkout)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -120,7 +119,7 @@ def main():
     seconds = {}
     for name, checkout in checkouts.items():
         with open(os.path.join(checkout, "BENCHMARK.json")) as f:
-            seconds[name] = args.seconds or json.load(f)["run_seconds"]
+            seconds[name] = json.load(f)["run_seconds"]
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     record = {"pr": args.pr, "records": {}, "comparisons": {}}
     if os.path.exists(path):
