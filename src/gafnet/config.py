@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass, make_dataclass
 
 from .dsp import PreprocessConfig
+from .errors import ConfigError
 from .model import ModelConfig
 from .optim import ScheduleConfig, TrainConfig
 
@@ -42,7 +43,7 @@ class RunConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.fs) and self.fs > 0):
-            raise ValueError(f"sampling frequency must be finite and > 0, got {self.fs!r}")
+            raise ConfigError(f"sampling frequency must be finite and > 0, got {self.fs!r}")
 
 
 def _format_value(value) -> str:
@@ -61,11 +62,11 @@ def _parse_value(raw: str, default):
         return tuple(tuple(int(p) for p in item.split(":")) for item in raw.split(",") if item)
     if isinstance(default, bool):
         if raw.lower() not in ("true", "false"):
-            raise ValueError(f"expected true/false, got {raw!r}")
+            raise ConfigError(f"expected true/false, got {raw!r}")
         return raw.lower() == "true"
     value = type(default)(raw)  # int, float or str
     if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {raw!r}")
+        raise ConfigError(f"expected a finite number, got {raw!r}")
     return value
 
 
@@ -94,21 +95,21 @@ def parse_config_text(text: str) -> RunConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"config line {line_no}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"config line {line_no}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
         if "." not in key:
-            raise ValueError(f"config line {line_no}: key must be dotted, got {key!r}")
+            raise ConfigError(f"config line {line_no}: key must be dotted, got {key!r}")
         section_name, field_name = key.split(".", 1)
         obj = sections.get(section_name)
         keys = _keys(obj) if obj is not None else {}
         if field_name not in keys:
-            raise ValueError(f"config line {line_no}: unknown key {key!r}")
+            raise ConfigError(f"config line {line_no}: unknown key {key!r}")
         try:
             setattr(obj, field_name, _parse_value(raw, keys[field_name].default))
             if obj is cfg:  # data.fs, the one key of its section, is all its invariant reads
                 cfg.__post_init__()
         except ValueError as e:
-            raise ValueError(f"config line {line_no}: {key}: {e}") from None
+            raise ConfigError(f"config line {line_no}: {key}: {e}") from None
     for obj in sections.values():  # re-run the invariant checks
         if hasattr(obj, "__post_init__"):
             obj.__post_init__()

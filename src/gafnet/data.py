@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dsp import Signal
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 
 log = logging.getLogger(__name__)
 
@@ -273,7 +273,7 @@ def extract_beats(signals: Sequence[Signal], annotations: Sequence[Annotation], 
     outside the 15-type vocabulary are dropped (with a logged count).
     """
     if window % 2:
-        raise ValueError("window must be even")
+        raise ConfigError("window must be even")
     sig = signals[0]
     x = sig.samples
     half = window // 2

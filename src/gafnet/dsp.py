@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GafnetError
+from .errors import ConfigError, GafnetError
 
 DEGENERATE_STD = 1e-12
 
@@ -85,11 +85,11 @@ class PreprocessConfig:
     def __post_init__(self):
         if self.window is not None:
             if self.window < 2:
-                raise ValueError("window must be >= 2")
+                raise ConfigError("window must be >= 2")
             if not 0 <= self.overlap < self.window:
-                raise ValueError("overlap must satisfy 0 <= o < w")
+                raise ConfigError("overlap must satisfy 0 <= o < w")
         if self.filter_mode not in ("single-pass", "forward-backward"):
-            raise ValueError(f"unknown filter_mode {self.filter_mode!r}")
+            raise ConfigError(f"unknown filter_mode {self.filter_mode!r}")
 
 
 @lru_cache(maxsize=16)
@@ -106,9 +106,9 @@ def design_butterworth(order: int, f_l: float, f_h: float, fs: float) -> FilterC
     from scipy import signal as sps
 
     if not 1 <= order <= 8:
-        raise ValueError("order must be in [1, 8]")
+        raise ConfigError("order must be in [1, 8]")
     if not (0 < f_l < f_h < fs / 2):
-        raise ValueError(f"cutoffs must satisfy 0 < f_l < f_h < fs/2, got {f_l}, {f_h} at fs={fs}")
+        raise ConfigError(f"cutoffs must satisfy 0 < f_l < f_h < fs/2, got {f_l}, {f_h} at fs={fs}")
     sos = sps.butter(order, [f_l, f_h], btype="bandpass", output="sos", fs=fs)
     return FilterCoefficients(sos=sos, f_l=f_l, f_h=f_h, order=order)
 
@@ -156,9 +156,9 @@ def segment(sig: Signal, window: int, overlap: int) -> np.ndarray:
     """
     t = len(sig)
     if window > t:
-        raise ValueError(f"window {window} longer than signal {t}")
+        raise ConfigError(f"window {window} longer than signal {t}")
     if not 0 <= overlap < window:
-        raise ValueError("overlap must satisfy 0 <= o < w")
+        raise ConfigError("overlap must satisfy 0 <= o < w")
     return sliding_window_view(sig.samples, window, axis=-1)[..., :: window - overlap, :]
 
 

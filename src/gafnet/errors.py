@@ -11,3 +11,9 @@ class DataFormatError(GafnetError):
 
 class ShapeMismatchError(GafnetError):
     """Array shapes incompatible with an operation's contract."""
+
+
+class ConfigError(DataFormatError, ValueError):
+    """A run setting out of its range or of the wrong kind: a config file's
+    line, or a settings object the config sections build. A `ValueError` too,
+    as these checks raised before they had a type of their own."""

@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import ops
-from .errors import DataFormatError, ShapeMismatchError
+from .errors import ConfigError, DataFormatError, ShapeMismatchError
 
 # What each variant uses: (temporal branch, spatial branch, attention fusion,
 # cross-attention).
@@ -65,23 +65,23 @@ class ModelConfig:
         object.__setattr__(self, "cnn1d_layers", tuple(tuple(l) for l in self.cnn1d_layers))
         object.__setattr__(self, "cnn2d_layers", tuple(tuple(l) for l in self.cnn2d_layers))
         if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
+            raise ConfigError("num_classes must be >= 2")
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise ConfigError(f"unknown variant {self.variant!r}")
         if self.d_attn <= 0 or self.groups <= 0 or self.mlp_hidden <= 0:
-            raise ValueError("d_attn, groups, mlp_hidden must be positive")
+            raise ConfigError("d_attn, groups, mlp_hidden must be positive")
 
         def positive_ints(layers, n):  # every layer is n integers >= 1
             return all(len(l) == n and all(isinstance(v, (int, np.integer)) and v >= 1 for v in l) for l in layers)
 
         if not positive_ints(self.cnn1d_layers, 2) or any(k % 2 == 0 for _ch, k in self.cnn1d_layers):
-            raise ValueError("cnn1d_layers: every layer must be (channels >= 1, odd kernel >= 1)")
+            raise ConfigError("cnn1d_layers: every layer must be (channels >= 1, odd kernel >= 1)")
         if not self.cnn2d_layers or not positive_ints(self.cnn2d_layers, 3):
-            raise ValueError("cnn2d_layers: need at least one layer, each (channels, kernel, stride) >= 1")
+            raise ConfigError("cnn2d_layers: need at least one layer, each (channels, kernel, stride) >= 1")
         if self.lstm_hidden < 1:
-            raise ValueError("lstm_hidden must be >= 1")
+            raise ConfigError("lstm_hidden must be >= 1")
         if self.d_t % self.groups or self.d_s % self.groups:
-            raise ValueError("groups must divide both feature dims")
+            raise ConfigError("groups must divide both feature dims")
 
     @property
     def d_t(self) -> int:
@@ -197,14 +197,18 @@ def _attention_backward(gout, cache):
 # of a uniform(+-sqrt(1/fan_in)) draw, any other init the constant the tensor
 # starts at, which draws nothing. A stage that can be a branch's first with
 # parameters also takes `input_grad=False`, and then returns None for the
-# input gradient. The lists are built per call, so every `ops.*` function is
-# looked up through its module attribute when the model runs.
+# input gradient. A stage marked `lean` takes `record=False` in its forward,
+# which `_run` passes when it keeps no tape, and then keeps only what the
+# next stage reads, with None as its cache. The lists are built per call, so
+# every `ops.*` function is looked up through its module attribute when the
+# model runs.
 
 
 class Stage(NamedTuple):
     forward: Callable
     backward: Callable
     params: Tuple[Tuple[str, Tuple[int, ...], object], ...] = ()
+    lean: bool = False  # forward takes `record=False`
 
     @property
     def names(self) -> Tuple[str, ...]:
@@ -227,10 +231,12 @@ def _bilstm_stage(din, hidden):
     `ops` copies the input into its own time-major buffers, so the (B, T, din)
     view is enough. The output is a swapped view of the C-order (B, T, 2h)
     result, so the pool after it sums over time one step after another; over
-    a contiguous (B, 2h, T) copy it would sum pairwise, with other bytes."""
+    a contiguous (B, 2h, T) copy it would sum pairwise, with other bytes.
+    Without `record` the op keeps no step's gates or cell state."""
 
-    def forward(x, *values):  # f's w_x, w_h, b, then b's
-        h, cache = ops.bilstm_forward(np.swapaxes(x, 1, 2), *(np.stack(values[i::3]) for i in range(3)))
+    def forward(x, *values, record=True):  # f's w_x, w_h, b, then b's
+        weights = (np.stack(values[i::3]) for i in range(3))
+        h, cache = ops.bilstm_forward(np.swapaxes(x, 1, 2), *weights, record=record)
         return np.swapaxes(h, 1, 2), cache
 
     def backward(g, cache, input_grad=True):
@@ -240,7 +246,8 @@ def _bilstm_stage(din, hidden):
 
     cell = (("w_x", (4 * hidden, din), din), ("w_h", (4 * hidden, hidden), hidden),
             ("b", (4 * hidden,), np.repeat([0.0, 1.0, 0.0, 0.0], hidden)))
-    return Stage(forward, backward, tuple((f"lstm.{d}.{p}", shape, init) for d in "fb" for p, shape, init in cell))
+    return Stage(forward, backward, tuple((f"lstm.{d}.{p}", shape, init) for d in "fb" for p, shape, init in cell),
+                 lean=True)
 
 
 def _temporal_stages(cfg: ModelConfig) -> List[Stage]:
@@ -409,11 +416,14 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
 
 def _run(stages: List[Stage], x, params: ModelParams, tape: Optional[list]):
     """Run stages forward, recording (backward, cache, names) of each on `tape`.
-    Without a tape (None) a stage's cache is freed once the next stage has run.
-    Each stage gets its weights cast to the dtype of its input."""
+    Without a tape (None) a stage's cache is freed once the next stage has run,
+    and a `lean` stage runs with `record=False`. Each stage gets its weights
+    cast to the dtype of its input."""
     x = ops.as_float(x)
     for stage in stages:
-        x, cache = stage.forward(x, *(params[name].value.astype(x.dtype, copy=False) for name in stage.names))
+        weights = [params[name].value.astype(x.dtype, copy=False) for name in stage.names]
+        lean = stage.lean and tape is None
+        x, cache = stage.forward(x, *weights, record=False) if lean else stage.forward(x, *weights)
         if tape is not None:
             tape.append((stage.backward, cache, stage.names))
     return x
@@ -513,16 +523,15 @@ def backward_cross_entropy(trace: ForwardTrace, labels_onehot, params: ModelPara
 # Rows per `forward` call in `predict_probs`: a chunk starts every
 # PREDICT_ROWS rows and the last one takes the remainder, so a chunk holds
 # 32 to 63 rows. A chunk keeps no tape, so it holds the arrays of the stage
-# running and of the one before it, not of every stage. The temporal branch
-# runs over the whole chunk and the spatial branch in `SPATIAL_ROWS` blocks,
-# so only the BiLSTM's buffers grow with the chunk: at the largest chunk, 63
-# float32 rows of w=140, its gate buffer is 18.1 MB, under glibc's 32 MB
-# mmap threshold, and numpy's peak allocation for the chunk is 42 MB
-# (tracemalloc, numpy 2.4). At 64 rows a chunk could hold 127, whose gate
-# buffer of 36 MB is mapped afresh each time and whose peak is 83 MB.
-# Predicting 600 rows of w=140 (paper-default model, one BLAS thread, ten
-# alternating passes) took a median 0.90 s in chunks from every 32 rows
-# against 0.89 s from every 64.
+# running and of the one before it, not of every stage, and the BiLSTM keeps
+# one 16-step block of gates and one step's cell state, not every step's.
+# The temporal branch runs over the whole chunk and the spatial branch in
+# `SPATIAL_ROWS` blocks: at the largest chunk, 63 float32 rows of w=140,
+# numpy's peak allocation is 16.1 MB (tracemalloc, numpy 2.4), and after the
+# first chunk of a process the 32-row chunks page-fault 0-2 times each.
+# Chunks from every 64 rows predicted 600 rows of w=140 no faster (0.72-0.91
+# against 0.72-0.74 s in three fresh processes each, one BLAS thread) and
+# page-faulted about 3k times a chunk.
 PREDICT_ROWS = 32
 
 

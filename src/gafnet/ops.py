@@ -293,13 +293,23 @@ conv1d_backward = conv2d_backward = _conv_backward
 # LSTM
 
 
-def _lstm_forward(x, w_x, w_h, b):
+# Steps per block of the LSTM's input projection. Without a tape the gates
+# of one block are all the forward holds: at 63 rows of w=140 in float32,
+# 2 MB instead of the 18 MB of all 140 steps.
+LSTM_BLOCK_STEPS = 16
+
+
+def _lstm_forward(x, w_x, w_h, b, record=True):
     """Both LSTM directions stepped together from zero initial state.
 
     Time-major and direction-stacked: x (T, 2, B, din), each direction's
     sequence in its own time order; w_x (2, 4h, din), w_h (2, 4h, h) and
     b (2, 4h) in (input, forget, candidate, output) gate order. Returns the
-    h sequence (T, 2, B, h). Every step's arrays are contiguous slices.
+    h sequence (T, 2, B, h) and the cache of `_lstm_backward`: every step's
+    gates, c and tanh(c). With `record=False` the cache is None, and the
+    forward keeps one block's gates and one step's c and tanh(c) instead, in
+    buffers it overwrites; the h sequence has the same bytes. Every step's
+    arrays are contiguous slices.
     """
     t_len, _, bsz, _ = x.shape
     h = w_h.shape[-1]
@@ -310,27 +320,43 @@ def _lstm_forward(x, w_x, w_h, b):
     scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=x.dtype), h)
     shift = np.repeat(np.array([0.5, 0.5, 0.0, 0.5], dtype=x.dtype), h)
     # contiguous transposes: matmul over a swapped view takes a slower path
+    w_xt = np.ascontiguousarray(np.swapaxes(w_x, 1, 2)) * scale
     w_ht = np.ascontiguousarray(np.swapaxes(w_h, 1, 2)) * scale
-    # x_t @ W_xᵀ + b of every step up front: still one (B, din) x (din, 4h) gemm
-    # per step and direction. Each step adds h_t @ W_hᵀ and turns its slice into
-    # the gates in place.
-    gates = np.matmul(x, np.ascontiguousarray(np.swapaxes(w_x, 1, 2)) * scale)
-    gates += (b * scale)[:, None]
-    # slot t + 1 holds the state after step t; slot 0 is the zero initial state
-    cs = np.zeros((t_len + 1, 2, bsz, h), dtype=x.dtype)
+    b_scaled = (b * scale)[:, None]
+    # slot t + 1 holds h after step t; slot 0 is the zero initial state
     hs = np.zeros((t_len + 1, 2, bsz, h), dtype=x.dtype)
-    tcs = np.empty((t_len, 2, bsz, h), dtype=x.dtype)  # tanh(c), kept for the backward pass
-    for t in range(t_len):
-        z = gates[t]
-        z += np.matmul(hs[t], w_ht)
-        np.tanh(z, out=z)
-        z *= scale
-        z += shift
-        i, f, g, o = z[..., :h], z[..., h : 2 * h], z[..., 2 * h : 3 * h], z[..., 3 * h :]
-        c = np.multiply(f, cs[t], out=cs[t + 1])
-        c += i * g
-        np.multiply(o, np.tanh(c, out=tcs[t]), out=hs[t + 1])
-    return hs[1:], (x, w_x, w_h, gates, cs, hs, tcs)
+    if record:  # every step's gates, c (slots as in hs) and tanh(c)
+        gates = np.empty((t_len, 2, bsz, 4 * h), dtype=x.dtype)
+        cs = np.zeros((t_len + 1, 2, bsz, h), dtype=x.dtype)
+        tcs = np.empty((t_len, 2, bsz, h), dtype=x.dtype)
+    else:  # one block's gates; c updated in place; tanh(c) in one scratch buffer
+        gates = np.empty((min(t_len, LSTM_BLOCK_STEPS), 2, bsz, 4 * h), dtype=x.dtype)
+        c = np.zeros((2, bsz, h), dtype=x.dtype)
+        tc = np.empty((2, bsz, h), dtype=x.dtype)
+    for t0 in range(0, t_len, LSTM_BLOCK_STEPS):
+        t1 = min(t0 + LSTM_BLOCK_STEPS, t_len)
+        # x_t @ W_xᵀ + b of the block's steps: one (B, din) x (din, 4h) gemm per
+        # step and direction, as over all steps at once. Each step adds
+        # h_t @ W_hᵀ and turns its slice into the gates in place.
+        block = gates[t0:t1] if record else gates[: t1 - t0]
+        np.matmul(x[t0:t1], w_xt, out=block)
+        block += b_scaled
+        for t in range(t0, t1):
+            z = block[t - t0]
+            z += np.matmul(hs[t], w_ht)
+            np.tanh(z, out=z)
+            z *= scale
+            z += shift
+            i, f, g, o = z[..., :h], z[..., h : 2 * h], z[..., 2 * h : 3 * h], z[..., 3 * h :]
+            if record:
+                c = np.multiply(f, cs[t], out=cs[t + 1])
+                tc = tcs[t]
+            else:
+                c *= f  # c·f rounds as f·c does, so c keeps the recorded bytes
+            np.multiply(i, g, out=tc)
+            c += tc
+            np.multiply(o, np.tanh(c, out=tc), out=hs[t + 1])
+    return hs[1:], ((x, w_x, w_h, gates, cs, hs, tcs) if record else None)
 
 
 def _lstm_backward(gh, cache):
@@ -366,7 +392,7 @@ def _lstm_backward(gh, cache):
     return np.matmul(dzs, w_x), gw_x, gw_h, gb
 
 
-def bilstm_forward(x, w_x, w_h, b):
+def bilstm_forward(x, w_x, w_h, b, record=True):
     """Forward and backward LSTM over the sequence, concatenated per timestep.
 
     The backward direction is the same recurrence run over the time-reversed
@@ -374,7 +400,8 @@ def bilstm_forward(x, w_x, w_h, b):
     together in `_lstm_forward`. x: (B, T, din) -> (B, T, 2h), C order. The
     weights are stacked by direction (forward, then backward) in
     (input, forget, candidate, output) gate order: w_x (2, 4h, din),
-    w_h (2, 4h, h), b (2, 4h).
+    w_h (2, 4h, h), b (2, 4h). With `record=False` the cache is None (no
+    backward pass can follow) and the output has the same bytes.
     """
     x = as_float(x)
     bsz, t_len, din = x.shape
@@ -384,7 +411,7 @@ def bilstm_forward(x, w_x, w_h, b):
     xs = np.empty((t_len, 2, bsz, din), dtype=x.dtype)
     xs[:, 0] = np.swapaxes(x, 0, 1)
     xs[:, 1] = np.swapaxes(x[:, ::-1], 0, 1)
-    hs, cache = _lstm_forward(xs, w_x, w_h, b)
+    hs, cache = _lstm_forward(xs, w_x, w_h, b, record)
     out = np.empty((bsz, t_len, 2 * h), dtype=hs.dtype)
     out[..., :h] = np.swapaxes(hs[:, 0], 0, 1)
     out[..., h:] = np.swapaxes(hs[::-1, 1], 0, 1)

@@ -7,7 +7,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import data, metrics, model as model_mod
-from .errors import GafnetError, ShapeMismatchError
+from .errors import ConfigError, GafnetError, ShapeMismatchError
 from .model import ModelConfig, ModelParams
 from .ops import make_rng
 
@@ -24,13 +24,13 @@ class ScheduleConfig:
     def __post_init__(self):
         # written so that NaN fails too
         if not self.eta0 > 0:
-            raise ValueError("initial learning rate must be positive")
+            raise ConfigError("initial learning rate must be positive")
         if not self.decay >= 0:
-            raise ValueError("decay factor must be >= 0")
+            raise ConfigError("decay factor must be >= 0")
         if self.kind not in ("inverse_sqrt", "cosine"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+            raise ConfigError(f"unknown schedule kind {self.kind!r}")
         if self.total_steps < 0:
-            raise ValueError("total_steps must be >= 0 (0: every step of the run)")
+            raise ConfigError("total_steps must be >= 0 (0: every step of the run)")
 
 
 @dataclass
@@ -44,11 +44,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+            raise ConfigError("epochs and batch_size must be >= 1")
         if self.checkpoint_policy not in ("best_validation", "last"):
-            raise ValueError(f"unknown checkpoint policy {self.checkpoint_policy!r}")
+            raise ConfigError(f"unknown checkpoint policy {self.checkpoint_policy!r}")
         if not 0.0 <= self.val_fraction < 1.0:  # NaN fails too
-            raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
+            raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
 
 
 def cross_entropy(probs, labels_onehot) -> float:

@@ -555,6 +555,47 @@ class TestLstmBytes:
         self.check(din, t_len, rng_for(80 + din + t_len), exact_gw_x=din > 1, dtype=np.float32)
 
 
+class TestUnrecordedLstm:
+    """`bilstm_forward(record=False)`, the prediction path, keeps no cache and
+    gives the bytes of the recorded forward, at T on both sides of the input
+    projection's block edges."""
+
+    BATCHES = list(range(1, 20)) + [32, 63, 64]
+
+    @pytest.mark.parametrize("t_len", [1, 2, 15, 16, 17, 33, 96, 140])
+    @pytest.mark.parametrize("din", [1, 2, 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bytes_as_recorded(self, dtype, din, t_len):
+        assert ops.LSTM_BLOCK_STEPS == 16  # the block edges the t_len cases straddle
+        rng = rng_for(100 + din + t_len)
+        weights = tuple(w.astype(dtype) for w in lstm_weights(rng, din, 64))
+        for bsz in self.BATCHES:
+            x = rng.standard_normal((bsz, t_len, din)).astype(dtype)
+            want, cache = ops.bilstm_forward(x, *weights)
+            got, no_cache = ops.bilstm_forward(x, *weights, record=False)
+            assert cache is not None and no_cache is None
+            assert got.dtype == dtype and got.flags.c_contiguous
+            assert np.array_equal(got, want), bsz
+
+    def test_keeps_one_block_of_gates(self):
+        # 63 rows of w=140 in float32, the largest prediction chunk: every
+        # step's gates alone would take 18 MB
+        rng = rng_for(99)
+        weights = tuple(w.astype(np.float32) for w in lstm_weights(rng, 64, 64))
+        x = rng.standard_normal((63, 140, 64)).astype(np.float32)
+        ops.bilstm_forward(x, *weights, record=False)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ops.bilstm_forward(x, *weights, record=False)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the input copy, the h sequence and the output, 4.5 MB each, one
+        # block of gates (2.1 MB), and one step's c and tanh(c)
+        assert peak < 16 * 2**20, peak / 2**20
+
+
 class TestGradients:
     """Quick per-op finite-difference checks; the acceptance suite runs the
     full 20-trial battery."""
