@@ -6,7 +6,8 @@ Subcommands:
     eval    -- evaluate a saved model on a test set
     ablate  -- train every model variant over multiple seeds, print a table
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 runtime error.
+Exit codes: 0 success, 1 usage error, 2 data or config error, 3 runtime error
+(any other exception, a bare ValueError included).
 Diagnostics go to stderr; stdout stays machine-parseable.
 """
 
