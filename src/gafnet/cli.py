@@ -212,7 +212,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except argparse.ArgumentError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, FileNotFoundError) as e:  # a ConfigError too
+    except (DataFormatError, FileNotFoundError) as e:  # a ConfigError is a DataFormatError
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except Exception as e:  # anything else is a runtime failure

@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, GafnetError
+from .errors import ConfigError, DataFormatError, GafnetError
 
 DEGENERATE_STD = 1e-12
 
@@ -31,11 +31,11 @@ class Signal:
         arr = np.asarray(self.samples, dtype=np.float64, order="C")
         object.__setattr__(self, "samples", arr)
         if arr.ndim == 0 or arr.size == 0:
-            raise ValueError("signal must be a nonempty array of series along the last axis")
+            raise DataFormatError("signal must be a nonempty array of series along the last axis")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("signal contains non-finite samples")
+            raise DataFormatError("signal contains non-finite samples")
         if self.fs <= 0:
-            raise ValueError("sampling frequency must be positive")
+            raise DataFormatError("sampling frequency must be positive")
 
     def __len__(self):
         return self.samples.shape[-1]
@@ -139,7 +139,7 @@ def normalize(sig: Signal) -> Signal:
     """
     x = sig.samples
     if len(sig) < 2:
-        raise ValueError("normalize requires at least 2 samples")
+        raise DataFormatError("normalize requires at least 2 samples")
     centered = x - x.mean(axis=-1, keepdims=True)
     std = np.sqrt(np.mean(centered**2, axis=-1, keepdims=True))
     out = np.divide(centered, std, out=np.zeros_like(x), where=std >= DEGENERATE_STD)

@@ -23,7 +23,11 @@ stacked by direction, (T, 2, B, ·), so each step works on contiguous slices.
 direction first (w_x (2, 4h, din), w_h (2, 4h, h), b (2, 4h)), and
 `bilstm_backward` returns their gradients stacked the same way. The LSTM's
 sigmoid gates are σ(z) = ½·tanh(½z) + ½, so one tanh pass activates all
-four gates of a step; the inner ½ is folded into the weights.
+four gates of a step; the inner ½ is folded into the weights. The input
+projection runs in blocks of `LSTM_BLOCK_STEPS` steps. With
+`record=False`, for prediction, the BiLSTM keeps no cache: one block's
+gates and one step's c and tanh(c), overwritten as it goes, and the h
+sequence, with the same bytes.
 """
 
 import math

@@ -12,6 +12,7 @@ import pytest
 
 import gafnet
 from gafnet import cli, config, dsp, gaf, model, optim
+from gafnet.errors import ConfigError, DataFormatError
 
 
 TINY_MODEL_CONFIG = """\
@@ -219,6 +220,63 @@ class TestFiniteValues:
         ]) == 2
         assert f"config line 10: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "y").exists()
+
+
+class TestErrorTypes:
+    """Config errors have their own type, a `DataFormatError` (exit 2), and
+    both are `ValueError`s; any other `ValueError` is a runtime failure
+    (exit 3)."""
+
+    @pytest.mark.parametrize("text", [
+        "train.epochs\n", "epochs = 3\n", "train.nonexistent = 1\n", "train.epochs = many\n",
+        "train.epochs = 0\n", "schedule.kind = linear\n", "preprocess.filter_mode = twice\n", "data.fs = -1\n",
+    ])
+    def test_config_text_raises_config_error(self, text):
+        with pytest.raises(ConfigError) as info:
+            config.parse_config_text(text)
+        assert isinstance(info.value, DataFormatError) and isinstance(info.value, ValueError)
+
+    def test_model_settings_raise_config_error(self):
+        settings = config.parse_config_text("model.groups = 7\n").model
+        with pytest.raises(ConfigError, match="groups must divide"):
+            settings.to_model_config(num_classes=2)
+
+    @pytest.mark.parametrize("line, message", [
+        ("preprocess.window = 32", "window 32 longer than signal 16"),
+        ("model.groups = 3", "groups must divide"),
+    ])
+    def test_settings_that_do_not_fit_the_data_exit_2(self, workspace, capsys, line, message):
+        tmp_path, train, test, _ = workspace
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_MODEL_CONFIG + line + "\n")
+        assert cli.main([
+            "train", "--dataset", "ucr", "--train", str(train), "--test", str(test),
+            "--config", str(bad), "--out", str(tmp_path / "run"),
+        ]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_one_sample_series_is_data_error(self, workspace, capsys):
+        tmp_path, _, _, cfg = workspace
+        short = tmp_path / "short.tsv"
+        short.write_text("1\t0.5\n2\t0.7\n1\t0.1\n2\t0.9\n")
+        assert cli.main([
+            "train", "--dataset", "ucr", "--train", str(short), "--test", str(short),
+            "--config", str(cfg), "--out", str(tmp_path / "run"),
+        ]) == 2
+        assert "data error: normalize requires at least 2 samples" in capsys.readouterr().err
+
+    def test_value_error_inside_the_model_is_runtime_error(self, workspace, capsys, monkeypatch):
+        tmp_path, train, test, cfg = workspace
+
+        def broken_forward(*args, **kwargs):
+            raise ValueError("operands could not be broadcast")
+
+        monkeypatch.setattr(model, "forward", broken_forward)
+        assert cli.main([
+            "train", "--dataset", "ucr", "--train", str(train), "--test", str(test),
+            "--config", str(cfg), "--out", str(tmp_path / "run"),
+        ]) == 3
+        assert "runtime error: operands could not be broadcast" in capsys.readouterr().err
 
 
 class TestCliGaf:
