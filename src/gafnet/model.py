@@ -10,7 +10,9 @@ is the one table of what each variant uses, and `_layout` builds the lists
 from it. `param_shapes` and `init_params` both read the stages' rows, so a
 parameter is declared in one place; `forward` runs the stages and records
 each stage's backward and cache on a tape (or, for prediction, keeps none);
-`backward` replays the tapes in reverse.
+`backward` replays the tapes in reverse and consumes them, freeing each
+stage's cache as soon as its backward has run, so a training step holds at
+most one tape.
 
 The layers compute in the dtype of their input; the parameters, their
 gradients and the model file stay float64. `optim.train` and
@@ -94,6 +96,17 @@ class ModelConfig:
     @property
     def fused_in(self) -> int:
         return self.d_t * self.uses_temporal + self.d_s * self.uses_spatial
+
+    @property
+    def min_input_len(self) -> int:
+        """The shortest window the variant takes: the spatial branch's
+        convolutions must leave at least one pixel (15 for three stride-2
+        3x3 layers), and without that branch any window of 1 or more."""
+        need = 1
+        for _ch, k, stride in reversed(self.cnn2d_layers if self.uses_spatial else ()):
+            pad = (k - 1) // 2 if stride == 1 else 0  # as `ops` pads
+            need = max(1, (need - 1) * stride + k - 2 * pad)
+        return need
 
     @property
     def uses_temporal(self) -> bool:
@@ -437,21 +450,27 @@ def _run_blocks(branch: Branch, x, params: ModelParams):
 
 
 def _replay(tape: list, g, params: ModelParams, input_grad: bool = True):
-    """Replay a tape in reverse: accumulate parameter gradients, return the input
-    gradient. Without `input_grad` the replay ends at the tape's first stage that
-    owns parameters, which is called with `input_grad=False` (it computes its
-    parameter gradients only), and the result is None."""
+    """Replay a tape in reverse, consuming it: each stage's entry is popped
+    before its backward runs, so its cache is freed as soon as that backward
+    returns, and the tape is empty afterwards. Accumulates parameter
+    gradients and returns the input gradient. Without `input_grad` the replay
+    ends at the tape's first stage that owns parameters, which is called with
+    `input_grad=False` (it computes its parameter gradients only), and the
+    result is None."""
     stop = 0 if input_grad else next(i for i, (_fn, _cache, names) in enumerate(tape) if names)
-    for i in reversed(range(stop, len(tape))):
-        backward_fn, cache, names = tape[i]
-        g, *grads = backward_fn(g, cache) if input_grad or i > stop else backward_fn(g, cache, input_grad=False)
+    del tape[:stop]  # stages before `stop` never run backward
+    while tape:
+        backward_fn, cache, names = tape.pop()
+        g, *grads = backward_fn(g, cache) if tape or input_grad else backward_fn(g, cache, input_grad=False)
         for name, grad in zip(names, grads):
             params[name].grad[...] += grad  # float64 master gradients, whatever the compute dtype
     return g
 
 
 def _rows(segs, imgs, cfg: ModelConfig) -> int:
-    """The row count shared by the inputs the variant reads."""
+    """The row count shared by the inputs the variant reads. Images narrower
+    than `cfg.min_input_len` are a data error, not a shape error inside the
+    convolutions."""
     rows = set()
     for kind, x, used in (("segment", segs, cfg.uses_temporal), ("image", imgs, cfg.uses_spatial)):
         if used:
@@ -460,6 +479,9 @@ def _rows(segs, imgs, cfg: ModelConfig) -> int:
             rows.add(len(x))
     if len(rows) > 1:
         raise ShapeMismatchError(f"segments and images differ in row count: {len(segs)} vs {len(imgs)}")
+    if cfg.uses_spatial and np.shape(imgs)[-1] < cfg.min_input_len:
+        raise DataFormatError(f"windows of {np.shape(imgs)[-1]} samples are too short for the model: "
+                              f"its 2D convolutions need at least {cfg.min_input_len}")
     return rows.pop()
 
 
@@ -467,7 +489,9 @@ def _rows(segs, imgs, cfg: ModelConfig) -> int:
 class ForwardTrace:
     probs: np.ndarray  # (B, C)
     logits: np.ndarray
-    tapes: Optional[List[list]]  # one per branch in use, then the head's; None if not recorded
+    # one per branch in use, then the head's; None if not recorded, or once
+    # `backward` has consumed them
+    tapes: Optional[List[list]]
 
 
 def forward(segs, imgs, params: ModelParams, cfg: ModelConfig, record: bool = True) -> ForwardTrace:
@@ -502,14 +526,19 @@ def backward(trace: ForwardTrace, grad_logits, params: ModelParams, cfg: ModelCo
     variant does not use. With `input_grads=False` both are None and each
     branch's backward stops at its first layer with parameters, which skips
     that layer's input gradient; the parameter gradients are the same bytes.
+
+    Consumes the trace: its tapes are taken off it (`trace.tapes` becomes
+    None, so a second backward raises `ValueError`), and each stage's cache
+    is freed as soon as its backward has run, so a training step holds at
+    most one tape, shrinking as the backward goes.
     """
-    if trace.tapes is None:
-        raise ValueError("backward needs a trace recorded by forward(..., record=True)")
+    tapes, trace.tapes = trace.tapes, None
+    if tapes is None:
+        raise ValueError("backward needs a trace recorded by forward(..., record=True), not yet consumed by a backward")
     branches, _head = _layout(cfg)
-    gz = _replay(trace.tapes[-1], np.asarray(grad_logits, dtype=trace.logits.dtype), params)
+    gz = _replay(tapes.pop(), np.asarray(grad_logits, dtype=trace.logits.dtype), params)
     gfeats = np.split(gz, np.cumsum([branch.width for branch in branches])[:-1], axis=-1)
-    grads = {branch.input: _replay(tape, g, params, input_grads)
-             for branch, tape, g in zip(branches, trace.tapes, gfeats)}
+    grads = {branch.input: _replay(tape, g, params, input_grads) for branch, tape, g in zip(branches, tapes, gfeats)}
     return grads.get("segment"), grads.get("image")
 
 

@@ -3,6 +3,7 @@ quartiles and the parent/change comparison. Nothing here runs the benchmark."""
 
 import importlib.util
 import os
+import statistics
 
 import pytest
 
@@ -17,11 +18,12 @@ BENCHMARK = {"end_to_end": [
 ]}
 
 
-def entry(values, traced_median):
+def entry(values, traced_median, traced_share_median=None):
     """A checkout's record of one workload: {seed: (predict rate, total_s)}."""
     runs = [{"seed": seed, "metrics": {"predict_samples_per_s": rate, "total_s": total}}
             for seed, (rate, total) in values.items()]
-    return {"runs": runs, "summary": bench_record.summarize(runs, BENCHMARK), "traced_median": traced_median}
+    return {"runs": runs, "summary": bench_record.summarize(runs, BENCHMARK), "traced_median": traced_median,
+            "traced_share_median": traced_share_median or {}}
 
 
 class TestSeedRange:
@@ -86,3 +88,37 @@ class TestCompare:
     def test_per_layer_deltas_are_seconds_only(self):
         c = self.compare(self.BASE_RUNS)
         assert c["per_layer_s"] == {"ops.bilstm_forward_s": -0.1, "ops.relu_s": 0.0}
+
+
+class TestLayerShares:
+    """Each layer's share of its traced round tells a layer's own change from
+    machine drift, which moves every layer's seconds at once."""
+
+    RUNS = [{"ops.bilstm_forward_s": 0.6, "ops.relu_s": 0.2, "optim.steps": 46.0, "trace.round_s": 3.0},
+            {"ops.bilstm_forward_s": 0.5, "ops.relu_s": 0.25, "optim.steps": 46.0, "trace.round_s": 2.5},
+            {"ops.bilstm_forward_s": 0.9, "ops.relu_s": 0.2, "optim.steps": 46.0, "trace.round_s": 4.0}]
+
+    @staticmethod
+    def traced_entry(metrics):
+        traced = [{"metrics": m} for m in metrics]
+        median = {k: statistics.median(m[k] for m in metrics) for k in metrics[0]}
+        return entry(TestCompare.BASE_RUNS, median, bench_record.layer_shares(traced))
+
+    def test_median_share_of_each_seconds_layer(self):
+        shares = bench_record.layer_shares([{"metrics": m} for m in self.RUNS])
+        # the runs' bilstm shares are 0.2, 0.2 and 0.225; relu's 0.0667, 0.1 and 0.05
+        assert shares == {"ops.bilstm_forward_s": pytest.approx(0.2), "ops.relu_s": pytest.approx(0.2 / 3)}
+
+    def test_uniform_slowdown_changes_no_share(self):
+        slower = [{k: v * (1.3 if k.endswith("_s") else 1.0) for k, v in m.items()} for m in self.RUNS]
+        c = bench_record.compare(self.traced_entry(self.RUNS), self.traced_entry(slower), BENCHMARK)
+        assert c["per_layer_share"] == {"ops.bilstm_forward_s": 0.0, "ops.relu_s": 0.0}
+        assert c["per_layer_s"]["ops.bilstm_forward_s"] == pytest.approx(0.18)  # while every layer's seconds rose
+
+    def test_a_faster_layer_lowers_its_own_share(self):
+        # bilstm 0.3 s faster in every run, and the rounds with it
+        faster = [dict(m, **{"ops.bilstm_forward_s": m["ops.bilstm_forward_s"] - 0.3,
+                             "trace.round_s": m["trace.round_s"] - 0.3}) for m in self.RUNS]
+        c = bench_record.compare(self.traced_entry(self.RUNS), self.traced_entry(faster), BENCHMARK)
+        assert c["per_layer_share"]["ops.bilstm_forward_s"] < -0.08
+        assert c["per_layer_share"]["ops.relu_s"] > 0.0

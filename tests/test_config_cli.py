@@ -265,6 +265,19 @@ class TestErrorTypes:
         ]) == 2
         assert "data error: normalize requires at least 2 samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("w, code", [(3, 2), (15, 0)])
+    def test_series_too_short_for_the_model_exits_2(self, tmp_path, capsys, w, code):
+        # the paper-default model's three stride-2 3x3 convolutions take 15 samples or more
+        train = write_ucr(tmp_path / "train.tsv", 8, w, seed=0)
+        cfg = tmp_path / "default_model.cfg"
+        cfg.write_text("train.epochs = 1\ntrain.batch_size = 4\n")
+        assert cli.main([
+            "train", "--dataset", "ucr", "--train", str(train), "--test", str(train),
+            "--config", str(cfg), "--out", str(tmp_path / "run"),
+        ]) == code
+        message = "data error: windows of 3 samples are too short for the model: its 2D convolutions need at least 15"
+        assert (message in capsys.readouterr().err) == (code == 2)
+
     def test_value_error_inside_the_model_is_runtime_error(self, workspace, capsys, monkeypatch):
         tmp_path, train, test, cfg = workspace
 

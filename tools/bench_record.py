@@ -17,11 +17,14 @@ each end-to-end metric; the traced runs' per-layer metrics and their
 medians; the distinct model.bin digests, traced and untraced. With two or
 more checkouts, each later one is compared with the first: per end-to-end
 metric, how many seed pairs it won, and the medians against the first's
-quartile spread; per layer, the change in median seconds. The file also
-records the Python,
-numpy, BLAS and CPU it ran on. An existing file is updated: a
-(checkout, workload) pair recorded again replaces the old one, so several
-calls can add workloads on their own seed sets. Exits 1 if a run fails.
+quartile spread; per layer, the change in median seconds and the change in
+its median share of its traced run's round (`trace.round_s`). Machine drift
+between the checkouts' traced runs moves every layer's seconds at once but
+leaves the shares as they were, so a change in share is the layer's own.
+The file also records the Python, numpy, BLAS and CPU it ran on. An
+existing file is updated: a (checkout, workload) pair recorded again
+replaces the old one, so several calls can add workloads on their own seed
+sets. Exits 1 if a run fails.
 """
 
 import argparse
@@ -63,13 +66,23 @@ def summarize(runs, benchmark):
     return {m["name"]: quartiles([r["metrics"][m["name"]] for r in runs]) for m in benchmark["end_to_end"]}
 
 
+def layer_shares(traced):
+    """Per layer timed in seconds: the median over the traced runs of its
+    share of that run's round, `trace.round_s`."""
+    return {name: statistics.median(r["metrics"][name] / r["metrics"]["trace.round_s"] for r in traced)
+            for name in traced[0]["metrics"] if name.endswith("_s") and name != "trace.round_s"}
+
+
 def compare(base, other, benchmark):
     """Per end-to-end metric: seed pairs `other` won against `base`, and its
     median's distance from base's median against base's quartile spread.
-    Per layer: `other`'s traced median minus base's, in seconds."""
+    Per layer: `other`'s traced median minus base's, in seconds, and its
+    median share of the round minus base's."""
     by_seed = {r["seed"]: r for r in base["runs"]}
     out = {"per_layer_s": {name: round(other["traced_median"][name] - value, 4)
-                           for name, value in base["traced_median"].items() if name.endswith("_s")}}
+                           for name, value in base["traced_median"].items() if name.endswith("_s")},
+           "per_layer_share": {name: round(other["traced_share_median"][name] - value, 5)
+                               for name, value in base["traced_share_median"].items()}}
     for m in benchmark["end_to_end"]:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
         pairs = [(by_seed[r["seed"]]["metrics"][name], r["metrics"][name]) for r in other["runs"] if r["seed"] in by_seed]
@@ -148,6 +161,7 @@ def main():
                 "traced": traced[name],
                 "traced_median": {k: statistics.median(r["metrics"][k] for r in traced[name])
                                   for k in traced[name][0]["metrics"]},
+                "traced_share_median": layer_shares(traced[name]),
             }
             rec = record["records"].setdefault(name, {"workloads": {}})
             rec["rev"] = git_rev(checkouts[name])
@@ -161,6 +175,8 @@ def main():
             for metric, c in record["comparisons"][key][workload].items():
                 if metric == "per_layer_s":
                     print(f"{workload} {key} per-layer seconds: {c}")
+                elif metric == "per_layer_share":
+                    print(f"{workload} {key} per-layer share of the round: {c}")
                 else:
                     print(f"{workload} {key} {metric}: won {c['won']}/{c['pairs']}, median change "
                           f"{c['median_change']}, beyond base quartiles: {c['beyond_base_quartiles']}")
