@@ -23,6 +23,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import ctypes
 import sys
 from dataclasses import replace
 from typing import List, Optional
@@ -35,6 +36,35 @@ from .errors import DataFormatError
 from .model import VARIANTS
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_RUNTIME = 0, 1, 2, 3
+
+# glibc's mallopt parameters (malloc.h) and the values main sets: the
+# largest that glibc's dynamic thresholds reach on their own.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD_BYTES, TRIM_THRESHOLD_BYTES = 32 * 2**20, 64 * 2**20
+
+
+def _libc():
+    """The C library the process runs on, or None where ctypes cannot load it."""
+    try:
+        return ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+
+
+def _fix_malloc_thresholds():
+    """Fix glibc's mmap and trim thresholds at their dynamic maxima. A
+    training step frees everything it allocated, so at the dynamic trim
+    threshold (twice the largest mapped block freed so far, about 10 MB
+    training at batch 8, w=140) glibc hands the free top of the heap back
+    after every backward pass and the next forward faults it in again. A
+    C library without `mallopt` is left as it is. Only the command line does
+    this; importing the library modules leaves malloc alone."""
+    mallopt = getattr(_libc(), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,6 +235,7 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    _fix_malloc_thresholds()
     try:
         args = _build_parser().parse_args(argv)
         cfg = RunConfig() if args.config is None else load_config_file(args.config)

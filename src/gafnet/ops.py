@@ -15,7 +15,10 @@ tape, and replays the tape in reverse.
 
 conv1d and conv2d share one N-d cross-correlation: its forward copies the
 input's windows into a channel-first column buffer (cin·kⁿ, B·spatial) and
-runs one GEMM with the kernels as a (cout, cin·kⁿ) matrix. The BiLSTM's
+runs one GEMM with the kernels as a (cout, cin·kⁿ) matrix. Its input
+gradient adds each kernel tap's GEMM product into the stride-parity plane
+of the input positions that tap read, with unit-stride adds, and writes the
+planes once into the C-order gradient. The BiLSTM's
 reverse direction is the forward LSTM recurrence run over the flipped
 sequence; one loop steps both directions together over time-major buffers
 stacked by direction, (T, 2, B, ·), so each step works on contiguous slices.
@@ -27,7 +30,11 @@ four gates of a step; the inner ½ is folded into the weights. The input
 projection runs in blocks of `LSTM_BLOCK_STEPS` steps. With
 `record=False`, for prediction, the BiLSTM keeps no cache: one block's
 gates and one step's c and tanh(c), overwritten as it goes, and the h
-sequence, with the same bytes.
+sequence, with the same bytes. The BiLSTM backward forms the factors of
+its gate gradients that do not depend on the recurrence once per block of
+steps, and keeps those and the block's gate gradients within
+`LSTM_FACTOR_BYTES`; a step makes 20 numpy calls. Both backward passes
+give the bytes of their per-tap and per-gate forms.
 """
 
 import math
@@ -245,7 +252,18 @@ def _conv_forward(x, kernels, bias, stride, nd):
 
 
 def _conv_backward(gy, cache, input_grad=True):
-    """(gx, gw, gb) of `_conv_forward`; gx is None without `input_grad`."""
+    """(gx, gw, gb) of `_conv_forward`; gx is None without `input_grad`.
+
+    gx sums one product per kernel tap, `w_tapᵀ @ gy` (cin, B·spatial), over
+    the padded input positions that tap read: tap d of a stride-s conv reads
+    positions d, d + s, d + 2s, … along each axis. Those all lie in one
+    stride-parity plane, the positions ≡ d (mod s), at offsets d//s, d//s + 1,
+    …, so each tap's product is added with unit-stride reads and writes into
+    the plane it hits (stride 1 is the one-plane case). The taps run in
+    `np.ndindex` order into zeroed planes, so every element adds the same
+    products in the same order from +0.0 as a scatter over the strided
+    positions would, and has its bytes. The planes are written once into the
+    C-order gx."""
     win, w, x_shape, pad, stride = cache
     s, kk = _CONV_AXES[w.ndim - 2]
     c, ci = _channel_axis(w)
@@ -254,18 +272,29 @@ def _conv_backward(gy, cache, input_grad=True):
     if not input_grad:
         return None, gw, gb
     bsz, cout, *spatial = gy.shape
+    cin, sizes = x_shape[1], x_shape[2:]
     # One (cout, B*spatial) copy of gy serves every kernel tap. `w_tapᵀ @ gy_flat`
     # is the product numpy's einsum ran per tap, so gx keeps its bytes; the other
     # orientation, gy_flatᵀ @ w_tap, rounds differently at most batch sizes.
     gy_flat = np.ascontiguousarray(np.moveaxis(gy, 1, 0)).reshape(cout, -1)
-    gxp = np.zeros((x_shape[1], bsz) + tuple(n + 2 * pad for n in x_shape[2:]), dtype=win.dtype)
-    # scatter each kernel tap's contribution onto the (strided) input positions it read
+    product = np.empty((cin, gy_flat.shape[1]), dtype=np.result_type(w, gy_flat))
+    tap_grad = product.reshape((cin, bsz, *spatial))
+    # plane p holds the padded positions ≡ p (mod stride) along each axis
+    planes = {
+        p: np.zeros((cin, bsz) + tuple(len(range(q, n + 2 * pad, stride)) for q, n in zip(p, sizes)), dtype=win.dtype)
+        for p in np.ndindex(*(stride,) * len(sizes))
+    }
     for tap in np.ndindex(*w.shape[2:]):
-        at = tuple(slice(d, d + stride * n, stride) for d, n in zip(tap, spatial))
-        gxp[(..., *at)] += (w[(..., *tap)].T @ gy_flat).reshape(gxp.shape[:2] + tuple(spatial))
-    gxp = gxp[(..., *(slice(pad, pad + n) for n in x_shape[2:]))] if pad else gxp
-    # C order: the next layer's bias gradient sums gy in that layout
-    gx = np.ascontiguousarray(np.moveaxis(gxp, 0, 1))
+        np.matmul(w[(..., *tap)].T, gy_flat, out=product)
+        at = tuple(slice(d // stride, d // stride + n) for d, n in zip(tap, spatial))
+        planes[tuple(d % stride for d in tap)][(..., *at)] += tap_grad
+    # C order: the next layer's bias gradient sums gy in that layout. Input
+    # position j is padded position j + pad: plane p holds the j ≡ p - pad.
+    gx = np.empty((bsz, cin, *sizes), dtype=win.dtype)
+    for p, plane in planes.items():
+        first = [(q - pad) % stride for q in p]
+        src = tuple(slice((j + pad) // stride, (j + pad) // stride + len(range(j, n, stride))) for j, n in zip(first, sizes))
+        np.copyto(gx[(..., *(slice(j, None, stride) for j in first))], np.moveaxis(plane[(..., *src)], 0, 1))
     return gx, gw, gb
 
 
@@ -301,6 +330,14 @@ conv1d_backward = conv2d_backward = _conv_backward
 # of one block are all the forward holds: at 63 rows of w=140 in float32,
 # 2 MB instead of the 18 MB of all 140 steps.
 LSTM_BLOCK_STEPS = 16
+
+# Bytes of the step-independent factors and the gate gradients the LSTM
+# backward holds per block of steps, 9/4 of the block's gates. At about
+# 1 MiB a block stays in the cache: with h=64 in float32 a step takes
+# 288 KiB at 64 rows, so blocks are 3 steps there and 28 at 8 rows; 256 KiB
+# and 512 KiB measured alike, 2 MiB 5% slower at 8 rows. Factors for all
+# 140 steps of w=140 (a prototype's) made the backward 39% slower at 64 rows.
+LSTM_FACTOR_BYTES = 2**20
 
 
 def _lstm_forward(x, w_x, w_h, b, record=True):
@@ -364,36 +401,70 @@ def _lstm_forward(x, w_x, w_h, b, record=True):
 
 
 def _lstm_backward(gh, cache):
-    """(gx, gw_x, gw_h, gb) of `_lstm_forward`, stacked as its arguments are."""
+    """(gx, gw_x, gw_h, gb) of `_lstm_forward`, stacked as its arguments are.
+
+    Per step, with dh = gh_t + dh_next and dc = dc_next + dh·o·(1 − tanh(c)²),
+    the gate gradients are dz = [dc·g·i·(1−i), dc·c_{t−1}·f·(1−f),
+    dc·i·(1−g²), dh·tanh(c)·o·(1−o)], multiplied left to right. A step writes
+    the first factor of each gate into its slot of dz, then multiplies the
+    whole row in place by the gates [i, f, g, o] and by [1−i, 1−f, 1−g², 1−o]:
+    dz's g slot is still +0.0 when the gates multiply it and gets dc·i only
+    after, so dg's product is the one formed gate by gate. 1 − tanh(c)² and
+    [1−i, 1−f, 1−g², 1−o] do not depend on the recurrence; they are formed
+    once per block of steps sized to `LSTM_FACTOR_BYTES`, beside the block's
+    dz. Each step's dz feeds its weight-gradient GEMMs, dh_next and its own
+    gx GEMM, so no array of every step's dz is kept. Every product takes its
+    operands in the order of the gate-by-gate formulas, and each GEMM has the
+    shape and operands it has when run step by step, so the bytes are those
+    of the gate-by-gate, step-by-step backward, NaN bits included."""
     x, w_x, w_h, gates, cs, hs, tcs = cache
     t_len, _, bsz, _ = x.shape
     h = w_h.shape[-1]
+    gx = np.empty_like(x)
     gw_x, gw_h = np.zeros_like(w_x), np.zeros_like(w_h)
     gb = np.zeros(w_h.shape[:2], dtype=x.dtype)
-    dzs = np.empty_like(gates)
     dh_next = np.zeros((2, bsz, h), dtype=x.dtype)
     dc_next = np.zeros((2, bsz, h), dtype=x.dtype)
-    for t in range(t_len - 1, -1, -1):
-        z, tc, dz = gates[t], tcs[t], dzs[t]
-        i, f, g, o = z[..., :h], z[..., h : 2 * h], z[..., 2 * h : 3 * h], z[..., 3 * h :]
-        dh = gh[t] + dh_next
-        do = dh * tc
-        dc = dc_next + dh * o * (1.0 - tc**2)
-        di = dc * g
-        dg = dc * i
-        df = dc * cs[t]
-        dc_next = dc * f
-        np.multiply(di * i, 1 - i, out=dz[..., :h])
-        np.multiply(df * f, 1 - f, out=dz[..., h : 2 * h])
-        np.multiply(dg, 1 - g**2, out=dz[..., 2 * h : 3 * h])
-        np.multiply(do * o, 1 - o, out=dz[..., 3 * h :])
-        # per-step accumulation: one gemm over all T·B rows would round differently
-        dzt = np.swapaxes(dz, 1, 2)
-        gw_x += np.matmul(dzt, x[t])
-        gw_h += np.matmul(dzt, hs[t])
-        gb += dz.sum(axis=1)
-        dh_next = np.matmul(dz, w_h)
-    return np.matmul(dzs, w_x), gw_x, gw_h, gb
+    dh, dc = np.empty_like(dh_next), np.empty_like(dc_next)
+    # per row and step the factors take 5h numbers and dz 4h: 9/4 of the gates
+    steps = max(1, min(t_len, LSTM_FACTOR_BYTES * 4 // (9 * gates[0].nbytes or 1)))
+    dzs = np.empty((steps,) + gates.shape[1:], dtype=x.dtype)
+    slope = np.empty_like(dzs)
+    dtanh = np.empty((steps,) + tcs.shape[1:], dtype=x.dtype)
+    for t1 in range(t_len, 0, -steps):
+        t0 = max(t1 - steps, 0)
+        n = t1 - t0
+        z = gates[t0:t1]
+        i, f, g, o = (z[..., k * h : (k + 1) * h] for k in range(4))
+        np.subtract(1, z, out=slope[:n])  # [1−i, 1−f, ·, 1−o]
+        slope_g = slope[:n, ..., 2 * h : 3 * h]
+        np.multiply(g, g, out=slope_g)
+        np.subtract(1, slope_g, out=slope_g)  # 1−g²
+        np.square(tcs[t0:t1], out=dtanh[:n])
+        np.subtract(1.0, dtanh[:n], out=dtanh[:n])
+        dzs[:n, ..., 2 * h : 3 * h] = 0
+        for t in range(t1 - 1, t0 - 1, -1):
+            k = t - t0
+            dz = dzs[k]
+            np.add(gh[t], dh_next, out=dh)
+            np.multiply(dh, tcs[t], out=dz[..., 3 * h :])
+            np.multiply(dh, o[k], out=dc)
+            dc *= dtanh[k]
+            np.add(dc_next, dc, out=dc)
+            np.multiply(dc, g[k], out=dz[..., :h])
+            np.multiply(dc, cs[t], out=dz[..., h : 2 * h])
+            np.multiply(dc, f[k], out=dc_next)
+            dz *= z[k]
+            np.multiply(dc, i[k], out=dz[..., 2 * h : 3 * h])
+            dz *= slope[k]
+            # per-step accumulation: one gemm over all T·B rows would round differently
+            dzt = np.swapaxes(dz, 1, 2)
+            gw_x += np.matmul(dzt, x[t])
+            gw_h += np.matmul(dzt, hs[t])
+            gb += dz.sum(axis=1)
+            np.matmul(dz, w_h, out=dh_next)
+            np.matmul(dz, w_x, out=gx[t])
+    return gx, gw_x, gw_h, gb
 
 
 def bilstm_forward(x, w_x, w_h, b, record=True):

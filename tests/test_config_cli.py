@@ -292,6 +292,41 @@ class TestErrorTypes:
         assert "runtime error: operands could not be broadcast" in capsys.readouterr().err
 
 
+class TestMallocThresholds:
+    """`main` fixes glibc's mmap and trim thresholds once per call, through
+    the C library's `mallopt`, and leaves a C library without it alone."""
+
+    def test_main_sets_both_thresholds_once(self, monkeypatch, workspace):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli, "_libc", lambda: type("Libc", (), {"mallopt": staticmethod(mallopt)})())
+        tmp_path, train, test, cfg = workspace
+        assert cli.main([
+            "train", "--dataset", "ucr", "--train", str(train), "--test", str(test),
+            "--config", str(cfg), "--out", str(tmp_path / "run"),
+        ]) == 0
+        assert calls == [(cli.M_MMAP_THRESHOLD, 32 * 2**20), (cli.M_TRIM_THRESHOLD, 64 * 2**20)]
+        assert cli.main(["train", "--bogus"]) == 1  # before the arguments are parsed
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("libc", [None, object()], ids=["no-libc", "no-mallopt"])
+    def test_libc_without_mallopt_is_a_no_op(self, monkeypatch, workspace, libc):
+        monkeypatch.setattr(cli, "_libc", lambda: libc)
+        tmp_path, train, test, cfg = workspace
+        assert cli.main([
+            "train", "--dataset", "ucr", "--train", str(train), "--test", str(test),
+            "--config", str(cfg), "--out", str(tmp_path / "run"),
+        ]) == 0
+
+    def test_glibc_parameter_numbers(self):
+        # malloc.h: M_TRIM_THRESHOLD -1, M_MMAP_THRESHOLD -3
+        assert (cli.M_TRIM_THRESHOLD, cli.M_MMAP_THRESHOLD) == (-1, -3)
+
+
 class TestCliGaf:
     def test_export(self, tmp_path):
         src = write_ucr(tmp_path / "d.tsv", 3, 12, seed=2)

@@ -87,6 +87,19 @@ def assert_same_result(got, want):
         np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
 
 
+def assert_same_bits(got, want):
+    """`assert_same_result` for arrays that hold NaN and inf: the same bits,
+    NaN payloads and signs included; below numpy 2.3, NaN and inf at the same
+    positions and the rounding tolerance elsewhere."""
+    assert got.dtype == want.dtype
+    if _SAME_PRODUCTS:
+        bits = f"u{got.itemsize}"
+        assert np.array_equal(got.view(bits), want.view(bits))
+    else:
+        tol = rounding_tolerance(got.dtype)
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+
 def conv_forward_reference(x, w, b, stride):
     """Batched conv as one einsum over the channel axis, whatever its size."""
     win, _ = _conv_windows(x, w.shape[-1], stride)
@@ -329,6 +342,57 @@ class TestConvBytes:
         assert np.shares_memory(cache[0], x)
 
 
+    # the paper-default conv2d chain at w=140, ECG5000's length: 140² -> 69² -> 34² -> 16²
+    W140_CHAIN = [(1, 16, (140, 140)), (16, 32, (69, 69)), (32, 64, (34, 34))]
+
+    @staticmethod
+    def check_backward(x, w, b, stride, gy):
+        y, cache = ops.conv2d_forward(x, w, b, stride=stride)
+        assert gy.shape == y.shape
+        got = ops.conv2d_backward(gy, cache)
+        for a, want in zip(got, conv_backward_reference(gy, x, w, stride)):
+            assert_same_bits(a, want)
+        assert got[0].flags.c_contiguous
+
+    @pytest.mark.parametrize("cin, cout, size", W140_CHAIN)
+    def test_w140_chain_matches_einsum_reference(self, cin, cout, size):
+        rng = rng_for(140 + cin)
+        w = rng.standard_normal((cout, cin, 3, 3))
+        b = rng.standard_normal(cout)
+        out = tuple((n - 3) // 2 + 1 for n in size)
+        for bsz in list(range(1, 20)) + [64]:
+            x = rng.standard_normal((bsz, cin) + size)
+            self.check_backward(x, w, b, 2, rng.standard_normal((bsz, cout) + out))
+
+    # the w=96 chain of `test_matches_einsum_reference` at the paper's batch size
+    @pytest.mark.parametrize("cin, cout, size", [(1, 16, (96, 96)), (16, 32, (47, 47)), (32, 64, (23, 23))])
+    def test_w96_chain_at_batch_64(self, cin, cout, size):
+        rng = rng_for(96 + cin)
+        w = rng.standard_normal((cout, cin, 3, 3))
+        x = rng.standard_normal((64, cin) + size)
+        out = tuple((n - 3) // 2 + 1 for n in size)
+        self.check_backward(x, w, rng.standard_normal(cout), 2, rng.standard_normal((64, cout) + out))
+
+    @pytest.mark.parametrize("cin, cout, k, size, stride", [(16, 32, 3, (69, 69), 2), (32, 64, 5, (140,), 1)])
+    def test_nan_and_inf_gradient_give_reference_bits(self, cin, cout, k, size, stride):
+        rng = rng_for(150 + cin)
+        w = rng.standard_normal((cout, cin) + (k,) * len(size))
+        b = rng.standard_normal(cout)
+        backward = ops.conv2d_backward if len(size) == 2 else ops.conv1d_backward
+        for bsz in (1, 8, 64):
+            x = rng.standard_normal((bsz, cin) + size)
+            y, cache = ops._conv_forward(x, w, b, stride, len(size))
+            gy = rng.standard_normal(y.shape)
+            gy[0, 1, 2], gy[-1, -1, -1] = np.nan, np.inf
+            gy[bsz // 2, 0, 3] = -np.inf
+            with np.errstate(invalid="ignore"):
+                got = backward(gy, cache)
+                want = conv_backward_reference(gy, x, w, stride)
+            assert np.isnan(got[0]).any() and np.isinf(got[0]).any()
+            for a, ref in zip(got, want):
+                assert_same_bits(a, ref)
+
+
 class TestConvInputChecks:
     @pytest.mark.parametrize(
         "x_shape, w_shape, b_shape, error",
@@ -553,6 +617,75 @@ class TestLstmBytes:
     @pytest.mark.parametrize("din", [1, 2, 64])
     def test_float32_matches_per_direction_reference(self, din, t_len):
         self.check(din, t_len, rng_for(80 + din + t_len), exact_gw_x=din > 1, dtype=np.float32)
+
+
+    @staticmethod
+    def factor_block_steps(bsz, dtype):
+        """Steps per block of the backward: its factors and gate gradients
+        take 9h numbers per row, direction and step within
+        `ops.LSTM_FACTOR_BYTES`."""
+        return ops.LSTM_FACTOR_BYTES // (9 * TestLstmBytes.HIDDEN * 2 * bsz * np.dtype(dtype).itemsize)
+
+    def compare_backward(self, x, weights, gh, exact_gw_x=True):
+        want_h, want_backward = bilstm_reference(x, *weights)
+        h, cache = ops.bilstm_forward(x, *weights)
+        assert_same_result(h, want_h)
+        grads = ops.bilstm_backward(gh, cache)
+        want_gx, want_grads = want_backward(gh)
+        return grads, (want_gx, *want_grads)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bsz", [8, 64])
+    def test_factor_block_edges(self, bsz, dtype):
+        steps = self.factor_block_steps(bsz, dtype)  # 1 at B=64 in float64
+        rng = rng_for(90 + bsz)
+        weights = tuple(w.astype(dtype) for w in lstm_weights(rng, 64, self.HIDDEN))
+        for t_len in sorted({max(steps - 1, 1), steps, steps + 1, 2 * steps, 2 * steps + 1}):
+            x = rng.standard_normal((bsz, t_len, 64)).astype(dtype)
+            gh = rng.standard_normal((bsz, t_len, 2 * self.HIDDEN)).astype(dtype)
+            self.assert_same_grads(*self.compare_backward(x, weights, gh), exact_gw_x=True)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bsz", [8, 64])
+    def test_nan_and_inf_gradient_give_reference_bits(self, bsz, dtype):
+        t_len = self.factor_block_steps(bsz, dtype) + 2  # across a block edge
+        rng = rng_for(95 + bsz)
+        weights = tuple(w.astype(dtype) for w in lstm_weights(rng, 64, self.HIDDEN))
+        x = rng.standard_normal((bsz, t_len, 64)).astype(dtype)
+        gh = rng.standard_normal((bsz, t_len, 2 * self.HIDDEN)).astype(dtype)
+        # one NaN and one inf in each direction's half, at different steps
+        gh[bsz // 2, t_len // 3, 5], gh[0, t_len - 2, self.HIDDEN + 7] = np.nan, np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = self.compare_backward(x, weights, gh)
+        assert all(np.isnan(a).any() for a in got)
+        for a, ref in zip(got, want):
+            assert_same_bits(a, ref)
+
+
+class TestLstmBackwardMemory:
+    def test_factor_blocks_stay_in_budget(self):
+        """At the paper's batch size and w=140 in float32 the backward holds
+        the time-major gh and gx and the returned gx, 10.9 MiB together, and
+        a block of factors and gate gradients within
+        `ops.LSTM_FACTOR_BYTES`. Every step's gate gradients would take
+        18.4 MB, factors for all 140 steps 23 MB, and 16-step blocks 4.7 MB."""
+        rng = rng_for(98)
+        bsz, t_len, hid = 64, 140, 64
+        weights = tuple(w.astype(np.float32) for w in lstm_weights(rng, 64, hid))
+        x = rng.standard_normal((bsz, t_len, 64)).astype(np.float32)
+        h, cache = ops.bilstm_forward(x, *weights)
+        gh = rng.standard_normal(h.shape).astype(np.float32)
+        ops.bilstm_backward(gh, cache)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ops.bilstm_backward(gh, cache)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        step_arrays = gh.nbytes + 3 * x.nbytes
+        assert ops.LSTM_FACTOR_BYTES <= 2**20
+        assert peak < step_arrays + 3 * 2**19, (peak - step_arrays) / 2**20
 
 
 class TestUnrecordedLstm:
