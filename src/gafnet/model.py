@@ -7,12 +7,12 @@ op, its hand-written backward op and one (name, shape, init) row per
 parameter it owns). The head reads the concatenated branch features; in the
 variants with attention its first stage is the attention fusion. `VARIANTS`
 is the one table of what each variant uses, and `_layout` builds the lists
-from it. `param_shapes` and `init_params` both read the stages' rows, so a
-parameter is declared in one place; `forward` runs the stages and records
-each stage's backward and cache on a tape (or, for prediction, keeps none);
-`backward` replays the tapes in reverse and consumes them, freeing each
-stage's cache as soon as its backward has run, so a training step holds at
-most one tape.
+from it for a pass with a tape or without. `param_shapes` and `init_params`
+both read the stages' rows, so a parameter is declared in one place;
+`forward` runs the stages and records each stage's backward and cache on a
+tape (or, for prediction, keeps none); `backward` replays the tapes in
+reverse and consumes them, freeing each stage's cache as soon as its
+backward has run, so a training step holds at most one tape.
 
 The layers compute in the dtype of their input; the parameters, their
 gradients and the model file stay float64. `optim.train` and
@@ -66,22 +66,21 @@ class ModelConfig:
     def __post_init__(self):
         object.__setattr__(self, "cnn1d_layers", tuple(tuple(l) for l in self.cnn1d_layers))
         object.__setattr__(self, "cnn2d_layers", tuple(tuple(l) for l in self.cnn2d_layers))
+
+        def positive(v):  # an integer >= 1, numpy's too; a bool is not one
+            return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+
+        for name in ("num_classes", "lstm_hidden", "groups", "d_attn", "mlp_hidden"):
+            if not positive(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer >= 1")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.d_attn <= 0 or self.groups <= 0 or self.mlp_hidden <= 0:
-            raise ConfigError("d_attn, groups, mlp_hidden must be positive")
-
-        def positive_ints(layers, n):  # every layer is n integers >= 1
-            return all(len(l) == n and all(isinstance(v, (int, np.integer)) and v >= 1 for v in l) for l in layers)
-
-        if not positive_ints(self.cnn1d_layers, 2) or any(k % 2 == 0 for _ch, k in self.cnn1d_layers):
+        if not all(len(l) == 2 and all(map(positive, l)) and l[1] % 2 for l in self.cnn1d_layers):
             raise ConfigError("cnn1d_layers: every layer must be (channels >= 1, odd kernel >= 1)")
-        if not self.cnn2d_layers or not positive_ints(self.cnn2d_layers, 3):
+        if not self.cnn2d_layers or not all(len(l) == 3 and all(map(positive, l)) for l in self.cnn2d_layers):
             raise ConfigError("cnn2d_layers: need at least one layer, each (channels, kernel, stride) >= 1")
-        if self.lstm_hidden < 1:
-            raise ConfigError("lstm_hidden must be >= 1")
         if self.d_t % self.groups or self.d_s % self.groups:
             raise ConfigError("groups must divide both feature dims")
 
@@ -104,8 +103,7 @@ class ModelConfig:
         3x3 layers), and without that branch any window of 1 or more."""
         need = 1
         for _ch, k, stride in reversed(self.cnn2d_layers if self.uses_spatial else ()):
-            pad = (k - 1) // 2 if stride == 1 else 0  # as `ops` pads
-            need = max(1, (need - 1) * stride + k - 2 * pad)
+            need = max(1, (need - 1) * stride + k - 2 * ops.conv_padding(k, stride))
         return need
 
     @property
@@ -210,18 +208,17 @@ def _attention_backward(gout, cache):
 # of a uniform(+-sqrt(1/fan_in)) draw, any other init the constant the tensor
 # starts at, which draws nothing. A stage that can be a branch's first with
 # parameters also takes `input_grad=False`, and then returns None for the
-# input gradient. A stage marked `lean` takes `record=False` in its forward,
-# which `_run` passes when it keeps no tape, and then keeps only what the
-# next stage reads, with None as its cache. The lists are built per call, so
-# every `ops.*` function is looked up through its module attribute when the
-# model runs.
+# input gradient. `_run` calls every forward as `forward(x, *values)`: what a
+# stage keeps is fixed when `_layout` builds it for a pass, and the BiLSTM's,
+# built for a pass without a tape, keeps only what the next stage reads,
+# with None as its cache. The lists are built per call, so every `ops.*`
+# function is looked up through its module attribute when the model runs.
 
 
 class Stage(NamedTuple):
     forward: Callable
     backward: Callable
     params: Tuple[Tuple[str, Tuple[int, ...], object], ...] = ()
-    lean: bool = False  # forward takes `record=False`
 
     @property
     def names(self) -> Tuple[str, ...]:
@@ -237,7 +234,7 @@ def _affine(forward, backward, names, w_shape, fan_in, n_out):
 _CHANNEL = Stage(lambda x: (x[:, None], None), lambda g, _cache: (g[:, 0],))
 
 
-def _bilstm_stage(din, hidden):
+def _bilstm_stage(din, hidden, record=True):
     """BiLSTM over channels-first (B, din, T) -> (B, 2h, T). Each direction
     owns its w_x, w_h and b (gates in input, forget, candidate, output order;
     the forget gate's bias starts at 1), stacked by direction for `ops`.
@@ -247,7 +244,7 @@ def _bilstm_stage(din, hidden):
     a contiguous (B, 2h, T) copy it would sum pairwise, with other bytes.
     Without `record` the op keeps no step's gates or cell state."""
 
-    def forward(x, *values, record=True):  # f's w_x, w_h, b, then b's
+    def forward(x, *values):  # f's w_x, w_h, b, then b's
         weights = (np.stack(values[i::3]) for i in range(3))
         h, cache = ops.bilstm_forward(np.swapaxes(x, 1, 2), *weights, record=record)
         return np.swapaxes(h, 1, 2), cache
@@ -259,11 +256,10 @@ def _bilstm_stage(din, hidden):
 
     cell = (("w_x", (4 * hidden, din), din), ("w_h", (4 * hidden, hidden), hidden),
             ("b", (4 * hidden,), np.repeat([0.0, 1.0, 0.0, 0.0], hidden)))
-    return Stage(forward, backward, tuple((f"lstm.{d}.{p}", shape, init) for d in "fb" for p, shape, init in cell),
-                 lean=True)
+    return Stage(forward, backward, tuple((f"lstm.{d}.{p}", shape, init) for d in "fb" for p, shape, init in cell))
 
 
-def _temporal_stages(cfg: ModelConfig) -> List[Stage]:
+def _temporal_stages(cfg: ModelConfig, record: bool) -> List[Stage]:
     """Segments (B, w) -> 1D CNN -> BiLSTM -> mean over time (B, d_t)."""
     stages, cin = [_CHANNEL], 1
     for i, (ch, k) in enumerate(cfg.cnn1d_layers):
@@ -271,7 +267,7 @@ def _temporal_stages(cfg: ModelConfig) -> List[Stage]:
         stages += [conv, Stage(ops.relu_forward, ops.relu_backward)]
         cin = ch
     pool = Stage(partial(ops.global_avg_pool_forward, n_spatial=1), ops.global_avg_pool_backward)
-    return stages + [_bilstm_stage(cin, cfg.lstm_hidden), pool]
+    return stages + [_bilstm_stage(cin, cfg.lstm_hidden, record), pool]
 
 
 def _spatial_stages(cfg: ModelConfig) -> List[Stage]:
@@ -367,9 +363,7 @@ class Branch(NamedTuple):
     input: str  # "segment" or "image"
     width: int  # of its features
     stages: List[Stage]
-    # Rows per block when the branch runs without a tape (prediction); None
-    # runs it over the whole `forward` call.
-    rows: Optional[int]
+    rows: Optional[int]  # per block of `_run_blocks`; None runs the whole `forward` call at once
 
 
 # The spatial branch's block in prediction. Its conv2d layers' working set
@@ -385,16 +379,19 @@ class Branch(NamedTuple):
 SPATIAL_ROWS = 8
 
 
-def _layout(cfg: ModelConfig):
-    """The one place where the layers of a variant are put together:
-    (branches, head). `branches` holds a `Branch` for each branch in use, in
-    input order; `head` is the stage list over their concatenated features,
-    led by the attention fusion when the variant uses it."""
+def _layout(cfg: ModelConfig, record: bool = True):
+    """The one place where the layers of a variant are put together, for a
+    pass with a tape (`record`) or without: (branches, head). `branches`
+    holds a `Branch` for each branch in use, in input order; `head` is the
+    stage list over their concatenated features, led by the attention fusion
+    when the variant uses it. This is where the pass's tape decision is
+    taken: without a tape the BiLSTM keeps no cache and the spatial branch
+    runs in blocks of `SPATIAL_ROWS`; with one every branch runs whole."""
     branches = []
     if cfg.uses_temporal:
-        branches.append(Branch("segment", cfg.d_t, _temporal_stages(cfg), None))
+        branches.append(Branch("segment", cfg.d_t, _temporal_stages(cfg, record), None))
     if cfg.uses_spatial:
-        branches.append(Branch("image", cfg.d_s, _spatial_stages(cfg), SPATIAL_ROWS))
+        branches.append(Branch("image", cfg.d_s, _spatial_stages(cfg), None if record else SPATIAL_ROWS))
     return branches, ([_fusion_stage(cfg)] if cfg.uses_attention else []) + _head_stages(cfg)
 
 
@@ -428,25 +425,25 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
 
 
 def _run(stages: List[Stage], x, params: ModelParams, tape: Optional[list]):
-    """Run stages forward, recording (backward, cache, names) of each on `tape`.
-    Without a tape (None) a stage's cache is freed once the next stage has run,
-    and a `lean` stage runs with `record=False`. Each stage gets its weights
-    cast to the dtype of its input."""
+    """Run stages forward as `forward(x, *values)`, recording (backward,
+    cache, names) of each on `tape`. Without a tape (None) a stage's cache is
+    freed once the next stage has run. Each stage gets its weights cast to
+    the dtype of its input."""
     x = ops.as_float(x)
     for stage in stages:
         weights = [params[name].value.astype(x.dtype, copy=False) for name in stage.names]
-        lean = stage.lean and tape is None
-        x, cache = stage.forward(x, *weights, record=False) if lean else stage.forward(x, *weights)
+        x, cache = stage.forward(x, *weights)
         if tape is not None:
             tape.append((stage.backward, cache, stage.names))
     return x
 
 
-def _run_blocks(branch: Branch, x, params: ModelParams):
-    """A branch run without a tape over the `ops.row_blocks` of its `rows`
-    (all rows at once if None), the blocks' features concatenated."""
+def _run_blocks(branch: Branch, x, params: ModelParams, tape: Optional[list]):
+    """A branch run over the `ops.row_blocks` of its `rows` (all rows at once
+    if None, as in every pass with a tape, so the tape holds each stage
+    once), the blocks' features concatenated."""
     blocks = ops.row_blocks(len(x), branch.rows or max(len(x), 1))
-    return np.concatenate([_run(branch.stages, x[start:end], params, None) for start, end in blocks])
+    return np.concatenate([_run(branch.stages, x[start:end], params, tape) for start, end in blocks])
 
 
 def _replay(tape: list, g, params: ModelParams, input_grad: bool = True):
@@ -498,21 +495,17 @@ def forward(segs, imgs, params: ModelParams, cfg: ModelConfig, record: bool = Tr
     """Run the variant's full pipeline on a batch.
 
     segs: (B, w) raw segments; imgs: (B, w, w) GAF images. An input the
-    variant does not read may be None. With `record=False` no tape is kept
-    (`tapes` is None, and `backward` rejects the trace): each stage's
-    intermediates are freed as the forward goes, each branch runs over
-    blocks of its `Branch.rows`, and the logits and probabilities are the
-    same bytes.
+    variant does not read may be None. `_layout` builds the stages for the
+    pass. With `record=False` no tape is kept (`tapes` is None, and
+    `backward` rejects the trace): each stage's intermediates are freed as
+    the forward goes, the spatial branch runs in blocks of `SPATIAL_ROWS`,
+    and the logits and probabilities are the same bytes.
     """
     _rows(segs, imgs, cfg)
-    branches, head = _layout(cfg)
+    branches, head = _layout(cfg, record)
     inputs = {"segment": segs, "image": imgs}
-    if record:
-        tapes = [[] for _ in range(len(branches) + 1)]
-        feats = [_run(branch.stages, inputs[branch.input], params, tape) for branch, tape in zip(branches, tapes)]
-    else:
-        tapes = [None] * (len(branches) + 1)
-        feats = [_run_blocks(branch, inputs[branch.input], params) for branch in branches]
+    tapes = [[] if record else None for _ in range(len(branches) + 1)]
+    feats = [_run_blocks(branch, inputs[branch.input], params, tape) for branch, tape in zip(branches, tapes)]
     logits = _run(head, np.concatenate(feats, axis=-1), params, tapes[-1])
     # float64 probabilities: the loss takes log(p + 1e-12), which float32 cannot resolve near 1
     probs, _ = ops.softmax_forward(logits.astype(np.float64, copy=False), axis=-1)
@@ -553,7 +546,7 @@ def backward_cross_entropy(trace: ForwardTrace, labels_onehot, params: ModelPara
 # PREDICT_ROWS rows and the last one takes the remainder, so a chunk holds
 # 32 to 63 rows. A chunk keeps no tape, so it holds the arrays of the stage
 # running and of the one before it, not of every stage, and the BiLSTM keeps
-# one 16-step block of gates and one step's cell state, not every step's.
+# one 16-step block of gates and two steps' cell state, not every step's.
 # The temporal branch runs over the whole chunk and the spatial branch in
 # `SPATIAL_ROWS` blocks: at the largest chunk, 63 float32 rows of w=140,
 # numpy's peak allocation is 16.1 MB (tracemalloc, numpy 2.4), and after the
@@ -666,7 +659,7 @@ def load_model(path) -> Tuple[ModelConfig, StoredInputs, ModelParams]:
         header = json.loads(data[_PREFIX.size : start].decode("utf-8"))
         cfg = ModelConfig(**header["model"])  # its own checks validate the fields
         stored = StoredInputs(header["input_len"], header["class_names"])
-        if not isinstance(stored.input_len, int) or stored.input_len < 1:
+        if type(stored.input_len) is not int or stored.input_len < 1:  # JSON true is a bool, not an int
             raise ValueError("input_len must be a positive integer")
         if len(stored.class_names) != cfg.num_classes or not all(isinstance(n, str) for n in stored.class_names):
             raise ValueError(f"class_names must be {cfg.num_classes} strings")

@@ -28,9 +28,10 @@ direction first (w_x (2, 4h, din), w_h (2, 4h, h), b (2, 4h)), and
 sigmoid gates are σ(z) = ½·tanh(½z) + ½, so one tanh pass activates all
 four gates of a step; the inner ½ is folded into the weights. The input
 projection runs in blocks of `LSTM_BLOCK_STEPS` steps. With
-`record=False`, for prediction, the BiLSTM keeps no cache: one block's
-gates and one step's c and tanh(c), overwritten as it goes, and the h
-sequence, with the same bytes. The BiLSTM backward forms the factors of
+`record=False`, for prediction, the BiLSTM keeps no cache: its gates, c
+and tanh(c) go into ring buffers of one block, two steps and one step,
+chosen once before the one loop body both passes run, so the h sequence
+has the same bytes. The BiLSTM backward forms the factors of
 its gate gradients that do not depend on the recurrence once per block of
 steps, and keeps those and the block's gate gradients within
 `LSTM_FACTOR_BYTES`; a step makes 20 numpy calls. Both backward passes
@@ -225,6 +226,11 @@ def _window_product(win, w):
     return np.moveaxis(y, 0, 1)
 
 
+def conv_padding(k, stride):
+    """Zeros padded on each side of an axis: 'same' for stride 1, else 'valid'."""
+    return (k - 1) // 2 if stride == 1 else 0
+
+
 def _conv_forward(x, kernels, bias, stride, nd):
     """Cross-correlation over the trailing `nd` axes plus bias.
 
@@ -239,7 +245,7 @@ def _conv_forward(x, kernels, bias, stride, nd):
     if w.ndim != nd + 2 or xb.shape[1] != w.shape[1] or b.shape != w.shape[:1]:
         raise ShapeMismatchError(f"conv{nd}d: input {xb.shape}, kernels {w.shape}, bias {b.shape}")
     k = w.shape[-1]
-    pad = (k - 1) // 2 if stride == 1 else 0
+    pad = conv_padding(k, stride)
     # without padding the window view (and the cache holding it) reads x itself
     xp = np.pad(xb, ((0, 0), (0, 0)) + ((pad, pad),) * nd) if pad else xb
     if min(xp.shape[2:]) < k:
@@ -348,9 +354,11 @@ def _lstm_forward(x, w_x, w_h, b, record=True):
     b (2, 4h) in (input, forget, candidate, output) gate order. Returns the
     h sequence (T, 2, B, h) and the cache of `_lstm_backward`: every step's
     gates, c and tanh(c). With `record=False` the cache is None, and the
-    forward keeps one block's gates and one step's c and tanh(c) instead, in
-    buffers it overwrites; the h sequence has the same bytes. Every step's
-    arrays are contiguous slices.
+    gates, c and tanh(c) go into ring buffers of one block, two steps and
+    one step instead, indexed modulo their length. The buffers are chosen
+    once, before the loop, and both passes run the same loop body, so the h
+    sequence has the same bytes, NaN bits included. Every step's arrays are
+    contiguous slices.
     """
     t_len, _, bsz, _ = x.shape
     h = w_h.shape[-1]
@@ -366,20 +374,19 @@ def _lstm_forward(x, w_x, w_h, b, record=True):
     b_scaled = (b * scale)[:, None]
     # slot t + 1 holds h after step t; slot 0 is the zero initial state
     hs = np.zeros((t_len + 1, 2, bsz, h), dtype=x.dtype)
-    if record:  # every step's gates, c (slots as in hs) and tanh(c)
-        gates = np.empty((t_len, 2, bsz, 4 * h), dtype=x.dtype)
-        cs = np.zeros((t_len + 1, 2, bsz, h), dtype=x.dtype)
-        tcs = np.empty((t_len, 2, bsz, h), dtype=x.dtype)
-    else:  # one block's gates; c updated in place; tanh(c) in one scratch buffer
-        gates = np.empty((min(t_len, LSTM_BLOCK_STEPS), 2, bsz, 4 * h), dtype=x.dtype)
-        c = np.zeros((2, bsz, h), dtype=x.dtype)
-        tc = np.empty((2, bsz, h), dtype=x.dtype)
+    # slots of the gates, c (slot t + 1 holds c after step t, as in hs) and
+    # tanh(c) of step t, at t modulo their count: every step's with a tape
+    n_gates, n_c, n_tc = (t_len, t_len + 1, t_len) if record else (min(t_len, LSTM_BLOCK_STEPS), 2, 1)
+    gates = np.empty((n_gates, 2, bsz, 4 * h), dtype=x.dtype)
+    cs = np.zeros((n_c, 2, bsz, h), dtype=x.dtype)
+    tcs = np.empty((n_tc, 2, bsz, h), dtype=x.dtype)
     for t0 in range(0, t_len, LSTM_BLOCK_STEPS):
         t1 = min(t0 + LSTM_BLOCK_STEPS, t_len)
         # x_t @ W_xᵀ + b of the block's steps: one (B, din) x (din, 4h) gemm per
         # step and direction, as over all steps at once. Each step adds
-        # h_t @ W_hᵀ and turns its slice into the gates in place.
-        block = gates[t0:t1] if record else gates[: t1 - t0]
+        # h_t @ W_hᵀ and turns its slot into the gates in place. A block's
+        # slots are consecutive: t0 % n_gates is t0 with a tape, else 0.
+        block = gates[t0 % n_gates :][: t1 - t0]
         np.matmul(x[t0:t1], w_xt, out=block)
         block += b_scaled
         for t in range(t0, t1):
@@ -389,11 +396,8 @@ def _lstm_forward(x, w_x, w_h, b, record=True):
             z *= scale
             z += shift
             i, f, g, o = z[..., :h], z[..., h : 2 * h], z[..., 2 * h : 3 * h], z[..., 3 * h :]
-            if record:
-                c = np.multiply(f, cs[t], out=cs[t + 1])
-                tc = tcs[t]
-            else:
-                c *= f  # c·f rounds as f·c does, so c keeps the recorded bytes
+            c = np.multiply(f, cs[t % n_c], out=cs[(t + 1) % n_c])
+            tc = tcs[t % n_tc]
             np.multiply(i, g, out=tc)
             c += tc
             np.multiply(o, np.tanh(c, out=tc), out=hs[t + 1])

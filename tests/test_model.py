@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gafnet import model, ops, optim
-from gafnet.errors import DataFormatError, ShapeMismatchError
+from gafnet.errors import ConfigError, DataFormatError, ShapeMismatchError
 
 
 def tiny_config(variant="full", num_classes=2):
@@ -576,8 +576,8 @@ class TestConsumedTrace:
 
             return stage._replace(forward=forward, backward=backward)
 
-        def tracked_layout(cfg):
-            branches, head = real_layout(cfg)
+        def tracked_layout(cfg, *args):
+            branches, head = real_layout(cfg, *args)
             return [b._replace(stages=[tracked(st) for st in b.stages]) for b in branches], [tracked(st) for st in head]
 
         monkeypatch.setattr(model, "_layout", tracked_layout)
@@ -639,8 +639,8 @@ class TestComputeDtype:
                 return y, cache
             return stage._replace(forward=forward)
 
-        def recording_layout(cfg):
-            branches, head = real_layout(cfg)
+        def recording_layout(cfg, *args):
+            branches, head = real_layout(cfg, *args)
             return ([b._replace(stages=[recording(st) for st in b.stages]) for b in branches],
                     [recording(st) for st in head])
 
@@ -884,6 +884,9 @@ class TestSerialization:
         (lambda h: h["model"].update(cnn2d_layers=[[4, 3]]), "cnn2d_layers"),
         (lambda h: h.pop("input_len"), "input_len"),
         (lambda h: h.update(input_len="8"), "input_len"),
+        (lambda h: h.update(input_len=True), "input_len"),
+        (lambda h: h["model"].update(lstm_hidden=True), "lstm_hidden"),
+        (lambda h: h["model"].update(groups=True), "groups"),
         (lambda h: h["tensors"][0].__setitem__(1, [4, 1, 5]), "tensor table"),
         (lambda h: h["tensors"].pop(), "tensor table"),
         (lambda h: h["model"].update(num_classes=3), "class_names"),
@@ -1127,7 +1130,16 @@ class TestInit:
             ("cnn2d_layers", ((4, 3),)),
             ("cnn2d_layers", ((4, 3.0, 2),)),
             ("lstm_hidden", 0),
+            # a bool is not an integer, though Python counts True as 1
+            ("num_classes", True),
+            ("lstm_hidden", True),
+            ("groups", True),
+            ("d_attn", True),
+            ("mlp_hidden", True),
+            ("cnn1d_layers", ((True, 3),)),
+            ("cnn1d_layers", ((4, True),)),
+            ("cnn2d_layers", ((4, 3, True),)),
         ]
         for key, value in cases:
-            with pytest.raises(ValueError, match=key):
+            with pytest.raises(ConfigError, match=key):
                 replace(tiny_config(), **{key: value})

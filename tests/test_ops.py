@@ -710,6 +710,22 @@ class TestUnrecordedLstm:
             assert got.dtype == dtype and got.flags.c_contiguous
             assert np.array_equal(got, want), bsz
 
+    @pytest.mark.parametrize("t_len", [15, 16, 17, 33])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_and_inf_input_give_recorded_bits(self, dtype, t_len):
+        """`np.array_equal` is never true for arrays that hold NaN; both
+        passes run the same multiplies, so they give the same bits."""
+        rng = rng_for(110 + t_len)
+        weights = tuple(w.astype(dtype) for w in lstm_weights(rng, 2, 64))
+        for bsz in (1, 8, 63):
+            x = rng.standard_normal((bsz, t_len, 2)).astype(dtype)
+            x[-1, t_len // 3, 0], x[0, t_len - 2, 1] = np.nan, np.inf
+            with np.errstate(invalid="ignore", over="ignore"):
+                want, _cache = ops.bilstm_forward(x, *weights)
+                got, _ = ops.bilstm_forward(x, *weights, record=False)
+            assert np.isnan(got).any() and np.isfinite(got).any(), bsz
+            assert_same_bits(got, want)
+
     def test_keeps_one_block_of_gates(self):
         # 63 rows of w=140 in float32, the largest prediction chunk: every
         # step's gates alone would take 18 MB
