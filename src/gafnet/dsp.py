@@ -60,6 +60,8 @@ class FilterCoefficients:
         object.__setattr__(self, "sos", sos)
         if sos.ndim != 2 or sos.shape[1] != 6:
             raise ValueError("sos must have shape (n_sections, 6)")
+        if np.any(sos[:, 3] != 1.0):
+            raise ValueError("each section's a0 must be 1")
         for row in sos:
             poles = np.roots(row[3:])
             if np.any(np.abs(poles) >= 1.0):
@@ -97,20 +99,73 @@ def design_butterworth(order: int, f_l: float, f_h: float, fs: float) -> FilterC
     """Design a Butterworth bandpass filter as cascaded biquads.
 
     Bilinear transform with frequency pre-warping; `order` is the analog
-    prototype order (the digital bandpass has twice as many poles). Each
-    parameter set is designed and checked once: `preprocess` asks for the
-    same filter for every dataset of a run, and every call gets the same
-    object. scipy is imported here and in `apply_filter`, not with the
-    module, so a run that never filters does not load `scipy.signal`.
+    prototype order (the digital bandpass has twice as many poles). The
+    sections are the bytes of `scipy.signal.butter(order, [f_l, f_h],
+    btype="bandpass", output="sos", fs=fs)`: the same numpy operations in
+    the same order. Each parameter set is designed and checked once:
+    `preprocess` asks for the same filter for every dataset of a run, and
+    every call gets the same object.
     """
-    from scipy import signal as sps
-
     if not 1 <= order <= 8:
         raise ConfigError("order must be in [1, 8]")
     if not (0 < f_l < f_h < fs / 2):
         raise ConfigError(f"cutoffs must satisfy 0 < f_l < f_h < fs/2, got {f_l}, {f_h} at fs={fs}")
-    sos = sps.butter(order, [f_l, f_h], btype="bandpass", output="sos", fs=fs)
-    return FilterCoefficients(sos=sos, f_l=f_l, f_h=f_h, order=order)
+    # analog lowpass prototype: `order` poles on the left unit half circle
+    m = np.arange(-order + 1, order, 2, dtype=np.float64)
+    p = -np.exp(1j * np.pi * m / (2 * order))
+    # band edges pre-warped for a bilinear transform at fs = 2
+    warped = 4.0 * np.tan(np.pi * (np.asarray([f_l, f_h], dtype=np.float64) / (float(fs) / 2)) / 2.0)
+    bw, wo = float(warped[1] - warped[0]), float(np.sqrt(warped[0] * warped[1]))
+    # lowpass to bandpass: each pole splits in two around ±wo, and `order` zeros go to s = 0
+    p_lp = p * bw / 2
+    p = np.concatenate((p_lp + np.sqrt(p_lp**2 - wo**2), p_lp - np.sqrt(p_lp**2 - wo**2)))
+    # bilinear transform s -> (4 + s) / (4 - s): the zeros at s = 0 go to z = 1, those at infinity to z = -1
+    k = bw**order * np.real(np.prod(np.full(order, 4.0 + 0j)) / np.prod(4.0 - p))
+    p = (4.0 + p) / (4.0 - p)
+    return FilterCoefficients(sos=_zpk2sos(np.repeat([-1.0, 1.0], order), p, k), f_l=f_l, f_h=f_h, order=order)
+
+
+def _zpk2sos(z: np.ndarray, p: np.ndarray, k) -> np.ndarray:
+    """scipy's `zpk2sos` with its digital 'nearest' pairing, for a
+    Butterworth bandpass: the pole nearest the unit circle takes the zeros
+    nearest it, and its section goes last; the gain goes into the first
+    section. `z` holds the zeros, all ±1, sorted. The real poles come in
+    pairs, so only scipy's general branch (two poles, two real zeros) is
+    ever taken."""
+    p = np.concatenate(_cplxreal(p))
+    sos = np.zeros((len(z) // 2, 6))
+    for si in range(len(sos) - 1, -1, -1):
+        i = np.argmin(np.abs(1 - np.abs(p)))
+        p1, p = p[i], np.delete(p, i)
+        if np.isreal(p1):
+            real = np.flatnonzero(np.isreal(p))
+            i = real[np.argmin(np.abs(1 - np.abs(p[real])))]
+            p2, p = p[i], np.delete(p, i)
+        else:
+            p2 = p1.conj()
+        pair = []
+        for _ in range(2):
+            i = np.argsort(np.abs(z - p1))[0]
+            pair.append(z[i])
+            z = np.delete(z, i)
+        sos[si] = np.concatenate((np.poly(pair), np.poly([p1, p2])))
+    sos[0][:3] *= k
+    return sos
+
+
+def _cplxreal(z: np.ndarray):
+    """scipy's `_cplxreal`: sorted by real part, then by the size of the
+    imaginary part, the real values and the average of each conjugate pair
+    (its upper member), as (pairs, reals). Butterworth poles come in exact
+    conjugate pairs, so the sort alone matches each upper member with its
+    conjugate, and scipy's re-sort of nearly equal real parts is not needed."""
+    z = z[np.lexsort((abs(z.imag), z.real))]
+    is_real = abs(z.imag) <= 100 * np.finfo(np.float64).eps * abs(z)
+    zr = z[is_real].real
+    if len(zr) == len(z):
+        return np.array([]), zr
+    z = z[~is_real]
+    return (z[z.imag > 0] + z[z.imag < 0].conj()) / 2, zr
 
 
 def apply_filter(coeffs: FilterCoefficients, sig: Signal, mode: str = "single-pass") -> Signal:
@@ -119,16 +174,58 @@ def apply_filter(coeffs: FilterCoefficients, sig: Signal, mode: str = "single-pa
     single-pass: causal filtering from zero initial state.
     forward-backward: filter, reverse, filter, reverse -- zero phase with the
     squared magnitude response. Output length equals input length either way.
+    Each pass gives the bytes of `scipy.signal.sosfilt`.
     """
-    from scipy import signal as sps
-
-    sos = np.array(coeffs.sos)  # scipy's sosfilt rejects a read-only array
-    y = sps.sosfilt(sos, sig.samples, axis=-1)
-    if mode == "forward-backward":
-        y = sps.sosfilt(sos, y[..., ::-1], axis=-1)[..., ::-1]
-    elif mode != "single-pass":
+    if mode not in ("single-pass", "forward-backward"):
         raise ValueError(f"unknown filter mode {mode!r}")
-    return Signal(samples=y, fs=sig.fs)
+    x = sig.samples
+    # time along the first axis, the series along the second: each step of
+    # the recursion reads and writes one contiguous row of every section
+    y = np.array(x.reshape(-1, x.shape[-1]).T, order="C")
+    _sosfilt(coeffs.sos, y)
+    if mode == "forward-backward":
+        _sosfilt(coeffs.sos, y[::-1])
+    return Signal(samples=y.T.reshape(x.shape), fs=sig.fs)
+
+
+def _sosfilt(sos: np.ndarray, x: np.ndarray) -> None:
+    """Filter the (T, rows) array `x` in place along its first axis, from
+    zero state, as scipy's `sosfilt` does: per sample and section,
+
+        y = b0·x + z0;  z0 = (b1·x − a1·y) + z1;  z1 = b2·x − a2·y.
+
+    All sections step at once as a wavefront: at step n section s takes
+    sample n − s, which section s − 1 wrote into row n − s at step n − 1,
+    and writes its own output over it, so rows n − S + 1 .. n of `x` hold
+    sections S − 1 .. 0. The coefficients and states are laid out in that
+    order, (product, section, row), and a section's state is first touched
+    with its first sample."""
+    t, n_sec = len(x), len(sos)
+    b = np.repeat(sos[::-1, :3].T[:, :, None], x.shape[1], axis=2)  # (3, S, rows)
+    a = np.repeat(sos[::-1, 4:].T[:, :, None], x.shape[1], axis=2)  # (2, S, rows)
+    bx, ay = np.empty_like(b), np.empty_like(a)
+    states = np.zeros((2,) + a.shape)  # (z0, z1) before and after a step, in turn
+    # what a step with every section running reads and writes, for even and odd n
+    views = [(states[p][0], states[p][1], states[1 - p], states[1 - p][0]) for p in (0, 1)]
+    bx0, bx12 = bx[0], bx[1:]
+    for n in range(t + n_sec - 1):
+        if n_sec - 1 <= n < t:
+            z0, z1, z_next, z0_next = views[n % 2]
+            rows = x[n + 1 - n_sec : n + 1]
+            np.multiply(b, rows, out=bx)
+            np.add(bx0, z0, out=rows)
+            np.multiply(a, rows, out=ay)
+            np.subtract(bx12, ay, out=z_next)
+            np.add(z0_next, z1, out=z0_next)
+        else:  # filling or draining: only the sections that hold a sample
+            lo, hi = max(0, n - t + 1), min(n_sec, n + 1)
+            rows, s = x[n + 1 - hi : n + 1 - lo], slice(n_sec - hi, n_sec - lo)
+            z, z_next = states[n % 2, :, s], states[1 - n % 2, :, s]
+            np.multiply(b[:, s], rows, out=bx[:, s])
+            np.add(bx[0, s], z[0], out=rows)
+            np.multiply(a[:, s], rows, out=ay[:, s])
+            np.subtract(bx[1:, s], ay[:, s], out=z_next)
+            np.add(z_next[0], z[1], out=z_next[0])
 
 
 def normalize(sig: Signal) -> Signal:

@@ -661,8 +661,9 @@ def load_model(path) -> Tuple[ModelConfig, StoredInputs, ModelParams]:
         stored = StoredInputs(header["input_len"], header["class_names"])
         if type(stored.input_len) is not int or stored.input_len < 1:  # JSON true is a bool, not an int
             raise ValueError("input_len must be a positive integer")
-        if len(stored.class_names) != cfg.num_classes or not all(isinstance(n, str) for n in stored.class_names):
-            raise ValueError(f"class_names must be {cfg.num_classes} strings")
+        names = stored.class_names
+        if not isinstance(names, list) or len(names) != cfg.num_classes or not all(isinstance(n, str) for n in names):
+            raise ValueError(f"class_names must be a list of {cfg.num_classes} strings")
         shapes = param_shapes(cfg)
         if header["tensors"] != [[name, list(shape)] for name, shape in shapes.items()]:
             raise ValueError("tensor table does not match the model config")

@@ -608,6 +608,20 @@ def test_importing_the_package_loads_no_scipy_signal_or_stats():
     assert not {"scipy.signal", "scipy.stats"} & set(loaded), loaded
 
 
+def test_filtering_loads_no_scipy():
+    # the Butterworth design and the biquad cascade are numpy code: a
+    # filtered preprocess in a fresh process loads no scipy module at all
+    code = (
+        "import sys; import numpy as np; from gafnet import dsp; "
+        "dsp.preprocess(dsp.Signal(np.random.default_rng(0).standard_normal((10, 360)), fs=360.0), "
+        "dsp.PreprocessConfig(enable_filter=True)); "
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gafnet.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Runs a statement and prints the BLAS thread variables as they were when

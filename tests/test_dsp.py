@@ -28,6 +28,25 @@ def make_signal(values, fs=180.0):
     return dsp.Signal(samples=np.asarray(values, dtype=float), fs=fs)
 
 
+def random_designs():
+    """25 (order, f_l, f_h, fs) draws, many of them wide bands."""
+    rng = np.random.default_rng(0)
+    for _ in range(25):
+        fs = rng.uniform(100.0, 1000.0)
+        f_l = rng.uniform(0.01, 0.3) * fs / 2
+        f_h = rng.uniform(0.5, 0.95) * fs / 2
+        yield int(rng.integers(1, 9)), f_l, f_h, fs
+
+
+def scipy_filter(coeffs, values, mode):
+    """What `apply_filter` computed with `scipy.signal.sosfilt`."""
+    sos = np.array(coeffs.sos)  # sosfilt rejects the design's read-only array
+    y = sps.sosfilt(sos, values, axis=-1)
+    if mode == "forward-backward":
+        y = sps.sosfilt(sos, y[..., ::-1], axis=-1)[..., ::-1]
+    return np.ascontiguousarray(y)
+
+
 class TestDesign:
     def test_center_frequency_near_unity_gain(self):
         coeffs = dsp.design_butterworth(4, 0.5, 40.0, 180.0)
@@ -52,15 +71,20 @@ class TestDesign:
             dsp.design_butterworth(0, 0.5, 40.0, 180.0)
 
     def test_stability_across_random_cutoffs(self):
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            fs = rng.uniform(100.0, 1000.0)
-            f_l = rng.uniform(0.01, 0.3) * fs / 2
-            f_h = rng.uniform(0.5, 0.95) * fs / 2
-            order = int(rng.integers(1, 9))
+        for order, f_l, f_h, fs in random_designs():
             coeffs = dsp.design_butterworth(order, f_l, f_h, fs)
             for row in coeffs.sos:
                 assert np.all(np.abs(np.roots(row[3:])) < 1.0)
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_sections_are_scipys_bytes(self, order):
+        # the random bands at every order, wide ones included: their real
+        # poles take zpk2sos's real-pole pairing
+        bands = [(f_l, f_h, fs) for _order, f_l, f_h, fs in random_designs()] + [(0.5, 40.0, 360.0)]
+        for f_l, f_h, fs in bands:
+            want = sps.butter(order, [f_l, f_h], btype="bandpass", output="sos", fs=fs)
+            got = dsp.design_butterworth(order, f_l, f_h, fs).sos
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (order, f_l, f_h, fs)
 
     def test_repeated_design_is_shared_and_read_only(self):
         a = dsp.design_butterworth(4, 0.5, 40.0, 360.0)
@@ -74,6 +98,13 @@ class TestDesign:
         mine = want.copy()
         coeffs = dsp.FilterCoefficients(sos=mine, f_l=0.5, f_h=40.0, order=4)
         assert mine.flags.writeable and not np.shares_memory(coeffs.sos, mine)
+
+    def test_section_without_unit_a0_rejected(self):
+        # the cascade divides by no a0, so a section must come normalised
+        sos = dsp.design_butterworth(4, 0.5, 40.0, 360.0).sos.copy()
+        sos[1, 3:] *= 2.0
+        with pytest.raises(ValueError, match="a0"):
+            dsp.FilterCoefficients(sos=sos, f_l=0.5, f_h=40.0, order=4)
 
     @pytest.mark.parametrize("mode", ["single-pass", "forward-backward"])
     def test_filtered_beats_match_uncached_design(self, mode):
@@ -119,6 +150,29 @@ class TestApplyFilter:
         combined = dsp.apply_filter(coeffs, make_signal(a * x.samples + b * y.samples))
         separate = a * dsp.apply_filter(coeffs, x).samples + b * dsp.apply_filter(coeffs, y).samples
         assert np.allclose(combined.samples, separate, atol=1e-9)
+
+    @pytest.mark.parametrize("mode", ["single-pass", "forward-backward"])
+    @pytest.mark.parametrize("shape", [(300,), (7, 128), (2, 3, 50), (5, 3), (4, 1), (1,)],
+                             ids=["1d", "2d", "3d", "shorter-than-cascade", "one-sample", "lone-sample"])
+    def test_output_is_scipys_bytes(self, mode, shape):
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal(shape) * 40.0
+        for order, f_l, f_h, fs in [(4, 0.5, 40.0, 360.0), (8, 1.0, 170.0, 360.0), *random_designs()]:
+            coeffs = dsp.design_butterworth(order, f_l, f_h, fs)
+            want = scipy_filter(coeffs, values, mode)
+            got = dsp.apply_filter(coeffs, make_signal(values, fs), mode).samples
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (order, f_l, f_h, fs)
+
+    @pytest.mark.parametrize("mode", ["single-pass", "forward-backward"])
+    def test_zero_input_is_scipys_bytes(self, mode):
+        # on zeros of either sign, the sign of each output zero depends on the
+        # signs of the zeros the sections' states start from and step through
+        values = np.zeros((3, 40))
+        values[1], values[2, ::3] = -0.0, -0.0
+        for order, f_l, f_h, fs in [(4, 0.5, 40.0, 360.0), *random_designs()]:
+            coeffs = dsp.design_butterworth(order, f_l, f_h, fs)
+            got = dsp.apply_filter(coeffs, make_signal(values, fs), mode).samples
+            assert got.tobytes() == scipy_filter(coeffs, values, mode).tobytes(), (order, f_l, f_h, fs)
 
     def test_forward_backward_zero_phase(self, coeffs):
         # away from the edges, a passband sine comes out phase-aligned with

@@ -892,6 +892,7 @@ class TestSerialization:
         (lambda h: h["model"].update(num_classes=3), "class_names"),
         (lambda h: h.update(class_names=["only"]), "class_names"),
         (lambda h: h.update(class_names=[1, 2]), "class_names"),
+        (lambda h: h.update(class_names="ab"), "class_names"),  # two characters are not two names
     ])
     def test_bad_header_fields_rejected(self, tmp_path, edit, match):
         with pytest.raises(DataFormatError, match=match):
