@@ -132,7 +132,7 @@ def _zpk2sos(z: np.ndarray, p: np.ndarray, k) -> np.ndarray:
     section. `z` holds the zeros, all ±1, sorted. The real poles come in
     pairs, so only scipy's general branch (two poles, two real zeros) is
     ever taken."""
-    p = np.concatenate(_cplxreal(p))
+    p = _cplxreal(p)
     sos = np.zeros((len(z) // 2, 6))
     for si in range(len(sos) - 1, -1, -1):
         i = np.argmin(np.abs(1 - np.abs(p)))
@@ -153,19 +153,19 @@ def _zpk2sos(z: np.ndarray, p: np.ndarray, k) -> np.ndarray:
     return sos
 
 
-def _cplxreal(z: np.ndarray):
-    """scipy's `_cplxreal`: sorted by real part, then by the size of the
-    imaginary part, the real values and the average of each conjugate pair
-    (its upper member), as (pairs, reals). Butterworth poles come in exact
+def _cplxreal(z: np.ndarray) -> np.ndarray:
+    """scipy's `_cplxreal`, concatenated as `zpk2sos` uses it: sorted by
+    real part, then by the size of the imaginary part, the average of each
+    conjugate pair (its upper member), then the real values, which stay a
+    real array when every value is real. Butterworth poles come in exact
     conjugate pairs, so the sort alone matches each upper member with its
     conjugate, and scipy's re-sort of nearly equal real parts is not needed."""
     z = z[np.lexsort((abs(z.imag), z.real))]
     is_real = abs(z.imag) <= 100 * np.finfo(np.float64).eps * abs(z)
-    zr = z[is_real].real
-    if len(zr) == len(z):
-        return np.array([]), zr
-    z = z[~is_real]
-    return (z[z.imag > 0] + z[z.imag < 0].conj()) / 2, zr
+    if is_real.all():
+        return z.real
+    pairs = z[~is_real]
+    return np.concatenate(((pairs[pairs.imag > 0] + pairs[pairs.imag < 0].conj()) / 2, z[is_real].real))
 
 
 def apply_filter(coeffs: FilterCoefficients, sig: Signal, mode: str = "single-pass") -> Signal:
