@@ -150,8 +150,8 @@ def parse_wfdb_header(text: str) -> WfdbHeader:
         n_samples = int(rec[3])
     except ValueError:
         raise DataFormatError(f"malformed record line: {lines[0]!r}") from None
-    if n_signals < 1 or fs <= 0:
-        raise DataFormatError("header must declare at least one signal and fs > 0")
+    if n_signals < 1 or not (math.isfinite(fs) and fs > 0) or n_samples < 0:
+        raise DataFormatError(f"header must declare at least one signal, a finite fs > 0 and a sample count >= 0: {lines[0]!r}")
     if len(lines) < 1 + n_signals:
         raise DataFormatError("header declares more signals than spec lines present")
     specs = []

@@ -34,8 +34,8 @@ class Signal:
             raise DataFormatError("signal must be a nonempty array of series along the last axis")
         if not np.all(np.isfinite(arr)):
             raise DataFormatError("signal contains non-finite samples")
-        if self.fs <= 0:
-            raise DataFormatError("sampling frequency must be positive")
+        if not (np.isfinite(self.fs) and self.fs > 0):
+            raise DataFormatError(f"sampling frequency must be finite and > 0, got {self.fs!r}")
 
     def __len__(self):
         return self.samples.shape[-1]
@@ -47,12 +47,11 @@ class FilterCoefficients:
 
     `sos` has shape (n_sections, 6): rows are (b0, b1, b2, 1, a1, a2). It
     is a read-only copy: `design_butterworth` hands one object to every caller.
+    The sections are all a filter holds; its band and order are the design's
+    arguments.
     """
 
     sos: np.ndarray
-    f_l: float
-    f_h: float
-    order: int
 
     def __post_init__(self):
         sos = np.array(self.sos, dtype=np.float64)
@@ -122,17 +121,23 @@ def design_butterworth(order: int, f_l: float, f_h: float, fs: float) -> FilterC
     # bilinear transform s -> (4 + s) / (4 - s): the zeros at s = 0 go to z = 1, those at infinity to z = -1
     k = bw**order * np.real(np.prod(np.full(order, 4.0 + 0j)) / np.prod(4.0 - p))
     p = (4.0 + p) / (4.0 - p)
-    return FilterCoefficients(sos=_zpk2sos(np.repeat([-1.0, 1.0], order), p, k), f_l=f_l, f_h=f_h, order=order)
+    return FilterCoefficients(sos=_zpk2sos(np.repeat([-1.0, 1.0], order), p, k))
 
 
 def _zpk2sos(z: np.ndarray, p: np.ndarray, k) -> np.ndarray:
     """scipy's `zpk2sos` with its digital 'nearest' pairing, for a
     Butterworth bandpass: the pole nearest the unit circle takes the zeros
     nearest it, and its section goes last; the gain goes into the first
-    section. `z` holds the zeros, all ±1, sorted. The real poles come in
-    pairs, so only scipy's general branch (two poles, two real zeros) is
+    section. `z` holds the zeros, all ±1, sorted. The poles are sorted as
+    scipy's `_cplxreal` sorts them, by real part, then by the size of the
+    imaginary part. Butterworth poles come in exact conjugate pairs, so the
+    upper member of each pair is scipy's average of the pair, and the
+    values within 100 eps of the real axis are its real poles. Those come
+    in pairs, so only scipy's general branch (two poles, two real zeros) is
     ever taken."""
-    p = _cplxreal(p)
+    p = p[np.lexsort((abs(p.imag), p.real))]
+    is_real = abs(p.imag) <= 100 * np.finfo(np.float64).eps * abs(p)
+    p = np.concatenate((p[~is_real & (p.imag > 0)], p[is_real].real))
     sos = np.zeros((len(z) // 2, 6))
     for si in range(len(sos) - 1, -1, -1):
         i = np.argmin(np.abs(1 - np.abs(p)))
@@ -143,29 +148,11 @@ def _zpk2sos(z: np.ndarray, p: np.ndarray, k) -> np.ndarray:
             p2, p = p[i], np.delete(p, i)
         else:
             p2 = p1.conj()
-        pair = []
-        for _ in range(2):
-            i = np.argsort(np.abs(z - p1))[0]
-            pair.append(z[i])
-            z = np.delete(z, i)
-        sos[si] = np.concatenate((np.poly(pair), np.poly([p1, p2])))
+        nearest = np.argsort(np.abs(z - p1), kind="stable")[:2]
+        sos[si] = np.concatenate((np.poly(z[nearest]), np.poly([p1, p2])))
+        z = np.delete(z, nearest)
     sos[0][:3] *= k
     return sos
-
-
-def _cplxreal(z: np.ndarray) -> np.ndarray:
-    """scipy's `_cplxreal`, concatenated as `zpk2sos` uses it: sorted by
-    real part, then by the size of the imaginary part, the average of each
-    conjugate pair (its upper member), then the real values, which stay a
-    real array when every value is real. Butterworth poles come in exact
-    conjugate pairs, so the sort alone matches each upper member with its
-    conjugate, and scipy's re-sort of nearly equal real parts is not needed."""
-    z = z[np.lexsort((abs(z.imag), z.real))]
-    is_real = abs(z.imag) <= 100 * np.finfo(np.float64).eps * abs(z)
-    if is_real.all():
-        return z.real
-    pairs = z[~is_real]
-    return np.concatenate(((pairs[pairs.imag > 0] + pairs[pairs.imag < 0].conj()) / 2, z[is_real].real))
 
 
 def apply_filter(coeffs: FilterCoefficients, sig: Signal, mode: str = "single-pass") -> Signal:
@@ -180,52 +167,51 @@ def apply_filter(coeffs: FilterCoefficients, sig: Signal, mode: str = "single-pa
         raise ValueError(f"unknown filter mode {mode!r}")
     x = sig.samples
     # time along the first axis, the series along the second: each step of
-    # the recursion reads and writes one contiguous row of every section
-    y = np.array(x.reshape(-1, x.shape[-1]).T, order="C")
+    # the recursion reads and writes one contiguous row of every section;
+    # S - 1 rows before and after the samples let every step run all S sections
+    pad = len(coeffs.sos) - 1
+    y = np.zeros((x.shape[-1] + 2 * pad, x.size // x.shape[-1]))
+    y[pad : len(y) - pad] = x.reshape(-1, x.shape[-1]).T
     _sosfilt(coeffs.sos, y)
     if mode == "forward-backward":
         _sosfilt(coeffs.sos, y[::-1])
-    return Signal(samples=y.T.reshape(x.shape), fs=sig.fs)
+    return Signal(samples=y[pad : len(y) - pad].T.reshape(x.shape), fs=sig.fs)
 
 
 def _sosfilt(sos: np.ndarray, x: np.ndarray) -> None:
-    """Filter the (T, rows) array `x` in place along its first axis, from
-    zero state, as scipy's `sosfilt` does: per sample and section,
+    """Filter the samples of the (T + 2(S − 1), rows) array `x` in place
+    along its first axis, from zero state, as scipy's `sosfilt` does; the
+    S − 1 rows before and after them are room for the cascade to fill and
+    drain, and what they hold never reaches the samples. Per sample and
+    section,
 
         y = b0·x + z0;  z0 = (b1·x − a1·y) + z1;  z1 = b2·x − a2·y.
 
-    All sections step at once as a wavefront: at step n section s takes
-    sample n − s, which section s − 1 wrote into row n − s at step n − 1,
-    and writes its own output over it, so rows n − S + 1 .. n of `x` hold
-    sections S − 1 .. 0. The coefficients and states are laid out in that
-    order, (product, section, row), and a section's state is first touched
-    with its first sample."""
-    t, n_sec = len(x), len(sos)
+    All S sections step at once as a wavefront: at step n section s takes
+    row n + S − 1 − s, which section s − 1 wrote at step n − 1, and writes
+    its own output over it, so rows n .. n + S − 1 of `x` hold sections
+    S − 1 .. 0. The coefficients and states are laid out in that order,
+    (product, section, row). While the cascade fills, the sections still
+    in the leading rows get a zero state after each step, so each section
+    meets its first sample from +0.0, as `sosfilt` starts."""
+    n_sec = len(sos)
     b = np.repeat(sos[::-1, :3].T[:, :, None], x.shape[1], axis=2)  # (3, S, rows)
     a = np.repeat(sos[::-1, 4:].T[:, :, None], x.shape[1], axis=2)  # (2, S, rows)
     bx, ay = np.empty_like(b), np.empty_like(a)
     states = np.zeros((2,) + a.shape)  # (z0, z1) before and after a step, in turn
-    # what a step with every section running reads and writes, for even and odd n
+    # what a step reads and writes, for even and odd n
     views = [(states[p][0], states[p][1], states[1 - p], states[1 - p][0]) for p in (0, 1)]
     bx0, bx12 = bx[0], bx[1:]
-    for n in range(t + n_sec - 1):
-        if n_sec - 1 <= n < t:
-            z0, z1, z_next, z0_next = views[n % 2]
-            rows = x[n + 1 - n_sec : n + 1]
-            np.multiply(b, rows, out=bx)
-            np.add(bx0, z0, out=rows)
-            np.multiply(a, rows, out=ay)
-            np.subtract(bx12, ay, out=z_next)
-            np.add(z0_next, z1, out=z0_next)
-        else:  # filling or draining: only the sections that hold a sample
-            lo, hi = max(0, n - t + 1), min(n_sec, n + 1)
-            rows, s = x[n + 1 - hi : n + 1 - lo], slice(n_sec - hi, n_sec - lo)
-            z, z_next = states[n % 2, :, s], states[1 - n % 2, :, s]
-            np.multiply(b[:, s], rows, out=bx[:, s])
-            np.add(bx[0, s], z[0], out=rows)
-            np.multiply(a[:, s], rows, out=ay[:, s])
-            np.subtract(bx[1:, s], ay[:, s], out=z_next)
-            np.add(z_next[0], z[1], out=z_next[0])
+    for n in range(len(x) - n_sec + 1):
+        z0, z1, z_next, z0_next = views[n % 2]
+        rows = x[n : n + n_sec]
+        np.multiply(b, rows, out=bx)
+        np.add(bx0, z0, out=rows)
+        np.multiply(a, rows, out=ay)
+        np.subtract(bx12, ay, out=z_next)
+        np.add(z0_next, z1, out=z0_next)
+        if n < n_sec - 1:
+            z_next[:, : n_sec - 1 - n] = 0.0
 
 
 def normalize(sig: Signal) -> Signal:

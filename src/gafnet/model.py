@@ -367,15 +367,12 @@ class Branch(NamedTuple):
 
 
 # The spatial branch's block in prediction. Its conv2d layers' working set
-# grows with the rows: at w=140 a block of 8 stays near a 4 MB L2 cache.
-# Predicting 600 rows of w=140 with the gaf_only variant (best of three, one
-# BLAS thread) took 772 µs a row in 8-row blocks, against 980 with the
-# branch over whole 32-row chunks and 1433 over 64-row chunks. A block only
-# splits the columns of each conv GEMM, which at a multiple of 8 rows keeps
-# the bytes of one pass over all rows (`ops._window_product`; 1-, 2- and
-# 4-row blocks kept them at w=96-140 but not at w=32). The temporal branch
-# runs over the whole call: its BiLSTM steps every time step once per call,
-# so every row of the call shares each step's fixed cost.
+# grows with the rows: at w=140 a block of 8 stays near a 4 MB L2 cache,
+# where whole chunks do not. A block only splits the columns of each conv
+# GEMM, which at a multiple of 8 rows keeps the bytes of one pass over all
+# rows (`ops._window_product`); smaller blocks do not at every width. The
+# temporal branch runs over the whole call: its BiLSTM steps every time
+# step once per call, so every row of the call shares each step's fixed cost.
 SPATIAL_ROWS = 8
 
 
@@ -548,12 +545,9 @@ def backward_cross_entropy(trace: ForwardTrace, labels_onehot, params: ModelPara
 # running and of the one before it, not of every stage, and the BiLSTM keeps
 # one 16-step block of gates and two steps' cell state, not every step's.
 # The temporal branch runs over the whole chunk and the spatial branch in
-# `SPATIAL_ROWS` blocks: at the largest chunk, 63 float32 rows of w=140,
-# numpy's peak allocation is 16.1 MB (tracemalloc, numpy 2.4), and after the
-# first chunk of a process the 32-row chunks page-fault 0-2 times each.
-# Chunks from every 64 rows predicted 600 rows of w=140 no faster (0.72-0.91
-# against 0.72-0.74 s in three fresh processes each, one BLAS thread) and
-# page-faulted about 3k times a chunk.
+# `SPATIAL_ROWS` blocks. The bound keeps a chunk's numpy peak small enough
+# that after the first chunk of a process the 32-row chunks barely page-fault;
+# chunks from every 64 rows predicted no faster and faulted on every chunk.
 PREDICT_ROWS = 32
 
 

@@ -179,8 +179,7 @@ def _channel_axis(w):
 # Bytes of the column buffer the forward copies the windows into per block
 # of samples. Above glibc's 32 MB mmap threshold every call would map and
 # page-fault its copy anew (the second conv2d layer's columns of w=140 take
-# 21.3 MB per 32 rows in float32, 42.6 MB in float64). On the float32 path
-# 8 MiB predicted no faster than 16 MiB.
+# 21.3 MB per 32 rows in float32, 42.6 MB in float64).
 WINDOW_BLOCK_BYTES = 16 * 2**20
 
 
@@ -340,9 +339,7 @@ LSTM_BLOCK_STEPS = 16
 # Bytes of the step-independent factors and the gate gradients the LSTM
 # backward holds per block of steps, 9/4 of the block's gates. At about
 # 1 MiB a block stays in the cache: with h=64 in float32 a step takes
-# 288 KiB at 64 rows, so blocks are 3 steps there and 28 at 8 rows; 256 KiB
-# and 512 KiB measured alike, 2 MiB 5% slower at 8 rows. Factors for all
-# 140 steps of w=140 (a prototype's) made the backward 39% slower at 64 rows.
+# 288 KiB at 64 rows, so blocks are 3 steps there and 28 at 8 rows.
 LSTM_FACTOR_BYTES = 2**20
 
 

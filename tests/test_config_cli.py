@@ -278,6 +278,20 @@ class TestErrorTypes:
         message = "data error: windows of 3 samples are too short for the model: its 2D convolutions need at least 15"
         assert (message in capsys.readouterr().err) == (code == 2)
 
+    @pytest.mark.parametrize("fs", ["inf", "1e400", "nan"])
+    def test_wfdb_record_with_non_finite_fs_exits_2(self, workspace, capsys, fs):
+        # before the filter design sees it: an infinite fs made an unstable design (exit 3), a NaN one blamed the cutoffs
+        tmp_path, _, _, cfg = workspace
+        (tmp_path / "rec.hea").write_text(f"rec 2 {fs} 3000\nrec.dat 212 200 11 1024 0 0 0 MLII\nrec.dat 212 200 11 1024 0 0 0 V5\n")
+        (tmp_path / "rec.dat").write_bytes(np.random.default_rng(0).integers(0, 256, 9000, dtype=np.uint8).tobytes())
+        words = [(1 if i % 2 else 5) << 10 | (400 if i == 0 else 300) for i in range(8)] + [0]
+        (tmp_path / "rec.atr").write_bytes(np.array(words, dtype="<u2").tobytes())
+        assert cli.main([
+            "train", "--dataset", "wfdb", "--train", str(tmp_path / "rec"),
+            "--config", str(cfg), "--out", str(tmp_path / "run"),
+        ]) == 2
+        assert "data error: header must declare at least one signal, a finite fs > 0" in capsys.readouterr().err
+
     def test_value_error_inside_the_model_is_runtime_error(self, workspace, capsys, monkeypatch):
         tmp_path, train, test, cfg = workspace
 

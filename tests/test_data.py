@@ -202,6 +202,22 @@ class TestWfdbHeader:
         with pytest.raises(DataFormatError):
             data.parse_wfdb_header("r 2 250 100\nr.dat 212\n")
 
+    @pytest.mark.parametrize("fs", ["nan", "inf", "1e400", "-inf", "0", "-360"])
+    def test_fs_must_be_finite_and_positive(self, fs):
+        with pytest.raises(DataFormatError, match="finite fs > 0"):
+            data.parse_wfdb_header(f"r 1 {fs} 100\nr.dat 212\n")
+        with pytest.raises(DataFormatError, match="sampling frequency must be finite and > 0"):
+            Signal(samples=np.zeros(4), fs=float(fs))
+
+    def test_negative_sample_count_rejected(self):
+        # a count of -3 would slice the payload from its end and decode what is left
+        with pytest.raises(DataFormatError, match="sample count >= 0"):
+            data.parse_wfdb_header("r 2 360 -3\nr.dat 212\nr.dat 212\n")
+        # a count of 0 parses, and decodes to no signal
+        header = data.parse_wfdb_header("r 2 360 0\nr.dat 212\nr.dat 212\n")
+        with pytest.raises(DataFormatError, match="nonempty"):
+            data.parse_wfdb_212(bytes(30), header)
+
 
 class TestWfdb212:
     def unit_gain_header(self, n_samples):

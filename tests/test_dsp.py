@@ -96,7 +96,7 @@ class TestDesign:
         assert b is a and np.array_equal(b.sos, want)
         # the coefficients given to the dataclass are copied, not frozen in place
         mine = want.copy()
-        coeffs = dsp.FilterCoefficients(sos=mine, f_l=0.5, f_h=40.0, order=4)
+        coeffs = dsp.FilterCoefficients(sos=mine)
         assert mine.flags.writeable and not np.shares_memory(coeffs.sos, mine)
 
     def test_section_without_unit_a0_rejected(self):
@@ -104,7 +104,7 @@ class TestDesign:
         sos = dsp.design_butterworth(4, 0.5, 40.0, 360.0).sos.copy()
         sos[1, 3:] *= 2.0
         with pytest.raises(ValueError, match="a0"):
-            dsp.FilterCoefficients(sos=sos, f_l=0.5, f_h=40.0, order=4)
+            dsp.FilterCoefficients(sos=sos)
 
     @pytest.mark.parametrize("mode", ["single-pass", "forward-backward"])
     def test_filtered_beats_match_uncached_design(self, mode):
@@ -114,7 +114,7 @@ class TestDesign:
         for _beat in range(5):
             raw = make_signal(rng.standard_normal(128), fs=360.0)
             sos = sps.butter(cfg.order, [cfg.f_l, cfg.f_h], btype="bandpass", output="sos", fs=360.0)
-            filtered = dsp.apply_filter(dsp.FilterCoefficients(sos, cfg.f_l, cfg.f_h, cfg.order), raw, mode)
+            filtered = dsp.apply_filter(dsp.FilterCoefficients(sos), raw, mode)
             (expected,) = dsp.segment(dsp.normalize(filtered), 128, 0)
             (got,) = dsp.preprocess(raw, cfg)
             assert got.tobytes() == expected.tobytes()
@@ -166,13 +166,18 @@ class TestApplyFilter:
     @pytest.mark.parametrize("mode", ["single-pass", "forward-backward"])
     def test_zero_input_is_scipys_bytes(self, mode):
         # on zeros of either sign, the sign of each output zero depends on the
-        # signs of the zeros the sections' states start from and step through
+        # signs of the zeros the sections' states start from and step through;
+        # at every order S, series of 1, S - 1, S and S + 1 samples end near
+        # where the cascade fills
         values = np.zeros((3, 40))
         values[1], values[2, ::3] = -0.0, -0.0
-        for order, f_l, f_h, fs in [(4, 0.5, 40.0, 360.0), *random_designs()]:
+        cases = [(order, f_l, f_h, fs, 40) for order, f_l, f_h, fs in [(4, 0.5, 40.0, 360.0), *random_designs()]]
+        cases += [(order, f_l, f_h, 360.0, t) for order in range(1, 9) for f_l, f_h in [(0.5, 40.0), (1.0, 170.0)]
+                  for t in sorted({1, max(order - 1, 1), order, order + 1})]
+        for order, f_l, f_h, fs, t in cases:
             coeffs = dsp.design_butterworth(order, f_l, f_h, fs)
-            got = dsp.apply_filter(coeffs, make_signal(values, fs), mode).samples
-            assert got.tobytes() == scipy_filter(coeffs, values, mode).tobytes(), (order, f_l, f_h, fs)
+            got = dsp.apply_filter(coeffs, make_signal(values[:, :t], fs), mode).samples
+            assert got.tobytes() == scipy_filter(coeffs, values[:, :t], mode).tobytes(), (order, f_l, f_h, fs, t)
 
     def test_forward_backward_zero_phase(self, coeffs):
         # away from the edges, a passband sine comes out phase-aligned with
