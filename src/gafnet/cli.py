@@ -130,6 +130,14 @@ def _on_vocabulary(ds: data.Dataset, class_names: List[str]) -> data.Dataset:
     return replace(ds, labels=ids[ds.labels], class_names=class_names)
 
 
+def _scorable(test_ds: data.Dataset) -> data.Dataset:
+    """`test_ds`, once it holds at least two classes: macro AUC is undefined
+    on one, so a run stops here, before it trains or predicts anything."""
+    if np.unique(test_ds.labels).size < 2:
+        raise DataFormatError("the test split holds fewer than two classes: its macro AUC is undefined")
+    return test_ds
+
+
 def _load(args, cfg: RunConfig, spec: str, split_tag: str = "train") -> data.Dataset:
     """One split: a UCR file, or the pooled beats of comma-separated WFDB records."""
     if args.dataset == "ucr":
@@ -157,7 +165,7 @@ def _train_and_test(args, cfg: RunConfig):
         train_ds, test_ds = data.stratified_split(train_ds, 0.8, cfg.train.seed)
     else:
         raise DataFormatError(f"{args.command} requires a test split (--test, or wfdb records to split)")
-    return train_ds, test_ds, _effective_preprocess(args, cfg)
+    return train_ds, _scorable(test_ds), _effective_preprocess(args, cfg)
 
 
 def cmd_gaf(args, cfg: RunConfig) -> int:
@@ -191,10 +199,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
                          result.params, train_ds.class_names)
     optim.write_history_csv(os.path.join(args.out, "history.csv"), result.history)
     report_text = metrics.format_report(report)
-    with open(os.path.join(args.out, "report.txt"), "w") as f:
-        f.write(report_text + "\n")
-    with open(os.path.join(args.out, "config.txt"), "w") as f:
-        f.write(config_to_text(cfg))
+    model_mod.write_atomically(os.path.join(args.out, "report.txt"), (report_text + "\n").encode("utf-8"))
+    model_mod.write_atomically(os.path.join(args.out, "config.txt"), config_to_text(cfg).encode("utf-8"))
     print(report_text)
     return EXIT_OK
 
@@ -203,7 +209,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     model_cfg, stored, params = model_mod.load_model(args.model)
     if args.test is None:
         raise DataFormatError("eval requires --test")
-    test_ds = _on_vocabulary(_load(args, cfg, args.test, "test"), stored.class_names)
+    test_ds = _scorable(_on_vocabulary(_load(args, cfg, args.test, "test"), stored.class_names))
     test_inputs = pipeline.prepare_inputs(test_ds, _effective_preprocess(args, cfg), need_images=model_cfg.uses_spatial)
     if test_inputs.segs.shape[1] != stored.input_len:
         raise DataFormatError(

@@ -314,6 +314,8 @@ def load_wfdb_record(prefix, window: int = 360) -> Dataset:
 
 
 def concat_datasets(datasets: Sequence[Dataset]) -> Dataset:
+    if not datasets:
+        raise DataFormatError("no datasets to concatenate: the list of records is empty")
     first = datasets[0]
     for ds in datasets[1:]:
         if ds.class_names != first.class_names or ds.series_length != first.series_length:

@@ -15,13 +15,19 @@ class EvalReport:
     per_class_f1: List[float]
 
 
-def accuracy(preds, labels) -> float:
+def _checked(preds, labels):
+    """`preds` and `labels` as arrays, once their shapes match and are not empty."""
     preds = np.asarray(preds)
     labels = np.asarray(labels)
     if preds.shape != labels.shape:
         raise ValueError("prediction/label length mismatch")
     if preds.size == 0:
         raise ValueError("empty inputs")
+    return preds, labels
+
+
+def accuracy(preds, labels) -> float:
+    preds, labels = _checked(preds, labels)
     return float(np.mean(preds == labels))
 
 
@@ -33,17 +39,18 @@ def confusion_matrix(preds, labels, num_classes: int) -> np.ndarray:
     return m
 
 
+def _f1(m: np.ndarray):
+    """F1 per class of the confusion matrix `m`, 2·tp / (row sum + column
+    sum), and the classes whose sum is above 0, those that occur in the
+    labels or the predictions. A class whose sum is 0 scores 0."""
+    counts = m.sum(axis=1) + m.sum(axis=0)
+    present = counts > 0
+    return np.divide(2.0 * np.diag(m), counts, out=np.zeros(len(m)), where=present), present
+
+
 def per_class_f1(preds, labels, num_classes: int) -> List[float]:
     """F1 per class; a class with precision + recall == 0 contributes 0."""
-    m = confusion_matrix(preds, labels, num_classes)
-    out = []
-    for c in range(num_classes):
-        tp = m[c, c]
-        fp = m[:, c].sum() - tp
-        fn = m[c, :].sum() - tp
-        denom = 2 * tp + fp + fn
-        out.append(0.0 if denom == 0 else 2.0 * tp / denom)
-    return out
+    return _f1(confusion_matrix(preds, labels, num_classes))[0].tolist()
 
 
 def macro_f1(preds, labels, num_classes: int) -> float:
@@ -51,14 +58,8 @@ def macro_f1(preds, labels, num_classes: int) -> float:
     predictions. A vocabulary class absent from both is left out, as
     `macro_auc` leaves out classes absent from the labels, so a fixed
     vocabulary larger than the data does not deflate the score."""
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    if preds.shape != labels.shape:
-        raise ValueError("prediction/label length mismatch")
-    if preds.size == 0:
-        raise ValueError("empty inputs")
-    present = np.isin(np.arange(num_classes), np.concatenate([preds.ravel(), labels.ravel()]))
-    return float(np.mean(np.asarray(per_class_f1(preds, labels, num_classes))[present]))
+    f1, present = _f1(confusion_matrix(*_checked(preds, labels), num_classes))
+    return float(np.mean(f1[present]))
 
 
 def _midranks(scores) -> np.ndarray:
@@ -99,15 +100,18 @@ def macro_auc(scores, labels, num_classes: int) -> float:
 
 
 def evaluate(probs, labels, num_classes: int) -> EvalReport:
+    """Every measure of the report from one check of the inputs and one
+    confusion matrix."""
     probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    preds = probs.argmax(axis=1)
+    preds, labels = _checked(probs.argmax(axis=1), np.asarray(labels, dtype=np.int64))
+    m = confusion_matrix(preds, labels, num_classes)
+    f1, present = _f1(m)
     return EvalReport(
-        accuracy=accuracy(preds, labels),
-        macro_f1=macro_f1(preds, labels, num_classes),
+        accuracy=float(np.mean(preds == labels)),
+        macro_f1=float(np.mean(f1[present])),
         macro_auc=macro_auc(probs, labels, num_classes),
-        confusion=confusion_matrix(preds, labels, num_classes),
-        per_class_f1=per_class_f1(preds, labels, num_classes),
+        confusion=m,
+        per_class_f1=f1.tolist(),
     )
 
 

@@ -602,17 +602,14 @@ class StoredInputs(NamedTuple):
     class_names: List[str]
 
 
-def save_model(path, cfg: ModelConfig, input_len: int, params: ModelParams,
-               class_names: Optional[Sequence[str]] = None) -> None:
-    """Write the model file atomically: into `<path>.tmp` beside it, then
-    renamed over `path`, so a failed write leaves any previous file intact.
-    `class_names` defaults to the class ids "0".."C-1"."""
-    names = [str(c) for c in (range(cfg.num_classes) if class_names is None else class_names)]
-    if len(names) != cfg.num_classes:
-        raise ValueError(f"{len(names)} class names for {cfg.num_classes} classes")
+def write_atomically(path, data: bytes) -> None:
+    """Write `data` to `path` atomically: into `<path>.tmp` beside it, then
+    renamed over `path`, so a failed write leaves any previous file intact
+    and no `.tmp` behind. Every file of a run directory is written this way."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        _write_model(tmp, cfg, StoredInputs(input_len, names), params)
+        with open(tmp, "wb") as f:
+            f.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -620,18 +617,22 @@ def save_model(path, cfg: ModelConfig, input_len: int, params: ModelParams,
         raise
 
 
-def _write_model(path, cfg: ModelConfig, stored: StoredInputs, params: ModelParams) -> None:
+def save_model(path, cfg: ModelConfig, input_len: int, params: ModelParams,
+               class_names: Optional[Sequence[str]] = None) -> None:
+    """Write the model file with `write_atomically`. `class_names` defaults
+    to the class ids "0".."C-1"."""
+    names = [str(c) for c in (range(cfg.num_classes) if class_names is None else class_names)]
+    if len(names) != cfg.num_classes:
+        raise ValueError(f"{len(names)} class names for {cfg.num_classes} classes")
     header = {
         "model": asdict(cfg),
-        **stored._asdict(),
+        **StoredInputs(input_len, names)._asdict(),
         "tensors": [[name, shape] for name, shape in params.shapes.items()],
     }
     # `default=int` writes numpy integers (allowed in the layer tuples) as plain ints
     blob = json.dumps(header, sort_keys=True, default=int).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_PREFIX.pack(MODEL_MAGIC, MODEL_VERSION, len(blob)))
-        f.write(blob)
-        f.write(params.values.astype("<f8").tobytes())
+    write_atomically(path, _PREFIX.pack(MODEL_MAGIC, MODEL_VERSION, len(blob)) + blob
+                     + params.values.astype("<f8").tobytes())
 
 
 def load_model(path) -> Tuple[ModelConfig, StoredInputs, ModelParams]:

@@ -1,6 +1,7 @@
 """Loss, Adam, learning-rate schedules, and the training loop."""
 
 import csv
+import io
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
@@ -191,8 +192,6 @@ def train(
     history: List[EpochRecord] = []
     best_key = None
     best_params = None
-    global_step = 0
-    lr = lr_schedule(0, schedule)
 
     for epoch in range(1, train_cfg.epochs + 1):
         loss_sum = 0.0
@@ -207,10 +206,10 @@ def train(
             # the gradients are checked too, as a safety net: the backward pass
             # can overflow to inf or NaN while the batch loss is still finite
             if not (np.isfinite(loss) and np.isfinite(params.grads).all()):
-                raise GafnetError(f"non-finite loss or gradient at epoch {epoch}, step {global_step + 1}")
-            lr = lr_schedule(global_step, schedule)
+                raise GafnetError(f"non-finite loss or gradient at epoch {epoch}, step {state.t + 1}")
+            # `state.t` counts the steps taken so far: adam_step adds one
+            lr = lr_schedule(state.t, schedule)
             adam_step(params, state, lr)
-            global_step += 1
         train_loss = loss_sum / tr_labels.size
 
         val_probs = model_mod.predict_probs(params, cfg, segs, imgs, val_idx)
@@ -228,8 +227,10 @@ def train(
 
 
 def write_history_csv(path, history: List[EpochRecord]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "train_loss", "val_accuracy", "lr"])
-        for rec in history:
-            writer.writerow([rec.epoch, f"{rec.train_loss:.10g}", f"{rec.val_accuracy:.10g}", f"{rec.lr:.10g}"])
+    """One row per epoch, with csv's CRLF line endings, written by `model.write_atomically`."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["epoch", "train_loss", "val_accuracy", "lr"])
+    for rec in history:
+        writer.writerow([rec.epoch, f"{rec.train_loss:.10g}", f"{rec.val_accuracy:.10g}", f"{rec.lr:.10g}"])
+    model_mod.write_atomically(path, text.getvalue().encode("utf-8"))

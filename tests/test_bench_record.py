@@ -1,9 +1,13 @@
 """`tools/bench_record.py`'s arithmetic on hand-made records: seed ranges,
-quartiles and the parent/change comparison. Nothing here runs the benchmark."""
+quartiles and the parent/change comparison; and the commit it records for a
+checkout, on throwaway git repositories. Nothing here runs the benchmark."""
 
 import importlib.util
 import os
+import shutil
 import statistics
+import subprocess
+import zipfile
 
 import pytest
 
@@ -122,3 +126,49 @@ class TestLayerShares:
         c = bench_record.compare(self.traced_entry(self.RUNS), self.traced_entry(faster), BENCHMARK)
         assert c["per_layer_share"]["ops.bilstm_forward_s"] < -0.08
         assert c["per_layer_share"]["ops.relu_s"] > 0.0
+
+
+class TestGitRev:
+    """The commit recorded for a checkout: `git describe` in a working tree,
+    the export-subst stamp in a `git archive` export."""
+
+    @pytest.fixture(autouse=True)
+    def no_enclosing_repository(self, tmp_path, monkeypatch):
+        # git must not find a repository above the test's directory
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+
+    @staticmethod
+    def git(cwd, *args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=cwd, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    @pytest.fixture
+    def repo(self, tmp_path):
+        if shutil.which("git") is None:
+            pytest.skip("git is not installed")
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        (repo / ".git_archival.txt").write_text("node: $Format:%H$\n")
+        (repo / ".gitattributes").write_text(".git_archival.txt export-subst\n")
+        self.git(repo, "init", "-q")
+        self.git(repo, "add", "-A")
+        self.git(repo, "commit", "-q", "-m", "one commit")
+        return repo
+
+    def test_working_tree_is_described(self, repo):
+        head = self.git(repo, "rev-parse", "HEAD")
+        assert bench_record.git_rev(str(repo)) == head[:12]
+
+    def test_archive_export_reads_its_stamp(self, repo, tmp_path):
+        self.git(repo, "archive", "--format=zip", "-o", str(tmp_path / "export.zip"), "HEAD")
+        export = tmp_path / "export"
+        with zipfile.ZipFile(tmp_path / "export.zip") as archive:
+            archive.extractall(export)
+        assert bench_record.git_rev(str(export)) == self.git(repo, "rev-parse", "HEAD")
+
+    def test_unexpanded_stamp_outside_a_repository_is_no_rev(self, tmp_path):
+        (tmp_path / ".git_archival.txt").write_text("node: $Format:%H$\n")
+        assert bench_record.git_rev(str(tmp_path)) is None
+
+    def test_no_stamp_outside_a_repository_is_no_rev(self, tmp_path):
+        assert bench_record.git_rev(str(tmp_path)) is None

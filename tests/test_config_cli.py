@@ -396,8 +396,8 @@ class TestCliTrainEval:
             "--config", str(cfg), "--out", str(out),
         ])
         assert code == 0
-        for name in ("model.bin", "history.csv", "report.txt", "config.txt"):
-            assert (out / name).exists(), name
+        # the four run files, each written atomically: no `.tmp` is left beside them
+        assert sorted(p.name for p in out.iterdir()) == ["config.txt", "history.csv", "model.bin", "report.txt"]
         stdout = capsys.readouterr().out
         assert stdout.startswith("accuracy:")
         assert (out / "history.csv").read_text().splitlines()[0] == "epoch,train_loss,val_accuracy,lr"
@@ -471,6 +471,80 @@ class TestCliTrainEval:
             "train", "--dataset", "ucr", "--train", str(train),
             "--config", str(cfg), "--out", str(train.parent / "x"),
         ]) == 2
+
+
+class TestCliTestSplitClasses:
+    """A test split with one class has no macro AUC: train, eval and ablate
+    stop with a data error before they train or predict anything."""
+
+    @pytest.fixture
+    def no_model_runs(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the model ran on a test split it cannot score")
+
+        monkeypatch.setattr(optim, "train", must_not_run)
+        monkeypatch.setattr(model, "predict_probs", must_not_run)
+
+    def test_train_exits_2(self, workspace, capsys, no_model_runs):
+        tmp_path, train, _, cfg = workspace
+        one_class = write_labeled(tmp_path / "one_class.tsv", [2, 2, 2])
+        out = tmp_path / "run"
+        assert cli.main([
+            "train", "--dataset", "ucr", "--train", str(train), "--test", str(one_class),
+            "--config", str(cfg), "--out", str(out),
+        ]) == 2
+        assert "fewer than two classes" in capsys.readouterr().err
+        assert not (out / "model.bin").exists()
+
+    def test_ablate_exits_2(self, workspace, no_model_runs):
+        tmp_path, train, _, cfg = workspace
+        one_class = write_labeled(tmp_path / "one_class.tsv", [1, 1])
+        assert cli.main([
+            "ablate", "--dataset", "ucr", "--train", str(train), "--test", str(one_class),
+            "--config", str(cfg), "--seeds", "0",
+        ]) == 2
+
+    def test_eval_exits_2(self, workspace, capsys, monkeypatch):
+        tmp_path, train, test, cfg = workspace
+        out = tmp_path / "run"
+        assert cli.main([
+            "train", "--dataset", "ucr", "--train", str(train), "--test", str(test),
+            "--config", str(cfg), "--out", str(out),
+        ]) == 0
+        before = sorted(p.name for p in out.iterdir())
+        monkeypatch.setattr(model, "predict_probs", None)  # a call would be a runtime error (3)
+        one_class = write_labeled(tmp_path / "one_class.tsv", [1, 1, 1])
+        capsys.readouterr()
+        assert cli.main([
+            "eval", "--model", str(out / "model.bin"), "--dataset", "ucr", "--test", str(one_class),
+            "--config", str(cfg),
+        ]) == 2
+        assert "fewer than two classes" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == before
+        assert not (tmp_path / "model.bin").exists()
+
+    def test_wfdb_record_of_one_beat_class_exits_2(self, workspace, capsys, no_model_runs):
+        # eight normal (N) beats: the seeded 80/20 split holds one class on both sides
+        tmp_path, _, _, cfg = workspace
+        (tmp_path / "rec.hea").write_text("rec 2 360 3000\nrec.dat 212 200 11 1024 0 0 0 MLII\nrec.dat 212 200 11 1024 0 0 0 V5\n")
+        (tmp_path / "rec.dat").write_bytes(np.random.default_rng(0).integers(0, 256, 9000, dtype=np.uint8).tobytes())
+        words = [1 << 10 | (400 if i == 0 else 300) for i in range(8)] + [0]
+        (tmp_path / "rec.atr").write_bytes(np.array(words, dtype="<u2").tobytes())
+        out = tmp_path / "run"
+        assert cli.main([
+            "train", "--dataset", "wfdb", "--train", str(tmp_path / "rec"),
+            "--config", str(cfg), "--out", str(out),
+        ]) == 2
+        assert "fewer than two classes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_wfdb_list_without_a_record_exits_2(self, workspace, capsys):
+        tmp_path, _, _, cfg = workspace
+        assert cli.main([
+            "train", "--dataset", "wfdb", "--train", ",",
+            "--config", str(cfg), "--out", str(tmp_path / "run"),
+        ]) == 2
+        assert "no datasets to concatenate" in capsys.readouterr().err
 
 
 def write_labeled(path, labels, w=16):

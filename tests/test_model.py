@@ -991,6 +991,36 @@ LAYOUT = {
 }
 
 
+class TestWriteAtomically:
+    def test_replaces_the_file_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_bytes(b"previous run\n")
+        model.write_atomically(path, b"this run\r\n")
+        assert path.read_bytes() == b"this run\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+    def test_failed_rename_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.txt"
+        path.write_bytes(b"previous run\n")
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(model.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            model.write_atomically(path, b"this run\n")
+        assert path.read_bytes() == b"previous run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "history.csv"
+        path.write_bytes(b"previous run\n")
+        with pytest.raises(TypeError):  # the temporary file is open when the write fails
+            model.write_atomically(path, "text, not bytes")
+        assert path.read_bytes() == b"previous run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["history.csv"]
+
+
 class TestLayout:
     @pytest.mark.parametrize("variant", model.VARIANTS)
     def test_param_order_and_file_digest(self, tmp_path, variant):

@@ -343,6 +343,22 @@ class TestTrainLoop:
         with pytest.raises(GafnetError, match="epoch 1, step 1"):
             optim.train(tiny_config("time_only"), segs, None, labels, self.make_train_cfg())
 
+    def test_non_finite_error_counts_steps_across_epochs(self, monkeypatch):
+        # 14 training rows at batch 4 are 4 steps an epoch: the 6th backward is epoch 2, step 6
+        real_backward = model.backward_cross_entropy
+        calls = []
+
+        def late_nan_backward(trace, y, params, cfg, **kwargs):
+            real_backward(trace, y, params, cfg, **kwargs)
+            calls.append(1)
+            if len(calls) == 6:
+                params["cls.b"].grad[0] = np.nan
+
+        monkeypatch.setattr(model, "backward_cross_entropy", late_nan_backward)
+        segs, _, labels = toy_training_data(np.random.default_rng(8))
+        with pytest.raises(GafnetError, match="epoch 2, step 6$"):
+            optim.train(tiny_config("time_only"), segs, None, labels, self.make_train_cfg())
+
     def test_empty_dataset_rejected(self):
         cfg = tiny_config("time_only")
         with pytest.raises(ValueError):
@@ -355,6 +371,14 @@ class TestTrainLoop:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,val_accuracy,lr"
         assert lines[1] == "1,0.5,0.75,0.001"
+
+    def test_history_csv_bytes(self, tmp_path):
+        # csv's CRLF row ends, and nothing left beside the file
+        history = [optim.EpochRecord(epoch=e, train_loss=1.0 / e, val_accuracy=0.5, lr=0.001) for e in (1, 2)]
+        path = tmp_path / "history.csv"
+        optim.write_history_csv(path, history)
+        assert path.read_bytes() == b"epoch,train_loss,val_accuracy,lr\r\n1,1,0.5,0.001\r\n2,0.5,0.5,0.001\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["history.csv"]
 
     @pytest.mark.parametrize("fraction", [1.0, 1.5, -0.2, float("nan")])
     def test_val_fraction_out_of_range_rejected(self, fraction):

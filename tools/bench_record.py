@@ -108,6 +108,17 @@ def environment():
 
 
 def git_rev(checkout):
+    """The commit a checkout holds: in a `git archive` export, which is not a
+    repository, the commit that export-subst (see .gitattributes) stamped
+    into `.git_archival.txt`; in a working tree, whose stamp still reads
+    `$Format:%H$`, `git describe`. None if neither answers."""
+    try:
+        with open(os.path.join(checkout, ".git_archival.txt")) as f:
+            node = next((line.split(":", 1)[1].strip() for line in f if line.startswith("node:")), "")
+    except OSError:
+        node = ""
+    if node and "$Format" not in node:
+        return node
     proc = subprocess.run(["git", "-C", checkout, "describe", "--always", "--dirty", "--abbrev=12"],
                           capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
