@@ -8,6 +8,9 @@ Submodules:
     optim    -- loss, Adam, learning-rate schedules, training loop
     data     -- UCR and WFDB/MIT-BIH loaders, stratified splits
     metrics  -- accuracy, macro F1, macro one-vs-rest AUC
+    pipeline -- preprocessing and GAF imaging of whole datasets, training and evaluation of runs
+    config   -- key = value run configs read off the config dataclasses
+    errors   -- the package's exception types
     cli      -- command-line entry point
 """
 

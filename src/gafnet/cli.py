@@ -24,7 +24,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import ctypes
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from typing import List, Optional
 
@@ -138,39 +140,35 @@ def _scorable(test_ds: data.Dataset) -> data.Dataset:
     return test_ds
 
 
-def _load(args, cfg: RunConfig, spec: str, split_tag: str = "train") -> data.Dataset:
-    """One split: a UCR file, or the pooled beats of comma-separated WFDB records."""
+def _load(args, cfg: RunConfig, spec: str):
+    """One split and the preprocessing it gets. UCR: one file of curated
+    series, unfiltered, whole-series windows unless the config sets one.
+    WFDB: the pooled beats of comma-separated record prefixes, which arrive
+    pre-windowed from beat extraction, each filtered and normalized as its
+    own signal."""
     if args.dataset == "ucr":
-        return data.load_ucr(spec, fs=cfg.fs, split_tag=split_tag)
+        return data.load_ucr(spec, fs=cfg.fs), cfg.preprocess
     window = cfg.preprocess.window or 360  # one second at 360 Hz
-    return data.concat_datasets([data.load_wfdb_record(p.strip(), window=window) for p in spec.split(",") if p.strip()])
-
-
-def _effective_preprocess(args, cfg: RunConfig):
-    # UCR series are curated: no filter, whole-series windows unless the
-    # config sets one. WFDB beats arrive pre-windowed from beat extraction,
-    # and each is filtered and normalized as its own signal.
-    if args.dataset == "wfdb":
-        return replace(cfg.preprocess, enable_filter=True, window=None, overlap=0)
-    return cfg.preprocess
+    beats = data.concat_datasets([data.load_wfdb_record(p.strip(), window=window) for p in spec.split(",") if p.strip()])
+    return beats, replace(cfg.preprocess, enable_filter=True, window=None, overlap=0)
 
 
 def _train_and_test(args, cfg: RunConfig):
     """Returns the train and test splits of a train or ablate run, the test
     split on the training class names, and the preprocessing they get."""
-    train_ds = _load(args, cfg, args.train)
+    train_ds, pre = _load(args, cfg, args.train)
     if args.test:
-        test_ds = _on_vocabulary(_load(args, cfg, args.test, "test"), train_ds.class_names)
+        test_ds = _on_vocabulary(_load(args, cfg, args.test)[0], train_ds.class_names)
+        if test_ds.fs != train_ds.fs:
+            raise DataFormatError(f"the test split is sampled at {test_ds.fs:g} Hz, the training split at {train_ds.fs:g} Hz")
     elif args.dataset == "wfdb":
         train_ds, test_ds = data.stratified_split(train_ds, 0.8, cfg.train.seed)
     else:
         raise DataFormatError(f"{args.command} requires a test split (--test, or wfdb records to split)")
-    return train_ds, _scorable(test_ds), _effective_preprocess(args, cfg)
+    return train_ds, _scorable(test_ds), pre
 
 
 def cmd_gaf(args, cfg: RunConfig) -> int:
-    if not os.path.exists(args.input):
-        raise DataFormatError(f"input file not found: {args.input}")
     ds = data.load_ucr(args.input)
     os.makedirs(args.out_dir, exist_ok=True)
     limit = len(ds) if args.limit is None else max(0, args.limit)
@@ -194,13 +192,23 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
     result, report = pipeline.train_and_evaluate(model_cfg, train_inputs, test_inputs, cfg.train)
 
-    os.makedirs(args.out, exist_ok=True)
-    model_mod.save_model(os.path.join(args.out, "model.bin"), model_cfg, train_inputs.segs.shape[1],
-                         result.params, train_ds.class_names)
-    optim.write_history_csv(os.path.join(args.out, "history.csv"), result.history)
-    report_text = metrics.format_report(report)
-    model_mod.write_atomically(os.path.join(args.out, "report.txt"), (report_text + "\n").encode("utf-8"))
-    model_mod.write_atomically(os.path.join(args.out, "config.txt"), config_to_text(cfg).encode("utf-8"))
+    # the four run files are written into a fresh sibling directory and then
+    # renamed into --out, so a failed write leaves --out as it was
+    parent, name = os.path.split(os.path.abspath(args.out))
+    os.makedirs(parent, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=f".{name}.", suffix=".tmp", dir=parent)
+    try:
+        model_mod.save_model(os.path.join(stage, "model.bin"), model_cfg, train_inputs.segs.shape[1],
+                             result.params, train_ds.class_names)
+        optim.write_history_csv(os.path.join(stage, "history.csv"), result.history)
+        report_text = metrics.format_report(report)
+        model_mod.write_atomically(os.path.join(stage, "report.txt"), (report_text + "\n").encode("utf-8"))
+        model_mod.write_atomically(os.path.join(stage, "config.txt"), config_to_text(cfg).encode("utf-8"))
+        os.makedirs(args.out, exist_ok=True)
+        for file_name in os.listdir(stage):
+            os.replace(os.path.join(stage, file_name), os.path.join(args.out, file_name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     print(report_text)
     return EXIT_OK
 
@@ -209,16 +217,14 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     model_cfg, stored, params = model_mod.load_model(args.model)
     if args.test is None:
         raise DataFormatError("eval requires --test")
-    test_ds = _scorable(_on_vocabulary(_load(args, cfg, args.test, "test"), stored.class_names))
-    test_inputs = pipeline.prepare_inputs(test_ds, _effective_preprocess(args, cfg), need_images=model_cfg.uses_spatial)
+    test_ds, pre = _load(args, cfg, args.test)
+    test_inputs = pipeline.prepare_inputs(_scorable(_on_vocabulary(test_ds, stored.class_names)), pre,
+                                          need_images=model_cfg.uses_spatial)
     if test_inputs.segs.shape[1] != stored.input_len:
         raise DataFormatError(
             f"model expects segments of length {stored.input_len}, test data has {test_inputs.segs.shape[1]}"
         )
-    segs, imgs = pipeline.inputs_for_variant(test_inputs, model_cfg)
-    probs = model_mod.predict_probs(params, model_cfg, segs, imgs)
-    report = metrics.evaluate(probs, test_inputs.labels, model_cfg.num_classes)
-    print(metrics.format_report(report))
+    print(metrics.format_report(pipeline.evaluate(params, model_cfg, test_inputs)))
     return EXIT_OK
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .dsp import Signal
 from .errors import ConfigError, DataFormatError
+from .ops import make_rng
 
 log = logging.getLogger(__name__)
 
@@ -101,16 +102,9 @@ def load_ucr(path, fs: float = 1.0, split_tag: str = "train") -> Dataset:
     if len(bad):
         row, col = bad[0]
         raise DataFormatError(f"{path}:{line_nos[row]}: non-finite series value {values[row, col]} in field {col + 2}")
-    vocab = sorted(set(raw_labels))
-    mapping = {orig: i for i, orig in enumerate(vocab)}
-    labels = np.array([mapping[l] for l in raw_labels], dtype=np.int64)
-    return Dataset(
-        values=values,
-        labels=labels,
-        class_names=[str(v) for v in vocab],
-        fs=fs,
-        split_tag=split_tag,
-    )
+    # Python ints, so a label beyond int64 neither overflows nor turns the others into floats
+    vocab, labels = np.unique(np.array(raw_labels, dtype=object), return_inverse=True)
+    return Dataset(values=values, labels=labels, class_names=[str(v) for v in vocab], fs=fs, split_tag=split_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +163,9 @@ def parse_wfdb_header(text: str) -> WfdbHeader:
         # the baseline is the ADC zero (field 5) unless the gain field gives one
         gain, baseline = 200.0, fields[4] if len(fields) > 4 else "0"
         if len(fields) >= 3:
-            # gain field may look like "200", "200/mV", or "200(1024)/mV"
-            m = re.match(r"^(-?[\d.]+)(?:\((-?\d+)\))?", fields[2])
-            if not m:
+            # the whole field is gain[(baseline)][/units]: "200", "1e3", "200/mV" or "200(1024)/mV"
+            m = re.fullmatch(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(?:\((-?\d+)\))?(?:/.+)?", fields[2])
+            if not (m and math.isfinite(float(m.group(1)))):
                 raise DataFormatError(f"malformed gain field: {fields[2]!r}")
             gain = float(m.group(1)) or 200.0
             baseline = m.group(2) or baseline
@@ -320,6 +314,8 @@ def concat_datasets(datasets: Sequence[Dataset]) -> Dataset:
     for ds in datasets[1:]:
         if ds.class_names != first.class_names or ds.series_length != first.series_length:
             raise DataFormatError("cannot concatenate datasets with different vocabularies or lengths")
+        if ds.fs != first.fs:
+            raise DataFormatError(f"cannot concatenate datasets sampled at {first.fs:g} Hz and {ds.fs:g} Hz")
     return Dataset(
         values=np.concatenate([ds.values for ds in datasets]),
         labels=np.concatenate([ds.labels for ds in datasets]),
@@ -356,5 +352,5 @@ def stratified_split(ds: Dataset, fraction: float, seed: int) -> Tuple[Dataset, 
     """Seeded `stratified_indices` split; the first (train) part receives `fraction`."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
-    a, b = stratified_indices(ds.labels, fraction, np.random.Generator(np.random.PCG64(seed)))
+    a, b = stratified_indices(ds.labels, fraction, make_rng(seed))
     return ds.subset(a), ds.subset(b, split_tag="test")

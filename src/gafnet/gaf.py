@@ -2,10 +2,10 @@
 
 import numpy as np
 
-# gaf_images works through blocks of rows whose float64 (rows, w, w) buffer
-# stays near this size whatever N is: well under glibc's 32 MB mmap
-# threshold, and small enough to stay in cache (at w=140, 1-2 MB blocks ran
-# faster than 4-8 MB ones).
+# gaf_images works through blocks of rows whose float64 (rows, w, w) products,
+# which numpy holds in a temporary for the cast, stay near this size whatever
+# N is: well under glibc's 32 MB mmap threshold, and small enough to stay in
+# cache (at w=140, 1-2 MB blocks ran faster than 4-8 MB ones).
 IMAGE_BLOCK_BYTES = 2 * 2**20
 
 
@@ -37,10 +37,10 @@ def gaf_images(segs) -> np.ndarray:
 
     Uses the Gram identity cos(phi_j + phi_k) = x_j x_k - s_j s_k, with x
     the rescaled segment and s = sqrt(1 - x^2), so it takes no arccos and no
-    cosine. Each block of rows is one stacked matmul [x, s] @ [x, -s]^T of
-    shapes (k, w, 2) @ (k, 2, w) into a reused float64 buffer, which is then
-    copied into the float32 result. Every image is exactly symmetric and
-    within one float32 ULP of gaf_transform's.
+    cosine. Each block of rows is one stacked float64 matmul [x, s] @ [x, -s]^T
+    of shapes (k, w, 2) @ (k, 2, w), cast on its way into the float32 result.
+    Every image is exactly symmetric and within one float32 ULP of
+    gaf_transform's.
     """
     x = rescale(segs)
     n, w = x.shape
@@ -49,11 +49,9 @@ def gaf_images(segs) -> np.ndarray:
     right = np.stack([x, -s], axis=1)  # (n, 2, w)
     out = np.empty((n, w, w), dtype=np.float32)
     rows = max(1, IMAGE_BLOCK_BYTES // (8 * w * w))
-    gram = np.empty((min(rows, n), w, w))
     for start in range(0, n, rows):
-        k = min(rows, n - start)
-        np.matmul(left[start:start + k], right[start:start + k], out=gram[:k])
-        out[start:start + k] = gram[:k]
+        block = slice(start, start + rows)
+        np.matmul(left[block], right[block], out=out[block], casting="same_kind")
     return out
 
 

@@ -50,7 +50,7 @@ def _f1(m: np.ndarray):
 
 def per_class_f1(preds, labels, num_classes: int) -> List[float]:
     """F1 per class; a class with precision + recall == 0 contributes 0."""
-    return _f1(confusion_matrix(preds, labels, num_classes))[0].tolist()
+    return _f1(confusion_matrix(*_checked(preds, labels), num_classes))[0].tolist()
 
 
 def macro_f1(preds, labels, num_classes: int) -> float:

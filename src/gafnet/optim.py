@@ -169,13 +169,11 @@ def train(
         raise ValueError("empty dataset")
     params = model_mod.init_params(cfg, make_rng(train_cfg.seed))
 
+    tr_idx = val_idx = np.arange(n)  # unless a validation slice can be carved out
     if train_cfg.val_fraction > 0.0 and n >= 4:
-        split_rng = make_rng(train_cfg.seed ^ 0x5EED)
-        tr_idx, val_idx = data.stratified_indices(labels, 1.0 - train_cfg.val_fraction, split_rng)
-        if val_idx.size == 0:
-            tr_idx = val_idx = np.arange(n)
-    else:
-        tr_idx = val_idx = np.arange(n)
+        split = data.stratified_indices(labels, 1.0 - train_cfg.val_fraction, make_rng(train_cfg.seed ^ 0x5EED))
+        if split[1].size:
+            tr_idx, val_idx = split
 
     tr_labels, val_labels = labels[tr_idx], labels[val_idx]
     tr_onehot = one_hot(tr_labels, cfg.num_classes)

@@ -47,9 +47,12 @@ def train_and_evaluate(
     train_cfg: optim.TrainConfig,
 ):
     """Train on the train inputs, evaluate the checkpoint on the test inputs."""
-    tr_segs, tr_imgs = inputs_for_variant(train_inputs, cfg)
-    result = optim.train(cfg, tr_segs, tr_imgs, train_inputs.labels, train_cfg)
-    te_segs, te_imgs = inputs_for_variant(test_inputs, cfg)
-    probs = model_mod.predict_probs(result.params, cfg, te_segs, te_imgs)
-    report = metrics.evaluate(probs, test_inputs.labels, cfg.num_classes)
-    return result, report
+    result = optim.train(cfg, *inputs_for_variant(train_inputs, cfg), train_inputs.labels, train_cfg)
+    return result, evaluate(result.params, cfg, test_inputs)
+
+
+def evaluate(params: model_mod.ModelParams, cfg: ModelConfig, inputs: ModelInputs) -> metrics.EvalReport:
+    """Predict every row of `inputs` with `params` and score the predictions
+    against the inputs' labels."""
+    probs = model_mod.predict_probs(params, cfg, *inputs_for_variant(inputs, cfg))
+    return metrics.evaluate(probs, inputs.labels, cfg.num_classes)

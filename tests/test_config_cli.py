@@ -1,6 +1,7 @@
 """Config file parsing, end-to-end CLI flows on tiny synthetic datasets, and
 what importing the package loads."""
 
+import errno
 import os
 import pkgutil
 import subprocess
@@ -545,6 +546,115 @@ class TestCliTestSplitClasses:
             "--config", str(cfg), "--out", str(tmp_path / "run"),
         ]) == 2
         assert "no datasets to concatenate" in capsys.readouterr().err
+
+
+RUN_FILES = ["config.txt", "history.csv", "model.bin", "report.txt"]
+
+
+class TestRunDirectory:
+    """`gafnet train` leaves its --out whole or as it was: a write that fails
+    part way through any of the four run files keeps a reused --out's
+    previous files byte for byte, creates no new --out, and leaves no staged
+    file beside it."""
+
+    @staticmethod
+    def train(workspace, out, seed):
+        _, train, test, cfg = workspace
+        return cli.main([
+            "train", "--dataset", "ucr", "--train", str(train), "--test", str(test),
+            "--config", str(cfg), "--out", str(out), "--seed", str(seed),
+        ])
+
+    @staticmethod
+    def fail_writing(monkeypatch, name):
+        """Every write of a run file goes through `model.write_atomically`:
+        the one into `name`'s `.tmp` stops part way with a full disk."""
+        real_open = open
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            f = real_open(path, mode, *args, **kwargs)
+            if os.path.basename(path) == f"{name}.tmp":
+                f.write(b"part of a run file")
+                f.close()
+                raise OSError(errno.ENOSPC, "No space left on device", path)
+            return f
+
+        monkeypatch.setattr(model, "open", failing_open, raising=False)
+
+    @pytest.mark.parametrize("reused", [False, True])
+    @pytest.mark.parametrize("name", RUN_FILES)
+    def test_failed_write_leaves_out_as_it_was(self, workspace, capsys, monkeypatch, name, reused):
+        runs = workspace[0] / "runs"
+        out = runs / "run"
+        before = {}
+        if reused:
+            assert self.train(workspace, out, seed=1) == 0
+            before = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert sorted(before) == RUN_FILES
+        capsys.readouterr()
+        self.fail_writing(monkeypatch, name)
+        assert self.train(workspace, out, seed=2) == 3
+        assert "runtime error: [Errno 28] No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in runs.iterdir()) == (["run"] if reused else [])
+        if reused:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_retrain_into_the_same_out(self, workspace, capsys):
+        runs = workspace[0] / "runs"
+        out = runs / "run"
+        reports = []
+        for _ in range(2):
+            assert self.train(workspace, out, seed=1) == 0
+            reports.append(capsys.readouterr().out)
+            assert sorted(p.name for p in out.iterdir()) == RUN_FILES
+            assert [p.name for p in runs.iterdir()] == ["run"]
+        assert reports[0] == reports[1] == (out / "report.txt").read_text()
+        (out / "notes.txt").write_text("kept")
+        assert self.train(workspace, out, seed=2) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(RUN_FILES + ["notes.txt"])
+        assert "train.seed = 2" in (out / "config.txt").read_text().splitlines()
+
+
+def write_wfdb_record(prefix, fs):
+    """A two-channel format-212 record at `fs` Hz: 3000 samples of noise and
+    eight beats 300 samples apart, V (code 5) and N (code 1) in turn."""
+    with open(f"{prefix}.hea", "w") as f:
+        f.write(f"rec 2 {fs} 3000\nrec.dat 212 200 11 1024 0 0 0 MLII\nrec.dat 212 200 11 1024 0 0 0 V5\n")
+    with open(f"{prefix}.dat", "wb") as f:
+        f.write(np.random.default_rng(0).integers(0, 256, 9000, dtype=np.uint8).tobytes())
+    words = [(1 if i % 2 else 5) << 10 | (400 if i == 0 else 300) for i in range(8)] + [0]
+    with open(f"{prefix}.atr", "wb") as f:
+        f.write(np.array(words, dtype="<u2").tobytes())
+    return str(prefix)
+
+
+class TestCliSamplingRates:
+    """Records at different sampling rates would be filtered with one
+    record's design: train and ablate stop with a data error before any
+    training."""
+
+    @pytest.fixture
+    def records(self, workspace, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the model ran on records of different sampling rates")
+
+        monkeypatch.setattr(optim, "train", must_not_run)
+        tmp_path, _, _, cfg = workspace
+        return write_wfdb_record(tmp_path / "a", 360), write_wfdb_record(tmp_path / "b", 250), cfg
+
+    @pytest.mark.parametrize("command", [["train", "--out", "run"], ["ablate", "--seeds", "0"]])
+    def test_pooled_records_of_different_rates_exit_2(self, records, capsys, command):
+        a, b, cfg = records
+        args = [command[0], "--dataset", "wfdb", "--train", f"{a},{b}", "--config", str(cfg)] + command[1:]
+        assert cli.main(args) == 2
+        assert "data error: cannot concatenate datasets sampled at 360 Hz and 250 Hz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["train", "--out", "run"], ["ablate", "--seeds", "0"]])
+    def test_test_split_at_another_rate_exits_2(self, records, capsys, command):
+        a, b, cfg = records
+        args = [command[0], "--dataset", "wfdb", "--train", a, "--test", b, "--config", str(cfg)] + command[1:]
+        assert cli.main(args) == 2
+        assert "data error: the test split is sampled at 250 Hz, the training split at 360 Hz" in capsys.readouterr().err
 
 
 def write_labeled(path, labels, w=16):

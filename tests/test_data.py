@@ -97,6 +97,21 @@ class TestLoadUcr:
         with pytest.raises(DataFormatError, match=r"bad\.tsv:3: non-finite series value .* in field 3"):
             data.load_ucr(path)
 
+    def test_negative_and_beyond_int64_labels_keep_order_and_text(self, tmp_path):
+        # 2**63 and 1e20 are above int64 and -1e19 is below it: with int64 labels they would not
+        # parse, or turn every label into a float (str "-3.0")
+        rows = ["9223372036854775808", "-3", "1e20", "-1e19", "2", "-3", "9223372036854775808"]
+        path = write(tmp_path, "a.tsv", "".join(f"{label}\t{i}.0\t1.0\n" for i, label in enumerate(rows)))
+        ds = data.load_ucr(path)
+        assert ds.class_names == ["-10000000000000000000", "-3", "2", "9223372036854775808", "100000000000000000000"]
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [3, 1, 4, 0, 2, 1, 3]
+
+    def test_labels_within_int64_keep_their_text(self, tmp_path):
+        path = write(tmp_path, "a.tsv", "".join(f"{label}\t1.0\n" for label in ("10", "-1", "0", "-10", "10.0")))
+        ds = data.load_ucr(path)
+        assert ds.class_names == ["-10", "-1", "0", "10"]
+        assert ds.labels.tolist() == [3, 1, 2, 0, 3]
+
 
 UCR_FIELDS = ["1_0", "Infinity", " 3.5 ", "-.25", "+7e-3", "1e999", "nan", "foo", "0x10", "", "1__0", "3,5"]
 
@@ -201,6 +216,19 @@ class TestWfdbHeader:
     def test_missing_signal_lines_rejected(self):
         with pytest.raises(DataFormatError):
             data.parse_wfdb_header("r 2 250 100\nr.dat 212\n")
+
+    @pytest.mark.parametrize("field", ["1.2.3", ".", "1e3.5", "200mV", "200(1024", "200(x)/mV", "200/", "e3", "1e400", "inf", "nan", "/mV"])
+    def test_malformed_gain_field_rejected(self, field):
+        with pytest.raises(DataFormatError, match="malformed gain field"):
+            data.parse_wfdb_header(f"r 1 250 100\nr.dat 212 {field} 11 1024\n")
+
+    @pytest.mark.parametrize("field, gain, baseline", [
+        ("1e3", 1000.0, 1024), ("2.5E+2/mV", 250.0, 1024), (".5", 0.5, 1024), ("200.", 200.0, 1024),
+        ("-200(7)", -200.0, 7), ("0/mV", 200.0, 1024),
+    ])
+    def test_gain_field_forms(self, field, gain, baseline):
+        h = data.parse_wfdb_header(f"r 1 250 100\nr.dat 212 {field} 11 1024\n")
+        assert h.signals[0].gain == gain and h.signals[0].baseline == baseline
 
     @pytest.mark.parametrize("fs", ["nan", "inf", "1e400", "-inf", "0", "-360"])
     def test_fs_must_be_finite_and_positive(self, fs):
@@ -369,6 +397,13 @@ class TestDatasetOps:
         b = data.Dataset(values=np.zeros((2, 6)), labels=[0, 1], class_names=["x", "y"])
         with pytest.raises(DataFormatError):
             data.concat_datasets([a, b])
+
+    def test_concat_of_different_sampling_rates_rejected(self):
+        a = data.Dataset(values=np.zeros((2, 6)), labels=[0, 1], class_names=["x", "y"], fs=360.0)
+        b = data.Dataset(values=np.ones((2, 6)), labels=[1, 0], class_names=["x", "y"], fs=250.0)
+        with pytest.raises(DataFormatError, match="sampled at 360 Hz and 250 Hz"):
+            data.concat_datasets([a, b])
+        assert data.concat_datasets([a, a]).fs == 360.0
 
     def test_stratified_split_proportions(self):
         ds = self.make_dataset(n=100, num_classes=4)

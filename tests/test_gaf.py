@@ -224,3 +224,27 @@ class TestExport:
         pixels = read_pgm(path)
         expected = np.clip(np.rint((m + 1.0) / 2.0 * 255.0), 0, 255).astype(np.uint8)
         assert np.array_equal(pixels, expected)
+
+
+def gram_then_cast_images(segs):
+    """The images as one float64 stacked Gram matmul over the whole batch,
+    then cast to float32: the form gaf_images had before it cast each block
+    on its way out, kept as its byte reference."""
+    x = gaf.rescale(segs)
+    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    return np.matmul(np.stack([x, s], axis=-1), np.stack([x, -s], axis=1)).astype(np.float32)
+
+
+class TestGafImagesCast:
+    @pytest.mark.parametrize("w", [2, 24, 96, 140, 360])
+    @pytest.mark.parametrize("edge", [-1, 0, 1])
+    def test_equal_to_gram_then_cast_at_block_edges(self, w, edge):
+        rows = max(1, gaf.IMAGE_BLOCK_BYTES // (8 * w * w))
+        n = rows + edge
+        rng = np.random.default_rng(100 * w + edge)
+        segs = rng.standard_normal((n, w)) * rng.uniform(0.1, 10.0, size=(n, 1))
+        segs[n // 2] = -0.25  # a constant segment, whose image is all -1
+        imgs = gaf.gaf_images(segs)
+        assert imgs.dtype == np.float32 and imgs.shape == (n, w, w) and imgs.flags.c_contiguous
+        assert imgs.tobytes() == gram_then_cast_images(segs).tobytes()
+        assert np.array_equal(imgs[n // 2], -np.ones((w, w), dtype=np.float32))

@@ -69,6 +69,13 @@ class TestF1:
     def test_perfect(self):
         assert metrics.macro_f1([0, 1, 2], [0, 1, 2], 3) == 1.0
 
+    def test_per_class_mismatch_and_empty_rejected(self):
+        # as accuracy and macro_f1 do: not numpy's IndexError, nor all-zero F1 for no rows
+        with pytest.raises(ValueError, match="length mismatch"):
+            metrics.per_class_f1([0, 1, 1], [0, 1], 2)
+        with pytest.raises(ValueError, match="empty"):
+            metrics.per_class_f1([], [], 2)
+
     def test_absent_classes_left_out_of_mean(self):
         # perfect predictions on 2 of a 15-class vocabulary (the WFDB beat classes)
         assert metrics.macro_f1([3, 7, 7, 3], [3, 7, 7, 3], 15) == 1.0

@@ -1,10 +1,12 @@
-"""prepare_inputs: the image tensor's layout and the memory it takes to build."""
+"""prepare_inputs: the image tensor's layout and the memory it takes to
+build; evaluate: the report of a model's predictions."""
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from gafnet import dsp, gaf, pipeline
+from gafnet import dsp, gaf, metrics, model, ops, pipeline
 from gafnet.data import Dataset
 
 
@@ -38,3 +40,18 @@ def test_prepare_inputs_labels_follow_their_windows():
         want = dsp.preprocess(dsp.Signal(samples=row, fs=ds.fs), cfg)
         assert inputs.segs[3 * i:3 * i + 3].tobytes() == want.tobytes()
         assert inputs.labels[3 * i:3 * i + 3].tolist() == [ds.labels[i]] * 3
+
+
+@pytest.mark.parametrize("variant", ["full", "gaf_only", "time_only"])
+def test_evaluate_reports_the_predictions_of_the_inputs_the_variant_reads(variant):
+    rng = np.random.default_rng(2)
+    ds = Dataset(values=rng.standard_normal((10, 24)), labels=np.arange(10) % 3, class_names=list("abc"))
+    cfg = model.ModelConfig(num_classes=3, cnn1d_layers=((4, 3),), lstm_hidden=3, cnn2d_layers=((4, 3, 2),),
+                            groups=2, d_attn=4, mlp_hidden=8, variant=variant)
+    inputs = pipeline.prepare_inputs(ds, dsp.PreprocessConfig(), need_images=cfg.uses_spatial)
+    params = model.init_params(cfg, ops.make_rng(0))
+    probs = model.predict_probs(params, cfg, inputs.segs if cfg.uses_temporal else None, inputs.imgs)
+    report = pipeline.evaluate(params, cfg, inputs)
+    want = metrics.evaluate(probs, inputs.labels, cfg.num_classes)
+    assert metrics.format_report(report) == metrics.format_report(want)
+    assert (report.accuracy, report.macro_auc) == (want.accuracy, want.macro_auc)
