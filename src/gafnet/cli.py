@@ -99,7 +99,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--dataset", choices=("ucr", "wfdb"), required=True)
         if need_train:
             p.add_argument("--train", required=True, help="UCR file or comma-separated WFDB record prefixes")
-        p.add_argument("--test", default=None, help="UCR file or WFDB record prefixes (wfdb: omit for a seeded 80/20 split)")
+        p.add_argument("--test", required=not need_train, help="UCR file or WFDB record prefixes"  # eval has no data to split
+                       + (" (wfdb: omit for a seeded 80/20 split)" if need_train else ""))
         p.add_argument("--config", default=None, help="key = value config file")
 
     p_train = sub.add_parser("train", help="train a model and evaluate on the test split")
@@ -182,6 +183,8 @@ def cmd_gaf(args, cfg: RunConfig) -> int:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
+    if os.path.exists(args.out) and not os.path.isdir(args.out):  # before any loading or training
+        raise argparse.ArgumentError(None, f"--out {args.out} exists and is not a directory")
     if args.seed is not None:
         cfg.train.seed = args.seed
     train_ds, test_ds, pre = _train_and_test(args, cfg)
@@ -215,15 +218,12 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 def cmd_eval(args, cfg: RunConfig) -> int:
     model_cfg, stored, params = model_mod.load_model(args.model)
-    if args.test is None:
-        raise DataFormatError("eval requires --test")
     test_ds, pre = _load(args, cfg, args.test)
-    test_inputs = pipeline.prepare_inputs(_scorable(_on_vocabulary(test_ds, stored.class_names)), pre,
-                                          need_images=model_cfg.uses_spatial)
-    if test_inputs.segs.shape[1] != stored.input_len:
-        raise DataFormatError(
-            f"model expects segments of length {stored.input_len}, test data has {test_inputs.segs.shape[1]}"
-        )
+    test_ds = _scorable(_on_vocabulary(test_ds, stored.class_names))
+    window = pre.window or test_ds.series_length  # the segment length, before any image is built
+    if window != stored.input_len:
+        raise DataFormatError(f"model expects segments of length {stored.input_len}, test data has {window}")
+    test_inputs = pipeline.prepare_inputs(test_ds, pre, need_images=model_cfg.uses_spatial)
     print(metrics.format_report(pipeline.evaluate(params, model_cfg, test_inputs)))
     return EXIT_OK
 

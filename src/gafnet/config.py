@@ -87,7 +87,9 @@ def _keys(obj):
 
 
 def parse_config_text(text: str) -> RunConfig:
-    """Apply `key = value` lines on top of defaults; unknown keys are errors."""
+    """Apply `key = value` lines on top of defaults; unknown keys are errors.
+    Each line is checked as it is applied: a bad value, or one that breaks its
+    section's invariants, fails with its line number and key."""
     cfg = RunConfig()
     sections = _sections(cfg)
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -106,13 +108,12 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"config line {line_no}: unknown key {key!r}")
         try:
             setattr(obj, field_name, _parse_value(raw, keys[field_name].default))
-            if obj is cfg:  # data.fs, the one key of its section, is all its invariant reads
-                cfg.__post_init__()
+            # the section's invariants, at the line that set the key; ModelSettings
+            # has none: its cross-key rule is `to_model_config`'s
+            if hasattr(obj, "__post_init__"):
+                obj.__post_init__()
         except ValueError as e:
             raise ConfigError(f"config line {line_no}: {key}: {e}") from None
-    for obj in sections.values():  # re-run the invariant checks
-        if hasattr(obj, "__post_init__"):
-            obj.__post_init__()
     return cfg
 
 

@@ -72,7 +72,6 @@ def load_ucr(path, fs: float = 1.0, split_tag: str = "train") -> Dataset:
     0-based ids in ascending order."""
     raw_labels: List[float] = []
     rows: List[np.ndarray] = []
-    line_nos: List[int] = []
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
@@ -87,24 +86,21 @@ def load_ucr(path, fs: float = 1.0, split_tag: str = "train") -> Dataset:
                 raise DataFormatError(f"{path}:{line_no}: non-numeric field ({e})") from None
             if rows and len(numbers) - 1 != len(rows[0]):
                 raise DataFormatError(f"{path}:{line_no}: inconsistent series length")
+            finite = np.isfinite(numbers)
+            if not finite.all():
+                j = int(finite.argmin())  # the first non-finite field
+                raise DataFormatError(f"{path}:{line_no}: non-finite class label {fields[0]}" if j == 0
+                                      else f"{path}:{line_no}: non-finite series value {numbers[j]} in field {j + 1}")
             label = float(numbers[0])
-            if not math.isfinite(label):
-                raise DataFormatError(f"{path}:{line_no}: non-finite class label {fields[0]}")
             if label != int(label):
                 raise DataFormatError(f"{path}:{line_no}: non-integer class label {label}")
             raw_labels.append(int(label))
             rows.append(numbers[1:])
-            line_nos.append(line_no)
     if not rows:
         raise DataFormatError(f"{path}: empty file")
-    values = np.asarray(rows, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(values))
-    if len(bad):
-        row, col = bad[0]
-        raise DataFormatError(f"{path}:{line_nos[row]}: non-finite series value {values[row, col]} in field {col + 2}")
     # Python ints, so a label beyond int64 neither overflows nor turns the others into floats
     vocab, labels = np.unique(np.array(raw_labels, dtype=object), return_inverse=True)
-    return Dataset(values=values, labels=labels, class_names=[str(v) for v in vocab], fs=fs, split_tag=split_tag)
+    return Dataset(values=rows, labels=labels, class_names=[str(v) for v in vocab], fs=fs, split_tag=split_tag)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from typing import List
 
 import numpy as np
 
+from .errors import DataFormatError
+
 
 @dataclass
 class EvalReport:
@@ -24,6 +26,15 @@ def _checked(preds, labels):
     if preds.size == 0:
         raise ValueError("empty inputs")
     return preds, labels
+
+
+def class_ids(labels, num_classes: int) -> np.ndarray:
+    """`labels` as an int64 vector, once every id is a class in [0,
+    num_classes): the check of `evaluate` and `optim.train`."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 1 or (labels.size and not 0 <= labels.min() <= labels.max() < num_classes):
+        raise DataFormatError(f"class ids must be a vector of integers in [0, {num_classes})")
+    return labels
 
 
 def accuracy(preds, labels) -> float:
@@ -103,7 +114,10 @@ def evaluate(probs, labels, num_classes: int) -> EvalReport:
     """Every measure of the report from one check of the inputs and one
     confusion matrix."""
     probs = np.asarray(probs, dtype=np.float64)
-    preds, labels = _checked(probs.argmax(axis=1), np.asarray(labels, dtype=np.int64))
+    labels = class_ids(labels, num_classes)
+    if probs.shape != (labels.size, num_classes):
+        raise DataFormatError(f"probabilities must be of shape ({labels.size}, {num_classes}), got {probs.shape}")
+    preds, labels = _checked(probs.argmax(axis=1), labels)
     m = confusion_matrix(preds, labels, num_classes)
     f1, present = _f1(m)
     return EvalReport(

@@ -52,6 +52,12 @@ MODEL_MAGIC = b"GAFN"
 MODEL_VERSION = 2
 
 
+def is_int_at_least(v, least: int = 1) -> bool:
+    """The settings' integer rule: `v` is an int or a numpy integer, not a
+    bool, and at least `least`."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     num_classes: int
@@ -67,19 +73,16 @@ class ModelConfig:
         object.__setattr__(self, "cnn1d_layers", tuple(tuple(l) for l in self.cnn1d_layers))
         object.__setattr__(self, "cnn2d_layers", tuple(tuple(l) for l in self.cnn2d_layers))
 
-        def positive(v):  # an integer >= 1, numpy's too; a bool is not one
-            return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
-
         for name in ("num_classes", "lstm_hidden", "groups", "d_attn", "mlp_hidden"):
-            if not positive(getattr(self, name)):
+            if not is_int_at_least(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer >= 1")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if not all(len(l) == 2 and all(map(positive, l)) and l[1] % 2 for l in self.cnn1d_layers):
+        if not all(len(l) == 2 and all(map(is_int_at_least, l)) and l[1] % 2 for l in self.cnn1d_layers):
             raise ConfigError("cnn1d_layers: every layer must be (channels >= 1, odd kernel >= 1)")
-        if not self.cnn2d_layers or not all(len(l) == 3 and all(map(positive, l)) for l in self.cnn2d_layers):
+        if not self.cnn2d_layers or not all(len(l) == 3 and all(map(is_int_at_least, l)) for l in self.cnn2d_layers):
             raise ConfigError("cnn2d_layers: need at least one layer, each (channels, kernel, stride) >= 1")
         if self.d_t % self.groups or self.d_s % self.groups:
             raise ConfigError("groups must divide both feature dims")

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from . import data, metrics, model as model_mod
 from .errors import ConfigError, GafnetError, ShapeMismatchError
-from .model import ModelConfig, ModelParams
+from .model import ModelConfig, ModelParams, is_int_at_least
 from .ops import make_rng
 
 LOG_EPS = 1e-12
@@ -24,14 +25,14 @@ class ScheduleConfig:
 
     def __post_init__(self):
         # written so that NaN fails too
-        if not self.eta0 > 0:
-            raise ConfigError("initial learning rate must be positive")
-        if not self.decay >= 0:
-            raise ConfigError("decay factor must be >= 0")
+        if not 0 < self.eta0 < math.inf:
+            raise ConfigError("initial learning rate must be finite and positive")
+        if not 0 <= self.decay < math.inf:
+            raise ConfigError("decay factor must be finite and >= 0")
         if self.kind not in ("inverse_sqrt", "cosine"):
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
-        if self.total_steps < 0:
-            raise ConfigError("total_steps must be >= 0 (0: every step of the run)")
+        if not is_int_at_least(self.total_steps, 0):
+            raise ConfigError("total_steps must be an integer >= 0 (0: every step of the run)")
 
 
 @dataclass
@@ -44,8 +45,9 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+        for name in ("epochs", "batch_size"):
+            if not is_int_at_least(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer >= 1")
         if self.checkpoint_policy not in ("best_validation", "last"):
             raise ConfigError(f"unknown checkpoint policy {self.checkpoint_policy!r}")
         if not 0.0 <= self.val_fraction < 1.0:  # NaN fails too
@@ -163,7 +165,7 @@ def train(
     training or validation rows is kept; the parameters, their gradients and
     the Adam moments stay float64.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = metrics.class_ids(labels, cfg.num_classes)
     n = labels.size
     if n == 0:
         raise ValueError("empty dataset")

@@ -179,10 +179,37 @@ class TestConfigKeys:
     @pytest.mark.parametrize("key, value", [
         ("train.batch_size", "8.5"), ("schedule.decay", "fast"), ("model.cnn2d_layers", "4:x:2"),
         ("preprocess.window", "wide"),
+        # values that break their section's invariants, checked at their line
+        ("train.epochs", "0"), ("train.checkpoint_policy", "first"), ("schedule.kind", "linear"),
+        ("preprocess.window", "1"), ("preprocess.filter_mode", "twice"),
     ])
     def test_value_errors_name_the_line_and_key(self, key, value):
         with pytest.raises(ValueError, match=rf"^config line 1: {key}: "):
             config.parse_config_text(f"{key} = {value}\n")
+
+
+class TestLineChecks:
+    """Each config line is checked as it is applied, its section's invariants
+    too, so an error names the line and key that broke them (more cases in
+    `TestConfigKeys.test_value_errors_name_the_line_and_key`)."""
+
+    def test_window_and_overlap_are_checked_at_the_line_that_breaks_them(self):
+        with pytest.raises(ConfigError, match=r"^config line 2: preprocess\.overlap: overlap must satisfy"):
+            config.parse_config_text("preprocess.window = 8\npreprocess.overlap = 8\n")
+        # a valid pair reached only through an invalid one is rejected at the line that made it invalid
+        with pytest.raises(ConfigError, match=r"^config line 2: preprocess\.overlap: "):
+            config.parse_config_text("preprocess.window = 4\npreprocess.overlap = 6\npreprocess.window = 16\n")
+        # an overlap set before its window is checked once the window is set
+        cfg = config.parse_config_text("preprocess.overlap = 6\npreprocess.window = 16\n")
+        assert (cfg.preprocess.window, cfg.preprocess.overlap) == (16, 6)
+        with pytest.raises(ConfigError, match=r"^config line 2: preprocess\.window: "):
+            config.parse_config_text("preprocess.overlap = 6\npreprocess.window = 4\n")
+
+    def test_model_keys_are_checked_together_by_to_model_config(self):
+        # groups = 3 does not divide the default lstm_hidden's 128 features, but the
+        # keys after it make a valid model: the cross-key rule is not a line's
+        settings = config.parse_config_text("model.groups = 3\nmodel.lstm_hidden = 3\nmodel.cnn2d_layers = 6:3:2\n").model
+        assert settings.to_model_config(num_classes=2).groups == 3
 
 
 class TestFiniteValues:
@@ -192,7 +219,7 @@ class TestFiniteValues:
     and from the command line (exit 2)."""
 
     @pytest.mark.parametrize("kwargs", [{"eta0": float("nan")}, {"decay": float("nan")}, {"eta0": 0.0},
-                                        {"decay": -1.0}])
+                                        {"decay": -1.0}, {"eta0": float("inf")}, {"decay": float("inf")}])
     def test_schedule_constructor_rejects(self, kwargs):
         with pytest.raises(ValueError):
             optim.ScheduleConfig(**kwargs)
@@ -433,18 +460,46 @@ class TestCliTrainEval:
         # same model, same test data -> identical report
         assert eval_report == train_report
 
-    def test_eval_wrong_series_length_is_data_error(self, workspace, tmp_path):
+    def test_eval_wrong_series_length_is_data_error(self, workspace, tmp_path, capsys, monkeypatch):
         _, train, test, cfg = workspace
         out = tmp_path / "run"
         assert cli.main([
             "train", "--dataset", "ucr", "--train", str(train), "--test", str(test),
             "--config", str(cfg), "--out", str(out),
         ]) == 0
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("GAF images were built for a test set the model cannot read")
+
+        monkeypatch.setattr(gaf, "gaf_images", must_not_run)  # the length is checked first
         other = write_ucr(tmp_path / "short.tsv", 4, 10, seed=4)
+        capsys.readouterr()
         assert cli.main([
             "eval", "--model", str(out / "model.bin"), "--dataset", "ucr", "--test", str(other),
             "--config", str(cfg),
         ]) == 2
+        assert "data error: model expects segments of length 16, test data has 10" in capsys.readouterr().err
+
+    def test_eval_without_test_is_a_usage_error(self, workspace, capsys):
+        _, _, _, cfg = workspace
+        assert cli.main(["eval", "--model", "model.bin", "--dataset", "ucr", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "--test" in err
+
+    def test_eval_with_the_training_window(self, workspace, tmp_path, capsys):
+        # a configured window sets the segment length: 8-sample windows of the 16-sample series
+        _, train, test, whole_series_cfg = workspace
+        cfg = tmp_path / "window.cfg"
+        cfg.write_text(TINY_MODEL_CONFIG + "preprocess.window = 8\n")
+        out = tmp_path / "run"
+        args = ["--dataset", "ucr", "--test", str(test), "--config", str(cfg)]
+        assert cli.main(["train", "--train", str(train), "--out", str(out)] + args) == 0
+        train_report = capsys.readouterr().out
+        assert cli.main(["eval", "--model", str(out / "model.bin")] + args) == 0
+        assert capsys.readouterr().out == train_report
+        assert cli.main(["eval", "--model", str(out / "model.bin"), "--dataset", "ucr", "--test", str(test),
+                         "--config", str(whole_series_cfg)]) == 2
+        assert "model expects segments of length 8, test data has 16" in capsys.readouterr().err
 
     def test_variant_train(self, workspace):
         tmp_path, train, test, cfg = workspace
@@ -556,6 +611,18 @@ class TestRunDirectory:
     part way through any of the four run files keeps a reused --out's
     previous files byte for byte, creates no new --out, and leaves no staged
     file beside it."""
+
+    def test_out_that_is_a_file_is_a_usage_error_before_loading(self, workspace, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("trained with an --out it cannot write")
+
+        monkeypatch.setattr(optim, "train", must_not_run)
+        monkeypatch.setattr(cli.data, "load_ucr", must_not_run)
+        afile = workspace[0] / "afile"
+        afile.write_bytes(b"not a run directory")
+        assert self.train(workspace, afile, seed=1) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: --out {afile} exists and is not a directory")
+        assert afile.read_bytes() == b"not a run directory"
 
     @staticmethod
     def train(workspace, out, seed):

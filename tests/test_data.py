@@ -97,6 +97,17 @@ class TestLoadUcr:
         with pytest.raises(DataFormatError, match=r"bad\.tsv:3: non-finite series value .* in field 3"):
             data.load_ucr(path)
 
+    def test_first_bad_line_is_reported(self, tmp_path):
+        # each line is checked as it is read: the non-finite value on line 2, not the word on line 4
+        path = write(tmp_path, "bad.tsv", "1\t1.0\t2.0\n2\t3.0\tnan\n1\t5.0\t6.0\n2\t7.0\tx\n")
+        with pytest.raises(DataFormatError, match=r"^.*bad\.tsv:2: non-finite series value nan in field 3$"):
+            data.load_ucr(path)
+
+    def test_non_finite_value_is_reported_before_a_non_integer_label(self, tmp_path):
+        path = write(tmp_path, "bad.tsv", "1\t1.0\t2.0\n2.5\t-inf\t4.0\n")
+        with pytest.raises(DataFormatError, match=r"bad\.tsv:2: non-finite series value -inf in field 2$"):
+            data.load_ucr(path)
+
     def test_negative_and_beyond_int64_labels_keep_order_and_text(self, tmp_path):
         # 2**63 and 1e20 are above int64 and -1e19 is below it: with int64 labels they would not
         # parse, or turn every label into a float (str "-3.0")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gafnet import metrics
+from gafnet.errors import DataFormatError
 
 
 def pairwise_auc(scores, positive_mask):
@@ -169,3 +170,26 @@ class TestEvaluateAndReport:
         assert lines[1].startswith("macro_f1:") and lines[2].startswith("macro_auc:")
         assert lines[4] == "confusion:"
         assert lines[5].strip() == "1 0" and lines[6].strip() == "0 1"
+
+
+class TestClassIds:
+    """`evaluate` and `optim.train` take class ids in [0, C) and, for
+    `evaluate`, one row of C probabilities per label: anything else is a
+    `DataFormatError`, before any measure is computed."""
+
+    PROBS = np.array([[0.9, 0.1], [0.2, 0.8], [0.4, 0.6]])
+
+    @pytest.mark.parametrize("labels", [[0, 1, -1], [0, 1, 2], [[0, 1, 1]]])
+    def test_ids_outside_the_classes_rejected(self, labels):
+        with pytest.raises(DataFormatError, match=r"class ids must be a vector of integers in \[0, 2\)"):
+            metrics.evaluate(self.PROBS, labels, 2)
+
+    @pytest.mark.parametrize("probs, num_classes", [(PROBS[:, 0], 2), (PROBS, 3), (PROBS[:2], 2)])
+    def test_probabilities_of_another_shape_rejected(self, probs, num_classes):
+        with pytest.raises(DataFormatError, match=r"probabilities must be of shape \(3, "):
+            metrics.evaluate(probs, [0, 1, 1], num_classes)
+
+    def test_valid_ids_pass_as_int64(self):
+        ids = metrics.class_ids([0, 2, 1], 3)
+        assert ids.dtype == np.int64 and ids.tolist() == [0, 2, 1]
+        assert metrics.class_ids([], 2).size == 0

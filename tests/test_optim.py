@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gafnet import model, ops, optim, pipeline
-from gafnet.errors import GafnetError, ShapeMismatchError
+from gafnet.errors import ConfigError, DataFormatError, GafnetError, ShapeMismatchError
 
 
 def tiny_config(variant="full"):
@@ -389,8 +389,49 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="total_steps"):
             optim.ScheduleConfig(kind="cosine", total_steps=-5)
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_label_outside_the_classes_rejected(self, monkeypatch, bad):
+        monkeypatch.setattr(model, "init_params", None)  # nothing is trained
+        segs, imgs, labels = toy_training_data(np.random.default_rng(0))
+        labels = labels.copy()
+        labels[3] = bad
+        with pytest.raises(DataFormatError, match=r"class ids must be a vector of integers in \[0, 2\)"):
+            optim.train(tiny_config(), segs, imgs, labels, self.make_train_cfg())
+
     def test_defaults(self):
         cfg = optim.TrainConfig()
         assert cfg.epochs == 100 and cfg.batch_size == 64
         assert cfg.schedule.kind == "inverse_sqrt" and cfg.schedule.eta0 == 0.001
         assert cfg.checkpoint_policy == "best_validation" and cfg.val_fraction == 0.1
+
+
+class TestSettingTypes:
+    """`epochs`, `batch_size` and `total_steps` follow `ModelConfig`'s integer
+    rule, an int or a numpy integer but not a bool; the schedule's `eta0` and
+    `decay` are finite."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", True), ("epochs", 2.0), ("epochs", 0), ("batch_size", 2.5), ("batch_size", False),
+        ("batch_size", np.int64(0)),
+    ])
+    def test_train_counts_are_integers_of_at_least_one(self, name, value):
+        with pytest.raises(ConfigError, match=rf"^{name} must be an integer >= 1$"):
+            optim.TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [True, 1.5, 2.0, -1])
+    def test_total_steps_is_an_integer_of_at_least_zero(self, value):
+        with pytest.raises(ConfigError, match=r"^total_steps must be an integer >= 0"):
+            optim.ScheduleConfig(kind="cosine", total_steps=value)
+
+    def test_numpy_integers_accepted(self):
+        cfg = optim.TrainConfig(epochs=np.int64(2), batch_size=np.int32(4),
+                                schedule=optim.ScheduleConfig(total_steps=np.int64(0)))
+        assert (cfg.epochs, cfg.batch_size, cfg.schedule.total_steps) == (2, 4, 0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"eta0": float("inf")}, "initial learning rate must be finite"),
+        ({"decay": float("inf")}, "decay factor must be finite"),
+    ])
+    def test_infinite_schedule_rejected(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            optim.ScheduleConfig(**kwargs)
