@@ -183,8 +183,13 @@ def cmd_gaf(args, cfg: RunConfig) -> int:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    if os.path.exists(args.out) and not os.path.isdir(args.out):  # before any loading or training
-        raise argparse.ArgumentError(None, f"--out {args.out} exists and is not a directory")
+    # before any loading or training: --out, or the nearest of its ancestors that exists, must be a directory
+    existing = os.path.abspath(args.out)
+    while not os.path.exists(existing):  # ends at the root at the latest
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        inside = "" if existing == os.path.abspath(args.out) else f" is inside {existing}, which"
+        raise argparse.ArgumentError(None, f"--out {args.out}{inside} exists and is not a directory")
     if args.seed is not None:
         cfg.train.seed = args.seed
     train_ds, test_ds, pre = _train_and_test(args, cfg)

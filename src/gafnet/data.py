@@ -8,6 +8,7 @@ binary signal file, MIT binary annotation file.
 import logging
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from .dsp import Signal
 from .errors import ConfigError, DataFormatError
+from .metrics import class_ids
 from .ops import make_rng
 
 log = logging.getLogger(__name__)
@@ -38,13 +40,11 @@ class Dataset:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.values.ndim != 2 or self.values.shape[0] == 0:
             raise DataFormatError("dataset must contain at least one series")
+        self.labels = class_ids(self.labels, len(self.class_names))
         if self.labels.shape != (self.values.shape[0],):
             raise DataFormatError("labels misaligned with series")
-        if self.labels.min() < 0 or self.labels.max() >= len(self.class_names):
-            raise DataFormatError("label outside class vocabulary")
 
     def __len__(self):
         return self.values.shape[0]
@@ -69,38 +69,77 @@ class Dataset:
 
 def load_ucr(path, fs: float = 1.0, split_tag: str = "train") -> Dataset:
     """Parse a UCR-style text file; original labels are relabeled to contiguous
-    0-based ids in ascending order."""
-    raw_labels: List[float] = []
-    rows: List[np.ndarray] = []
+    0-based ids in ascending order.
+
+    The file is read once. numpy's C reader parses a well-formed file in one
+    call; any other file goes to the line parser, which gives every error
+    with the line it is on and is the reference for the values."""
     with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split("\t") if "\t" in line else line.split(",")
-            if len(fields) < 2:
-                raise DataFormatError(f"{path}:{line_no}: row has no series values")
-            try:
-                numbers = np.array(fields, dtype=np.float64)  # parses each field as float() does
-            except ValueError as e:
-                raise DataFormatError(f"{path}:{line_no}: non-numeric field ({e})") from None
-            if rows and len(numbers) - 1 != len(rows[0]):
-                raise DataFormatError(f"{path}:{line_no}: inconsistent series length")
-            finite = np.isfinite(numbers)
-            if not finite.all():
-                j = int(finite.argmin())  # the first non-finite field
-                raise DataFormatError(f"{path}:{line_no}: non-finite class label {fields[0]}" if j == 0
-                                      else f"{path}:{line_no}: non-finite series value {numbers[j]} in field {j + 1}")
-            label = float(numbers[0])
-            if label != int(label):
-                raise DataFormatError(f"{path}:{line_no}: non-integer class label {label}")
-            raw_labels.append(int(label))
-            rows.append(numbers[1:])
+        text = f.read()  # universal newlines: every line ends in "\n", as it does iterating f
+    lines = text.split("\n")
+    table = _ucr_table(lines, "\t" if "\t" in text else ",")
+    if table is None:
+        values, raw_labels = _parse_ucr_lines(path, lines)
+    else:
+        values, raw_labels = np.ascontiguousarray(table[:, 1:]), table[:, 0]
+    vocab, labels = np.unique(raw_labels, return_inverse=True)
+    return Dataset(values=values, labels=labels, class_names=[str(int(v)) for v in vocab], fs=fs, split_tag=split_tag)
+
+
+def _ucr_table(lines: List[str], delimiter: str) -> Optional[np.ndarray]:
+    """The file's `lines` as one float64 (N, 1 + w) table of labels and
+    series, from one `np.loadtxt` call, when they parse and pass the line
+    parser's checks: at least one series value, every value finite, every
+    label integral. Otherwise None, and the line parser decides. `loadtxt`
+    parses each field with the C parser that `float()` uses, so a field it
+    accepts has `float()`'s value; `float()` also accepts some that it
+    rejects, such as `1_0`."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a file without data warns
+            table = np.loadtxt(lines, dtype=np.float64, delimiter=delimiter, comments=None, ndmin=2)
+    except Exception:  # whatever the C reader rejects, the line parser names it or accepts it
+        return None
+    labels = table[:, 0]
+    if table.shape[1] < 2 or not np.isfinite(table).all() or (labels != np.trunc(labels)).any():
+        return None
+    return table
+
+
+def _parse_ucr_lines(path, lines) -> Tuple[List[np.ndarray], np.ndarray]:
+    """The series and the integer labels (Python ints, so a label beyond
+    int64 neither overflows nor turns the others into floats) of the UCR
+    file `path` whose lines are `lines`: a tab-separated line when it holds
+    a tab, else comma-separated. Raises DataFormatError at the first bad
+    line, with its number."""
+    raw_labels: List[int] = []
+    rows: List[np.ndarray] = []
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split("\t") if "\t" in line else line.split(",")
+        if len(fields) < 2:
+            raise DataFormatError(f"{path}:{line_no}: row has no series values")
+        try:
+            numbers = np.array(fields, dtype=np.float64)  # parses each field as float() does
+        except ValueError as e:
+            raise DataFormatError(f"{path}:{line_no}: non-numeric field ({e})") from None
+        if rows and len(numbers) - 1 != len(rows[0]):
+            raise DataFormatError(f"{path}:{line_no}: inconsistent series length")
+        finite = np.isfinite(numbers)
+        if not finite.all():
+            j = int(finite.argmin())  # the first non-finite field
+            raise DataFormatError(f"{path}:{line_no}: non-finite class label {fields[0]}" if j == 0
+                                  else f"{path}:{line_no}: non-finite series value {numbers[j]} in field {j + 1}")
+        label = float(numbers[0])
+        if label != int(label):
+            raise DataFormatError(f"{path}:{line_no}: non-integer class label {label}")
+        raw_labels.append(int(label))
+        rows.append(numbers[1:])
     if not rows:
         raise DataFormatError(f"{path}: empty file")
-    # Python ints, so a label beyond int64 neither overflows nor turns the others into floats
-    vocab, labels = np.unique(np.array(raw_labels, dtype=object), return_inverse=True)
-    return Dataset(values=rows, labels=labels, class_names=[str(v) for v in vocab], fs=fs, split_tag=split_tag)
+    return rows, np.array(raw_labels, dtype=object)
 
 
 # ---------------------------------------------------------------------------

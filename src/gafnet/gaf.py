@@ -4,9 +4,13 @@ import numpy as np
 
 # gaf_images works through blocks of rows whose float64 (rows, w, w) products,
 # which numpy holds in a temporary for the cast, stay near this size whatever
-# N is: well under glibc's 32 MB mmap threshold, and small enough to stay in
-# cache (at w=140, 1-2 MB blocks ran faster than 4-8 MB ones).
-IMAGE_BLOCK_BYTES = 2 * 2**20
+# N is (one row when a row is larger): well under glibc's 32 MB mmap
+# threshold, and with the block's float32 images well inside a 2 MiB
+# per-core L2. Median ms of gaf_images, one BLAS thread, 2-CPU Xeon (2 MiB L2
+# a core), budgets 128 KiB to 2 MiB: flat from 384 KiB to 1 MiB, and 1.3-1.5x
+# slower at 2 MiB (600x140: 13.1 against 16.8; 100x360: 13.4 against 17.9;
+# 200x96: 1.34 against 1.99).
+IMAGE_BLOCK_BYTES = 512 * 2**10
 
 
 def rescale(values) -> np.ndarray:

@@ -29,12 +29,16 @@ def _checked(preds, labels):
 
 
 def class_ids(labels, num_classes: int) -> np.ndarray:
-    """`labels` as an int64 vector, once every id is a class in [0,
-    num_classes): the check of `evaluate` and `optim.train`."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1 or (labels.size and not 0 <= labels.min() <= labels.max() < num_classes):
+    """`labels` as an int64 vector, once every label equals its integer
+    value and that value is a class in [0, num_classes): the check of
+    `data.Dataset`, `evaluate` and `optim.train`. A fractional label is
+    rejected, not truncated."""
+    labels = np.asarray(labels)
+    with np.errstate(invalid="ignore"):  # nan, inf or a float beyond int64 casts to a value it then differs from
+        ids = labels.astype(np.int64)
+    if labels.ndim != 1 or not np.array_equal(ids, labels) or (ids.size and not 0 <= ids.min() <= ids.max() < num_classes):
         raise DataFormatError(f"class ids must be a vector of integers in [0, {num_classes})")
-    return labels
+    return ids
 
 
 def accuracy(preds, labels) -> float:

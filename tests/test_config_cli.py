@@ -624,6 +624,19 @@ class TestRunDirectory:
         assert capsys.readouterr().err.startswith(f"usage error: --out {afile} exists and is not a directory")
         assert afile.read_bytes() == b"not a run directory"
 
+    @pytest.mark.parametrize("below", ["run", "run/deeper"])
+    def test_out_inside_a_file_is_a_usage_error_before_training(self, workspace, capsys, monkeypatch, below):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("trained with an --out it cannot write")
+
+        monkeypatch.setattr(optim, "train", must_not_run)
+        afile = workspace[0] / "afile"
+        afile.write_bytes(b"not a run directory")
+        assert self.train(workspace, afile / below, seed=1) == 1
+        assert capsys.readouterr().err.startswith(
+            f"usage error: --out {afile / below} is inside {afile}, which exists and is not a directory")
+        assert afile.read_bytes() == b"not a run directory"
+
     @staticmethod
     def train(workspace, out, seed):
         _, train, test, cfg = workspace

@@ -178,6 +178,73 @@ class TestLoadUcrParsing:
         assert str(info.value) == f"{path}:3: inconsistent series length"
 
 
+def repr_rows(n, w, sep, seed=7):
+    """`n` rows of random values written with repr(), as the UCR surrogates are."""
+    rng = np.random.default_rng(seed)
+    return "".join(sep.join([str(i % 3 + 1)] + [repr(float(v)) for v in rng.standard_normal(w) * 10.0 ** rng.integers(-5, 6)])
+                   + "\n" for i in range(n))
+
+
+# file text, and whether numpy's C reader takes it (else the line parser does)
+UCR_FILES = {
+    "tab": ("2\t1.0\t2.0\n1\t3.0\t4.0\n2\t5.0\t6.0\n", True),
+    "comma": ("-1,0.5,0.25\n1,2.5,3.5\n", True),
+    "repr values, tab": (repr_rows(40, 30, "\t"), True),
+    "repr values, comma": (repr_rows(40, 30, ","), True),
+    "number forms": ("-0\t1e5\t-0.0\t+.5\t1.\t 3.25 \t1E-310\t1e-999\t0.1\t123456789012345678901234567890\n"
+                     "0\t-1e308\t5e-324\t2.5e+3\t-.75\t1\t-2\t0.30000000000000004\t9007199254740993\t1e22\n", True),
+    "blank lines": ("\n0\t1.0\n\n\n1\t2.0\n\n", True),
+    "whitespace-only lines, tab": ("0\t1.0\n   \n\t\n1\t2.0\n \t \n", False),
+    "whitespace-only lines, comma": ("0,1.0\n   \n1,2.0\n", False),
+    "crlf": ("0\t1.0\t2.0\r\n1\t3.0\t4.0\r\n", True),
+    "cr": ("0,1.0,2.0\r1,3.0,4.0\r", True),
+    "one line": ("3\t1.5\t-2.5", True),
+    "one line, one value": ("3,1.5\n", True),
+    "trailing delimiters": ("0\t1.0\t2.0\t\n1\t3.0\t4.0\t\n", False),
+    "leading delimiters": ("\t0\t1.0\t2.0\n\t1\t3.0\t4.0\n", False),
+    "mixed delimiters": ("0\t1.0\t2.0\n1,3.0,4.0\n", False),
+    "label ' 2 '": ("0\t1.0\n 2 \t2.0\n", True),
+    "label 3.0": ("0\t1.0\n3.0\t2.0\n", True),
+    "label 1_0": ("0\t1.0\n1_0\t2.0\n", False),
+    "value 1_0": ("0\t1_0\n1\t2.0\n", False),
+}
+
+
+class TestLoadUcrFastPath:
+    """`load_ucr` gives the line parser's Dataset, byte for byte, whichever
+    path parses the file."""
+
+    @pytest.mark.parametrize("name", UCR_FILES)
+    def test_equal_to_the_line_parser(self, tmp_path, monkeypatch, name):
+        text, fast = UCR_FILES[name]
+        path = tmp_path / "f.txt"
+        path.write_bytes(text.encode())  # the line endings as written
+        tables = []
+        real_table = data._ucr_table
+
+        def spy(lines, delimiter):
+            tables.append(real_table(lines, delimiter))
+            return tables[-1]
+
+        monkeypatch.setattr(data, "_ucr_table", spy)
+        got = data.load_ucr(path)
+        assert (tables[0] is not None) == fast
+        monkeypatch.setattr(data, "_ucr_table", lambda lines, delimiter: None)
+        want = data.load_ucr(path)
+        assert got.values.dtype == want.values.dtype == np.float64 and got.values.flags.c_contiguous
+        assert got.values.shape == want.values.shape and got.values.tobytes() == want.values.tobytes()
+        assert got.labels.dtype == want.labels.dtype and got.labels.tobytes() == want.labels.tobytes()
+        assert got.class_names == want.class_names
+
+    def test_values_are_float_of_each_field(self, tmp_path):
+        # the line parser's reference in turn: each field as float() reads it
+        text, _ = UCR_FILES["number forms"]
+        ds = data.load_ucr(write(tmp_path, "f.tsv", text))
+        want = [[float(f) for f in line.split("\t")[1:]] for line in text.splitlines()]
+        assert ds.values.tobytes() == np.array(want).tobytes()
+        assert ds.class_names == ["0"] and ds.labels.tolist() == [0, 0]
+
+
 class TestWfdbHeader:
     def test_typical_record(self):
         h = data.parse_wfdb_header(HEADER_2CH)
@@ -450,6 +517,8 @@ class TestDatasetOps:
             data.Dataset(values=np.zeros((0, 4)), labels=np.zeros(0), class_names=["a"])
         with pytest.raises(DataFormatError):
             data.Dataset(values=np.zeros((2, 4)), labels=[0, 3], class_names=["a", "b"])
+        with pytest.raises(DataFormatError, match=r"class ids must be a vector of integers in \[0, 2\)"):
+            data.Dataset(values=np.zeros((2, 4)), labels=[0.0, 0.5], class_names=["a", "b"])  # not truncated to 0
 
 
 class TestLoadWfdbRecord:

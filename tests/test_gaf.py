@@ -17,6 +17,12 @@ def read_pgm(path):
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
 
 
+def block_rows(w):
+    """The rows in each of gaf_images' blocks at segment length w, by its own
+    rule: at least one."""
+    return max(1, gaf.IMAGE_BLOCK_BYTES // (8 * w * w))
+
+
 class TestRescale:
     def test_endpoints_and_midpoint(self):
         assert np.allclose(gaf.rescale([0.0, 5.0, 10.0]), [-1.0, 0.0, 1.0], atol=0)
@@ -186,7 +192,7 @@ def outer_product_images(segs):
 class TestGafImagesBytes:
     @pytest.mark.parametrize("w", [24, 96, 128, 140, 360])
     def test_equal_to_outer_products_across_blocks(self, w):
-        rows = gaf.IMAGE_BLOCK_BYTES // (8 * w * w)
+        rows = block_rows(w)
         rng = np.random.default_rng(w + 1)
         segs = rng.standard_normal((2 * rows + 1, w)) * rng.uniform(0.1, 10.0, size=(2 * rows + 1, 1))
         segs[rows] = 1.5  # a constant row
@@ -239,8 +245,7 @@ class TestGafImagesCast:
     @pytest.mark.parametrize("w", [2, 24, 96, 140, 360])
     @pytest.mark.parametrize("edge", [-1, 0, 1])
     def test_equal_to_gram_then_cast_at_block_edges(self, w, edge):
-        rows = max(1, gaf.IMAGE_BLOCK_BYTES // (8 * w * w))
-        n = rows + edge
+        n = 2 * block_rows(w) + edge  # around the second block edge, which every w has
         rng = np.random.default_rng(100 * w + edge)
         segs = rng.standard_normal((n, w)) * rng.uniform(0.1, 10.0, size=(n, 1))
         segs[n // 2] = -0.25  # a constant segment, whose image is all -1

@@ -179,7 +179,7 @@ class TestClassIds:
 
     PROBS = np.array([[0.9, 0.1], [0.2, 0.8], [0.4, 0.6]])
 
-    @pytest.mark.parametrize("labels", [[0, 1, -1], [0, 1, 2], [[0, 1, 1]]])
+    @pytest.mark.parametrize("labels", [[0, 1, -1], [0, 1, 2], [[0, 1, 1]], [0.5, 1.7, 1.0], [0, 1, np.nan]])
     def test_ids_outside_the_classes_rejected(self, labels):
         with pytest.raises(DataFormatError, match=r"class ids must be a vector of integers in \[0, 2\)"):
             metrics.evaluate(self.PROBS, labels, 2)
@@ -193,3 +193,12 @@ class TestClassIds:
         ids = metrics.class_ids([0, 2, 1], 3)
         assert ids.dtype == np.int64 and ids.tolist() == [0, 2, 1]
         assert metrics.class_ids([], 2).size == 0
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, 1.0 + 1e-9], [0.0, np.inf], [0.0, 2.0**63]])
+    def test_fractional_or_non_finite_ids_rejected_not_truncated(self, labels):
+        with pytest.raises(DataFormatError, match=r"class ids must be a vector of integers in \[0, 2\)"):
+            metrics.class_ids(labels, 2)
+
+    def test_integral_float_ids_pass(self):
+        ids = metrics.class_ids([0.0, 1.0, -0.0], 2)
+        assert ids.dtype == np.int64 and ids.tolist() == [0, 1, 0]
